@@ -513,12 +513,10 @@ func BenchmarkSolvePreconditioned(b *testing.B) {
 	vecmath.NewRNG(2).FillNormal(rhs)
 	vecmath.CenterMean(rhs)
 	b.Run("jacobi", func(b *testing.B) {
-		lop := sparse.NewLapOperator(g)
-		proj := &sparse.ProjectedOperator{Inner: lop}
-		pc := lop.Jacobi()
+		s := sparse.NewLaplacianSolver(g, solver.Options{Tol: 1e-8, MaxIter: 10000})
 		for i := 0; i < b.N; i++ {
 			x := make([]float64, n)
-			if _, err := sparse.CG(context.Background(), proj, x, rhs, pc, nil, solver.Options{Tol: 1e-8, MaxIter: 10000}); err != nil {
+			if _, err := s.Solve(context.Background(), x, rhs); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -113,7 +113,7 @@ func cmdBench(args []string) {
 		}
 	}
 
-	// --- SpMV: serial vs legacy spawn-per-call vs persistent pool --------
+	// --- SpMV: serial vs persistent pool --------------------------------
 	for _, n := range []int{10000, 100000} {
 		grid := benchGrid(n)
 		csr := graph.NewCSR(grid)
@@ -130,13 +130,6 @@ func cmdBench(args []string) {
 		})
 		run.Results = append(run.Results, serial)
 		procs := runtime.GOMAXPROCS(0)
-		run.Results = append(run.Results, addPair(prefix, serial.NsOp,
-			measure(fmt.Sprintf("%s/spawn/workers=%d", prefix, procs), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					csr.LapMulParallel(dst, x, procs)
-				}
-			})))
 		pool := kernel.Shared(procs)
 		part := csr.NNZPartition(pool.Workers())
 		run.Results = append(run.Results, addPair(prefix, serial.NsOp,

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 )
 
@@ -220,29 +219,6 @@ func (c *CSR) lapMulMulti4(d0, d1, d2, d3, x0, x1, x2, x3 []float64, lo, hi int)
 	}
 }
 
-// spawnCutover is the SpMVWork below which spawning goroutines costs more
-// than the product itself (measured on the repo's bench families; goroutine
-// start plus join is ~2-4µs, roughly 10-20k multiply-adds). The persistent
-// pool in internal/kernel has its own, much lower cutover.
-const spawnCutover = 1 << 15
-
-// clampSpMVWorkers bounds a requested SpMV worker count: more workers than
-// GOMAXPROCS cannot run concurrently, more workers than rows get empty
-// partitions, and sub-cutover products run serially. The result is the
-// number of goroutines actually worth spawning (1 means serial).
-func clampSpMVWorkers(workers, rows, work int) int {
-	if workers > rows {
-		workers = rows
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
-	if workers < 1 || work < spawnCutover {
-		return 1
-	}
-	return workers
-}
-
 // NNZPartition splits the rows into the given number of contiguous chunks
 // of near-equal work (nonzeros plus a constant per row), returning chunk
 // boundaries of length chunks+1 with part[0] = 0 and part[chunks] = N.
@@ -276,45 +252,6 @@ func (c *CSR) NNZPartition(chunks int) []int {
 		}
 	}
 	return part
-}
-
-// LapMulParallel computes dst = L x using up to the given number of worker
-// goroutines over an nnz-balanced row partition. Rows are written by
-// exactly one worker each and per-row accumulation order matches LapMul, so
-// the result is bit-identical to the serial product for every worker count.
-// The count is clamped to GOMAXPROCS and the row count, and sub-cutover
-// products run serially (see clampSpMVWorkers).
-//
-// This is the legacy spawn-per-call path: it allocates the partition and
-// the join channel on every call. Hot paths go through a frozen
-// sparse.LapOperator, which dispatches into a persistent internal/kernel
-// pool with a partition precomputed at freeze time instead.
-func (c *CSR) LapMulParallel(dst, x []float64, workers int) {
-	if len(x) != c.N || len(dst) != c.N {
-		panic("graph: LapMulParallel dimension mismatch")
-	}
-	workers = clampSpMVWorkers(workers, c.N, c.SpMVWork())
-	if workers == 1 {
-		c.LapMul(dst, x)
-		return
-	}
-	part := c.NNZPartition(workers)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				s := c.Degree[u] * x[u]
-				for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
-					s -= c.Weights[k] * x[c.ColIdx[k]]
-				}
-				dst[u] = s
-			}
-			done <- struct{}{}
-		}(part[w], part[w+1])
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
 }
 
 // Neighbors returns the (coalesced) neighbor indices of u as a sub-slice of

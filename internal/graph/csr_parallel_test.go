@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"math"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // buildSized returns a connected graph with exactly n nodes: a ring with
 // chords, deterministic in n, plus weight variety so wrong partitions or
@@ -37,93 +33,6 @@ func withEmptyRows(g *Graph, k int) *Graph {
 		out.AddEdge(e.U, e.V, e.W)
 	}
 	return out
-}
-
-// TestLapMulParallelBitForBit is the determinism property from the issue:
-// LapMulParallel must equal LapMul bit-for-bit across sizes (straddling the
-// old hardcoded 4096 cutover) and worker counts, including counts above
-// GOMAXPROCS and the chunk count, empty rows, and the star graph's nnz
-// skew. Equality is exact (==, not a tolerance): every row is written by
-// one worker with the serial accumulation order.
-func TestLapMulParallelBitForBit(t *testing.T) {
-	old := runtime.GOMAXPROCS(16)
-	defer runtime.GOMAXPROCS(old)
-
-	sizes := []int{10, 4095, 4096, 100000}
-	workers := []int{1, 2, 3, 7, 16}
-	for _, n := range sizes {
-		cases := map[string]*Graph{"ring": buildSized(n)}
-		if n >= 4096 {
-			cases["star"] = starN(n)
-			cases["emptyrows"] = withEmptyRows(buildSized(n-n/8), n/8)
-		}
-		for name, g := range cases {
-			csr := NewCSR(g)
-			x := make([]float64, csr.N)
-			for i := range x {
-				x[i] = math.Sin(float64(i)) + 0.25*math.Cos(float64(3*i))
-			}
-			want := make([]float64, csr.N)
-			csr.LapMul(want, x)
-			got := make([]float64, csr.N)
-			for _, w := range workers {
-				for i := range got {
-					got[i] = math.NaN() // any unwritten row must be caught
-				}
-				csr.LapMulParallel(got, x, w)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d %s workers=%d: row %d: %v != %v",
-							n, name, w, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLapMulParallelClamping is the regression test for the useless-
-// goroutine bug: worker counts above GOMAXPROCS or the row count must be
-// clamped, and sub-cutover products must not fork at all.
-func TestLapMulParallelClamping(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	if got := clampSpMVWorkers(1000, 50000, 1<<20); got != 4 {
-		t.Errorf("workers=1000 clamps to %d, want GOMAXPROCS=4", got)
-	}
-	if got := clampSpMVWorkers(3, 2, 1<<20); got != 2 {
-		t.Errorf("workers above row count clamps to %d, want 2", got)
-	}
-	if got := clampSpMVWorkers(4, 50000, spawnCutover-1); got != 1 {
-		t.Errorf("sub-cutover work got %d workers, want serial", got)
-	}
-	if got := clampSpMVWorkers(0, 50000, 1<<20); got != 1 {
-		t.Errorf("workers=0 got %d, want 1", got)
-	}
-
-	// A wildly oversubscribed call must still be correct (and not leave
-	// goroutines behind: each spawn joins before return).
-	g := buildSized(20000)
-	csr := NewCSR(g)
-	x := make([]float64, csr.N)
-	for i := range x {
-		x[i] = float64(i%13) - 6
-	}
-	want := make([]float64, csr.N)
-	csr.LapMul(want, x)
-	got := make([]float64, csr.N)
-	before := runtime.NumGoroutine()
-	csr.LapMulParallel(got, x, 1<<16)
-	after := runtime.NumGoroutine()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("oversubscribed row %d mismatch", i)
-		}
-	}
-	if after > before+4 {
-		t.Errorf("goroutines leaked or oversubscribed: %d -> %d", before, after)
-	}
 }
 
 // TestNNZPartitionInvariants checks boundary structure and balance: chunks

@@ -235,14 +235,6 @@ func TestCSRMatchesGraphLapMul(t *testing.T) {
 			t.Fatalf("CSR LapMul mismatch at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
-	// Parallel version agrees too.
-	par := make([]float64, 50)
-	c.LapMulParallel(par, x, 4)
-	for i := range want {
-		if math.Abs(want[i]-par[i]) > 1e-9 {
-			t.Fatalf("parallel LapMul mismatch at %d", i)
-		}
-	}
 }
 
 func TestCSRCoalescesParallelEdges(t *testing.T) {

@@ -359,16 +359,10 @@ func (s *SELL) AdjMulChunks(dst, x []float64, c0, c1 int) {
 	}
 }
 
-// lapMulChunkOne applies one chunk's Laplacian product to a single column —
-// the odd-column body of the multi kernel.
-func (s *SELL) lapMulChunkOne(ch int, dst, x []float64) {
-	s.LapMulChunks(dst, x, ch, ch+1)
-}
-
 // lapMulChunk2 applies one chunk's Laplacian product to two columns in one
 // structure pass: chunk structure (Cols/Vals) is read once for both
 // columns, the blocked-solver amortization lifted onto the sliced layout.
-// Per-lane, per-column accumulation order matches lapMulChunkOne exactly.
+// Per-lane, per-column accumulation order matches LapMulChunks exactly.
 func (s *SELL) lapMulChunk2(ch int, d0, d1, x0, x1 []float64) {
 	base := s.ChunkPtr[ch]
 	r0 := ch * SellC
@@ -450,16 +444,22 @@ func (s *SELL) LapMulMulti(dst, x [][]float64) {
 // LapMulMultiChunks applies the blocked Laplacian product to chunks
 // [c0, c1) — the shared body of LapMulMulti and the pooled multi kernel.
 // Chunks are the outer loop so a chunk's structure stays cache-resident
-// across the whole column block. Callers must have validated dimensions.
+// across the whole column block; a single column runs the single-vector
+// body over the whole range instead of re-entering it once per chunk.
+// Callers must have validated dimensions.
 func (s *SELL) LapMulMultiChunks(dst, x [][]float64, c0, c1 int) {
 	b := len(x)
+	if b == 1 {
+		s.LapMulChunks(dst[0], x[0], c0, c1)
+		return
+	}
 	for ch := c0; ch < c1; ch++ {
 		j := 0
 		for ; j+2 <= b; j += 2 {
 			s.lapMulChunk2(ch, dst[j], dst[j+1], x[j], x[j+1])
 		}
 		if j < b {
-			s.lapMulChunkOne(ch, dst[j], x[j])
+			s.LapMulChunks(dst[j], x[j], ch, ch+1)
 		}
 	}
 }

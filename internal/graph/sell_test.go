@@ -253,8 +253,7 @@ func TestSELLChunkPartitionSpansReproduceFullProduct(t *testing.T) {
 	}
 }
 
-// Satellite: CSR.NNZPartition degenerate inputs — previously only exercised
-// indirectly through LapMulParallel.
+// CSR.NNZPartition degenerate inputs.
 func TestNNZPartitionDegenerate(t *testing.T) {
 	check := func(t *testing.T, c *CSR, chunks int) []int {
 		t.Helper()

@@ -13,7 +13,7 @@ import (
 // pooled multi kernel is bit-identical to the corresponding pooled
 // single-vector kernel on column j — and, below the cutovers, to the serial
 // vecmath composition. That per-column equivalence is what lets the blocked
-// CG solvers promise width-1 ≡ CG and masked columns ≡ independent solves.
+// CG solvers promise column ≡ width-1 and masked columns ≡ independent solves.
 //
 // Cutovers are per-column (same n thresholds as the single kernels): the
 // dispatch amortizes over the block, but routing must match the
@@ -49,17 +49,21 @@ func lapMulMultiShare(p *Pool, w int) {
 
 // LapMulMulti computes dst[j] = L x[j] for every column over the
 // nnz-balanced row partition, traversing the CSR structure once for the
-// whole block. A nil pool, a mismatched partition, or sub-cutover work runs
-// the serial graph.CSR.LapMulMulti. Each column is bit-identical to a
-// LapMul of that column alone.
+// whole block. A single column is the pooled LapMul on the same partition;
+// a nil pool, a mismatched partition, or sub-cutover work runs the serial
+// graph.CSR.LapMulMulti. Each column is bit-identical to a LapMul of that
+// column alone.
 func (p *Pool) LapMulMulti(c *graph.CSR, part []int, dst, x [][]float64) {
 	if len(x) != len(dst) {
 		panic(fmt.Sprintf("kernel: LapMulMulti block widths %d/%d", len(dst), len(x)))
 	}
-	if len(x) == 0 {
+	switch {
+	case len(x) == 0:
 		return
-	}
-	if p.spmvSerial(c, part) || len(x) == 1 {
+	case len(x) == 1:
+		p.LapMul(c, part, dst[0], x[0])
+		return
+	case p.spmvSerial(c, part):
 		c.LapMulMulti(dst, x)
 		return
 	}

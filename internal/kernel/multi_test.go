@@ -77,7 +77,13 @@ func TestPoolLapMulMultiMatchesSerial(t *testing.T) {
 			for _, w := range []int{1, 2, 5, graph.MaxMulti} {
 				x := multiBlock(csr.N, w, 2.5)
 				dst := multiBlock(csr.N, w, 0)
+				forks := p.Forks()
 				p.LapMulMulti(csr, part, dst, x)
+				// Above the cutover every width forks, width 1 included: a
+				// single-column block keeps the pooled product's parallelism.
+				if forked := p.Forks() - forks; csr.SpMVWork() >= SpMVCutover && forked != 1 {
+					t.Fatalf("side %d workers %d width %d: %d forks, want 1", side, workers, w, forked)
+				}
 				want := make([][]float64, w)
 				for j := 0; j < w; j++ {
 					want[j] = make([]float64, csr.N)
@@ -91,7 +97,7 @@ func TestPoolLapMulMultiMatchesSerial(t *testing.T) {
 
 // TestPoolMultiKernelsMatchSingle: each pooled multi-vector kernel must be
 // bit-identical, per column, to its pooled single-vector counterpart — the
-// property the blocked solvers' width-1 ≡ CG contract rests on. Vector
+// property the blocked solvers' column ≡ width-1 contract rests on. Vector
 // lengths straddle VecCutover so both routes are exercised.
 func TestPoolMultiKernelsMatchSingle(t *testing.T) {
 	withProcs(t, 8)

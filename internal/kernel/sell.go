@@ -80,16 +80,19 @@ func (p *Pool) AdjMulSELL(s *graph.SELL, part []int, dst, x []float64) {
 
 // LapMulMultiSELL computes dst[j] = L x[j] for every column over the sliced
 // layout, reading each chunk's structure once per column pair. Routing
-// mirrors LapMulMulti; each column is bit-identical to a serial CSR LapMul
-// of that column alone.
+// mirrors LapMulMulti (a single column is the pooled LapMulSELL); each
+// column is bit-identical to a serial CSR LapMul of that column alone.
 func (p *Pool) LapMulMultiSELL(s *graph.SELL, part []int, dst, x [][]float64) {
 	if len(x) != len(dst) {
 		panic(fmt.Sprintf("kernel: LapMulMultiSELL block widths %d/%d", len(dst), len(x)))
 	}
-	if len(x) == 0 {
+	switch {
+	case len(x) == 0:
 		return
-	}
-	if p.spmvSerialSELL(s, part) || len(x) == 1 {
+	case len(x) == 1:
+		p.LapMulSELL(s, part, dst[0], x[0])
+		return
+	case p.spmvSerialSELL(s, part):
 		s.LapMulMulti(dst, x)
 		return
 	}

@@ -78,7 +78,11 @@ func TestPooledSELLMultiBitIdenticalPerColumn(t *testing.T) {
 			vecmath.NewRNG(uint64(100 + j)).FillNormal(x[j])
 			dst[j] = make([]float64, c.N)
 		}
+		forks := p.Forks()
 		p.LapMulMultiSELL(s, part, dst, x)
+		if forked := p.Forks() - forks; s.SpMVWork() >= SpMVCutover && forked != 1 {
+			t.Errorf("width=%d: %d forks, want 1 (width 1 keeps the pooled product)", b, forked)
+		}
 		want := make([]float64, c.N)
 		for j := range x {
 			c.LapMul(want, x[j])

@@ -11,9 +11,9 @@ import (
 	"ingrass/internal/vecmath"
 )
 
-// blockSolveState is the per-call mutable half of a blocked solve: the
-// scratch workspace, the request context, and the header arenas and
-// BlockScratch bookkeeping both nesting levels of a blocked solve need. It
+// blockSolveState is the per-call mutable half of a solve: the scratch
+// workspace, the request context, and the header arenas and BlockScratch
+// bookkeeping both nesting levels of a blocked solve need. It
 // implements sparse.BlockPreconditioner — one truncated blocked Jacobi-PCG
 // on L_H per application, traversing the sparsifier CSR once per inner
 // iteration for the whole active column set. States are pooled on the
@@ -30,14 +30,20 @@ type blockSolveState struct {
 	innerSC  sparse.BlockScratch
 	outerRHS [][]float64 // header arena for the centered outer rhs block
 	innerRHS [][]float64 // header arena for each preconditioner application
-	innerDst [][]float64
 	innerOut []sparse.ColumnResult
 
+	// x1, b1, and out1 are the column headers and result slot of a
+	// single-column Solve (a width-1 block).
+	x1, b1 [1][]float64
+	out1   [1]sparse.ColumnResult
+
 	// spans holds one outer-solve span per original column; inner-solve
-	// children are attributed through the active-column mapping the outer
-	// solver pushes via SetActiveColumns. traced gates the bookkeeping so
-	// untraced blocks pay one boolean check per application.
+	// children (innerSpans, live for one application) are attributed
+	// through the active-column mapping the outer solver pushes via
+	// SetActiveColumns. traced gates the bookkeeping so untraced blocks pay
+	// one boolean check per application.
 	spans      [sparse.MaxBlockWidth]trace.Span
+	innerSpans [sparse.MaxBlockWidth]trace.Span
 	activeCols [sparse.MaxBlockWidth]int
 	activeN    int
 	traced     bool
@@ -53,12 +59,6 @@ func headers(arena *[][]float64, m int) [][]float64 {
 	return h
 }
 
-// PrecondBlock computes dst[j] ~= L_H^+ src[j] (mean-centered) for the
-// whole active column set by one truncated blocked Jacobi-PCG. Column j's
-// arithmetic is bit-identical to the single-column solveState.Precond, so
-// blocked and independent solves agree column-for-column; convergence
-// failures of the truncated solve are expected and benign, exactly as in
-// the single-vector path.
 // SetActiveColumns records which original columns the next PrecondBlock
 // application covers (sparse.ActiveColumnsAware).
 func (st *blockSolveState) SetActiveColumns(cols []int) {
@@ -68,19 +68,22 @@ func (st *blockSolveState) SetActiveColumns(cols []int) {
 	st.activeN = copy(st.activeCols[:], cols)
 }
 
+// PrecondBlock computes dst[j] ~= L_H^+ src[j] (mean-centered) for the
+// whole active column set by one truncated blocked Jacobi-PCG. Columns are
+// independent inside the inner BlockCG, so column j's arithmetic does not
+// depend on which other columns share the application; convergence
+// failures of the truncated solve are expected and benign — the partial
+// iterate is still an SPD-like contraction the outer flexible CG accepts.
+// A cancelled context makes the inner solve return immediately; the outer
+// loop then observes the same context and aborts.
 func (st *blockSolveState) PrecondBlock(dst, src [][]float64) {
 	st.applications++
-	var innerSpans [sparse.MaxBlockWidth]trace.Span
 	m := len(src)
-	if st.traced && st.activeN == m {
+	traced := st.traced && st.activeN == m
+	if traced {
 		for i := 0; i < m; i++ {
-			innerSpans[i] = st.spans[st.activeCols[i]].StartChild(trace.SpanSolveInner)
+			st.innerSpans[i] = st.spans[st.activeCols[i]].StartChild(trace.SpanSolveInner)
 		}
-		defer func() {
-			for i := 0; i < m; i++ {
-				innerSpans[i].End()
-			}
-		}()
 	}
 	mark := st.ws.Mark()
 	defer st.ws.Release(mark)
@@ -100,6 +103,12 @@ func (st *blockSolveState) PrecondBlock(dst, src [][]float64) {
 	for j := 0; j < m; j++ {
 		vecmath.CenterMean(dst[j])
 	}
+	if traced {
+		for i := 0; i < m; i++ {
+			st.innerSpans[i].End()
+			st.innerSpans[i] = trace.Span{}
+		}
+	}
 }
 
 var _ sparse.BlockPreconditioner = (*blockSolveState)(nil)
@@ -113,6 +122,7 @@ func (bp *blockStatePool) get() *blockSolveState { return bp.p.Get().(*blockSolv
 func (bp *blockStatePool) put(st *blockSolveState) {
 	st.ctx = nil
 	st.callerProj.Inner = nil
+	st.x1[0], st.b1[0] = nil, nil
 	st.spans = [sparse.MaxBlockWidth]trace.Span{}
 	st.activeN = 0
 	st.traced = false
@@ -126,7 +136,7 @@ func (bp *blockStatePool) put(st *blockSolveState) {
 // runs one blocked inner solve — so the CSR structures of G and H are each
 // traversed once per iteration for all columns, instead of once per column.
 //
-// Per-column semantics mirror Solve exactly: every b[j] is mean-centered
+// Per-column semantics match Solve exactly: every b[j] is mean-centered
 // internally, every solution written into x[j] is mean-zero, and column j's
 // arithmetic is bit-identical to an independent Solve of that column (the
 // lockstep recurrences are mathematically independent; see sparse.BlockCG).
@@ -143,25 +153,31 @@ func (bp *blockStatePool) put(st *blockSolveState) {
 // blocked solve state out of the factorization's pool, and the warm path
 // allocates nothing.
 func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs, bs [][]float64, out []sparse.ColumnResult, colCtx []context.Context, opts solver.Options) (int, error) {
+	st := f.bp.get()
+	defer f.bp.put(st)
+	return f.solveBlock(ctx, st, sys, xs, bs, out, colCtx, opts)
+}
+
+// solveBlock is the one body behind Solve and SolveBlock, run on a
+// checked-out solve state.
+func (f *Factorization) solveBlock(ctx context.Context, st *blockSolveState, sys sparse.Operator, xs, bs [][]float64, out []sparse.ColumnResult, colCtx []context.Context, opts solver.Options) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if sys.Dim() != f.n {
-		return 0, fmt.Errorf("precond: system dim %d != sparsifier dim %d", sys.Dim(), f.n)
+		return 0, fmt.Errorf("%w: precond system dim %d != sparsifier dim %d", sparse.ErrDimension, sys.Dim(), f.n)
 	}
 	w := len(xs)
-	if len(bs) != w || len(out) != w {
-		return 0, fmt.Errorf("precond: SolveBlock widths xs=%d bs=%d out=%d", w, len(bs), len(out))
+	if len(bs) != w || len(out) != w || w > sparse.MaxBlockWidth {
+		return 0, fmt.Errorf("%w: precond block widths xs=%d bs=%d out=%d (max %d)", sparse.ErrDimension, w, len(bs), len(out), sparse.MaxBlockWidth)
 	}
 	for j := 0; j < w; j++ {
 		if len(xs[j]) != f.n || len(bs[j]) != f.n {
-			return 0, fmt.Errorf("precond: SolveBlock column %d dims x=%d b=%d n=%d", j, len(xs[j]), len(bs[j]), f.n)
+			return 0, fmt.Errorf("%w: precond column %d dims x=%d b=%d n=%d", sparse.ErrDimension, j, len(xs[j]), len(bs[j]), f.n)
 		}
 	}
 	eff := f.opts.Override(opts)
 
-	st := f.bp.get()
-	defer f.bp.put(st)
 	st.ctx = ctx
 	st.inner = eff.Inner()
 	st.applications = 0

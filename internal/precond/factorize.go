@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"ingrass/internal/graph"
-	"ingrass/internal/obs/trace"
 	"ingrass/internal/solver"
 	"ingrass/internal/sparse"
-	"ingrass/internal/vecmath"
 )
 
 // Factorization is the reusable, immutable half of a sparsifier
@@ -20,16 +18,15 @@ import (
 // cache on that generation, which is how repeated solves against an
 // unchanged graph skip re-factorization.
 //
-// Per-call mutable state (scratch workspace, counters) lives in a pooled
-// solveState checked out for the duration of each Solve, so warm solves
-// allocate nothing.
+// Per-call mutable state (scratch workspace, headers, counters) lives in a
+// pooled blockSolveState checked out for the duration of each Solve or
+// SolveBlock, so warm solves allocate nothing.
 type Factorization struct {
 	n    int
 	hop  *sparse.LapOperator
 	proj *sparse.ProjectedOperator
 	opts solver.Options // defaults applied; Workers frozen here
-	sp   statePool
-	bp   blockStatePool // blocked solve states (SolveBlock)
+	bp   blockStatePool
 }
 
 // Factorize freezes the sparsifier h into a reusable preconditioner
@@ -52,9 +49,6 @@ func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
 		proj: &sparse.ProjectedOperator{Inner: hop},
 		opts: opts.WithDefaults(h.NumNodes()),
 	}
-	f.sp.p.New = func() any {
-		return &solveState{f: f, ws: solver.NewWorkspace(f.n)}
-	}
 	f.bp.p.New = func() any {
 		return &blockSolveState{f: f, ws: solver.NewWorkspace(f.n)}
 	}
@@ -74,56 +68,33 @@ func (f *Factorization) Operator() *sparse.LapOperator { return f.hop }
 func (f *Factorization) Options() solver.Options { return f.opts }
 
 // Solve runs flexible CG on sys x = b preconditioned by truncated inner
-// solves of L_H. b is mean-centered internally (Laplacian systems are only
-// consistent on the complement of ones); the solution written into x is
-// mean-zero. sys must have dimension Dim; if it is not already a
-// *sparse.ProjectedOperator it is projected in place without allocating.
+// solves of L_H: a width-1 SolveBlock whose column headers and result slot
+// live in the pooled solve state. b is mean-centered internally (Laplacian
+// systems are only consistent on the complement of ones); the solution
+// written into x is mean-zero. sys must have dimension Dim; if it is not
+// already a *sparse.ProjectedOperator it is projected in place without
+// allocating.
 //
 // opts overrides the factorization defaults field-wise for this request
 // (Tol, MaxIter, InnerTol, InnerIters; Workers is frozen — see Factorize).
 // ctx aborts the outer loop (and truncates the inner solve) within one
 // iteration of cancellation, returning partial stats alongside a
-// solver.ErrCancelled-wrapped error.
+// solver.ErrCancelled-wrapped error; the column's own outcome
+// (ErrNoConvergence, a breakdown) is returned as the error otherwise.
 //
 // Safe for any number of concurrent callers; each call checks a private
 // solve state out of the factorization's pool.
 func (f *Factorization) Solve(ctx context.Context, sys sparse.Operator, x, b []float64, opts solver.Options) (SolveResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	st := f.bp.get()
+	defer f.bp.put(st)
+	st.x1[0], st.b1[0] = x, b
+	st.out1[0] = sparse.ColumnResult{}
+	inner, err := f.solveBlock(ctx, st, sys, st.x1[:], st.b1[:], st.out1[:], nil, opts)
+	res := st.out1[0]
+	if err == nil {
+		err = res.Err
 	}
-	if sys.Dim() != f.n {
-		return SolveResult{}, fmt.Errorf("precond: system dim %d != sparsifier dim %d", sys.Dim(), f.n)
-	}
-	if len(x) != f.n || len(b) != f.n {
-		return SolveResult{}, fmt.Errorf("precond: Solve dims x=%d b=%d n=%d", len(x), len(b), f.n)
-	}
-	eff := f.opts.Override(opts)
-
-	st := f.sp.get()
-	defer f.sp.put(st)
-	st.ctx = ctx
-	st.inner = eff.Inner()
-	st.applications = 0
-	st.span = trace.FromContext(ctx).StartChild(trace.SpanSolveOuter)
-
-	op, ok := sys.(*sparse.ProjectedOperator)
-	if !ok {
-		st.callerProj.Inner = sys
-		op = &st.callerProj
-	}
-
-	mark := st.ws.Mark()
-	defer st.ws.Release(mark)
-	rhs := st.ws.Take()
-	copy(rhs, b)
-	vecmath.CenterMean(rhs)
-	vecmath.Zero(x)
-	res, err := sparse.FlexibleCG(ctx, op, x, rhs, st, st.ws, eff)
-	vecmath.CenterMean(x)
-	st.span.SetAttr(trace.AttrIterations, int64(res.Iterations))
-	st.span.SetAttr(trace.AttrInnerUses, int64(st.applications))
-	st.span.End()
-	return SolveResult{Outer: res, InnerUses: st.applications}, err
+	return SolveResult{Outer: res.CGResult, InnerUses: inner}, err
 }
 
 // SolveGraph is Solve against a one-shot graph G: it freezes G's Laplacian

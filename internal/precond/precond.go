@@ -5,80 +5,18 @@
 // outer iterations, and a good sparsifier keeps that kappa small while the
 // inner solves stay cheap.
 //
-// The preconditioner runs a truncated Jacobi-PCG on the sparsifier per
-// application, so it is mildly nonlinear; the outer solve is
-// sparse.FlexibleCG. Factorization is the shared, immutable half; each
-// Solve call checks a pooled, goroutine-confined solve state (workspace +
-// counters) out of the factorization, so the warm solve path allocates
-// nothing.
+// The preconditioner runs a truncated blocked Jacobi-PCG on the sparsifier
+// per application, so it is mildly nonlinear; the outer solve is
+// sparse.BlockFlexibleCG. Factorization is the shared, immutable half; each
+// Solve (one right-hand side, a width-1 block) or SolveBlock call checks a
+// pooled, goroutine-confined solve state (workspace, headers, counters) out
+// of the factorization, so the warm solve path allocates nothing.
 package precond
 
-import (
-	"context"
-	"sync"
-
-	"ingrass/internal/obs/trace"
-	"ingrass/internal/solver"
-	"ingrass/internal/sparse"
-	"ingrass/internal/vecmath"
-)
+import "ingrass/internal/sparse"
 
 // SolveResult reports a preconditioned solve.
 type SolveResult struct {
 	Outer     sparse.CGResult
 	InnerUses int
-}
-
-// solveState is the per-call mutable half of a solve: the scratch
-// workspace, the request context, and the application counter. It
-// implements sparse.Preconditioner (one truncated inner PCG on L_H per
-// application). States are pooled on the Factorization and confined to one
-// solve call tree while checked out.
-type solveState struct {
-	f            *Factorization
-	ws           *solver.Workspace
-	ctx          context.Context
-	inner        solver.Options
-	applications int
-	// callerProj is a reusable projection wrapper for system operators
-	// that arrive unprojected, avoiding a per-solve allocation.
-	callerProj sparse.ProjectedOperator
-	// span is the request's outer-solve span; each preconditioner
-	// application records an inner-solve child under it. Inert (all span
-	// operations no-op) when the request carries no trace.
-	span trace.Span
-}
-
-// Precond computes dst ~= L_H^+ src (mean-centered) by a truncated inner
-// Jacobi-PCG. Convergence failures of the truncated solve are expected and
-// benign: the partial iterate is still an SPD-like contraction that the
-// outer flexible CG accepts. A cancelled context makes the inner solve
-// return immediately; the outer loop then observes the same context and
-// aborts.
-func (st *solveState) Precond(dst, src []float64) {
-	st.applications++
-	defer st.span.StartChild(trace.SpanSolveInner).End()
-	mark := st.ws.Mark()
-	defer st.ws.Release(mark)
-	rhs := st.ws.Take()
-	copy(rhs, src)
-	vecmath.CenterMean(rhs)
-	vecmath.Zero(dst)
-	_, _ = sparse.CG(st.ctx, st.f.proj, dst, rhs, st.f.hop.Jacobi(), st.ws, st.inner)
-	vecmath.CenterMean(dst)
-}
-
-var _ sparse.Preconditioner = (*solveState)(nil)
-
-// statePool wraps sync.Pool with typed checkout.
-type statePool struct {
-	p sync.Pool
-}
-
-func (sp *statePool) get() *solveState { return sp.p.Get().(*solveState) }
-func (sp *statePool) put(st *solveState) {
-	st.ctx = nil
-	st.callerProj.Inner = nil
-	st.span = trace.Span{}
-	sp.p.Put(st)
 }

@@ -2,6 +2,7 @@ package precond
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"ingrass/internal/graph"
@@ -82,12 +83,10 @@ func TestSparsifierPrecondBeatsJacobi(t *testing.T) {
 	vecmath.NewRNG(3).FillNormal(b)
 	vecmath.CenterMean(b)
 
-	// Jacobi-PCG baseline.
+	// Jacobi-PCG baseline (a width-1 BlockCG).
 	lop := sparse.NewLapOperator(g)
 	proj := &sparse.ProjectedOperator{Inner: lop}
-	xJ := make([]float64, n)
-	resJ, err := sparse.CG(context.Background(), proj, xJ, b, lop.Jacobi(), nil,
-		solver.Options{Tol: 1e-8, MaxIter: 5000})
+	resJ, err := cg1(false, proj, make([]float64, n), b, lop.Jacobi(), solver.Options{Tol: 1e-8, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +107,27 @@ func TestSparsifierPrecondBeatsJacobi(t *testing.T) {
 	}
 }
 
+// cg1 runs a width-1 BlockCG (or BlockFlexibleCG) of a x = b and returns
+// the column's stats with the error a single right-hand-side caller sees.
+func cg1(flexible bool, a sparse.Operator, x, b []float64, pre sparse.BlockPreconditioner, opts solver.Options) (sparse.CGResult, error) {
+	out := make([]sparse.ColumnResult, 1)
+	run := sparse.BlockCG
+	if flexible {
+		run = sparse.BlockFlexibleCG
+	}
+	err := run(context.Background(), a, sparse.BlockSpec{X: [][]float64{x}, B: [][]float64{b}, Out: out}, pre, nil, nil, opts)
+	if err == nil {
+		err = out[0].Err
+	}
+	return out[0].CGResult, err
+}
+
 func TestFlexibleCGZeroRHS(t *testing.T) {
 	g := grid(4, 4)
 	op := &sparse.ProjectedOperator{Inner: sparse.NewLapOperator(g)}
 	x := make([]float64, g.NumNodes())
 	vecmath.Fill(x, 3)
-	res, err := sparse.FlexibleCG(context.Background(), op, x, make([]float64, g.NumNodes()), nil, nil, solver.Options{})
+	res, err := cg1(true, op, x, make([]float64, g.NumNodes()), nil, solver.Options{})
 	if err != nil || !res.Converged {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -131,8 +145,8 @@ func TestFlexibleCGMatchesCGUnpreconditioned(t *testing.T) {
 	vecmath.CenterMean(b)
 	x1 := make([]float64, n)
 	x2 := make([]float64, n)
-	r1, err1 := sparse.CG(context.Background(), op, x1, b, nil, nil, solver.Options{Tol: 1e-10})
-	r2, err2 := sparse.FlexibleCG(context.Background(), op, x2, b, nil, nil, solver.Options{Tol: 1e-10})
+	r1, err1 := cg1(false, op, x1, b, nil, solver.Options{Tol: 1e-10})
+	r2, err2 := cg1(true, op, x2, b, nil, solver.Options{Tol: 1e-10})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v %v", err1, err2)
 	}
@@ -150,7 +164,7 @@ func TestFlexibleCGMatchesCGUnpreconditioned(t *testing.T) {
 func TestFlexibleCGDimensionError(t *testing.T) {
 	g := grid(3, 3)
 	op := sparse.NewLapOperator(g)
-	if _, err := sparse.FlexibleCG(context.Background(), op, make([]float64, 2), make([]float64, 9), nil, nil, solver.Options{}); err == nil {
-		t.Fatal("expected dimension error")
+	if _, err := cg1(true, op, make([]float64, 2), make([]float64, 9), nil, solver.Options{}); !errors.Is(err, sparse.ErrDimension) {
+		t.Fatalf("want ErrDimension, got %v", err)
 	}
 }

@@ -262,3 +262,26 @@ func BenchmarkSolveWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveWarmSELL64 is BenchmarkSolveWarm on a 64x64 grid engine
+// frozen as SELL: large enough that the SpMV dominates a solve, so it
+// tracks the sliced single-column kernel every direct solve runs.
+func BenchmarkSolveWarmSELL64(b *testing.B) {
+	e := newEngine(b, 64, 64, Options{Solver: solver.Options{Format: solver.FormatSELL}})
+	snap := e.Current()
+	n := snap.G.NumNodes()
+	rhs := warmRHS(n)
+	x := make([]float64, n)
+	ctx := context.Background()
+	opts := solver.Options{Tol: 1e-8}
+	if _, err := snap.SolveInto(ctx, x, rhs, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snap.SolveInto(ctx, x, rhs, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

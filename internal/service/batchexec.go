@@ -147,12 +147,8 @@ func (e *Engine) SolveCoalesced(ctx context.Context, snap *Snapshot, x, b []floa
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := snap.G.NumNodes()
-	if len(b) != n {
-		return SolveStats{}, fmt.Errorf("service: rhs length %d != %d nodes", len(b), n)
-	}
-	if len(x) != len(b) {
-		return SolveStats{}, fmt.Errorf("service: solution length %d != rhs length %d", len(x), len(b))
+	if err := snap.checkColumn(x, b); err != nil {
+		return SolveStats{}, err
 	}
 	r := &batch.Req{Ctx: ctx, Kind: batch.KindSolve, X: x, B: b, Opts: opts}
 	if err := e.sched.Submit(ctx, snap.Gen, snap, r, false); err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"ingrass/internal/batch"
 	"ingrass/internal/graph"
+	"ingrass/internal/obs"
 	"ingrass/internal/solver"
 	"ingrass/internal/sparse"
 	"ingrass/internal/vecmath"
@@ -66,6 +67,46 @@ func TestSolveBlockIntoMatchesSolveInto(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolveMetricsPerPath: a direct SolveInto is one solve and one
+// solve-duration sample but never a blocked execution; a width-w
+// SolveBlockInto is w solves, w solve-duration samples, and exactly one
+// blocked execution — the single path being a width-1 block must not leak
+// into the block-duration histogram.
+func TestSolveMetricsPerPath(t *testing.T) {
+	e := newEngine(t, 12, 12, Options{Obs: obs.NewRegistry()})
+	snap := e.Current()
+	n := snap.G.NumNodes()
+	ctx := context.Background()
+	counts := func() (solves, solveDur, blockDur uint64) {
+		return e.stats.solves.Load(), e.stats.solveDur.Count(), e.stats.blockDur.Count()
+	}
+	bs := blockRHS(n, 3, 4)
+	x := make([]float64, n)
+	for j := 0; j < 2; j++ {
+		if _, err := snap.SolveInto(ctx, x, bs[j], solver.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s, d, b := counts(); s != 2 || d != 2 || b != 0 {
+		t.Fatalf("after 2 direct solves: solves=%d solve_duration=%d block_duration=%d, want 2/2/0", s, d, b)
+	}
+	out := make([]sparse.ColumnResult, 3)
+	if _, err := snap.SolveBlockInto(ctx, zeroCols(n, 3), bs, out, nil, solver.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s, d, b := counts(); s != 5 || d != 5 || b != 1 {
+		t.Fatalf("after a width-3 block: solves=%d solve_duration=%d block_duration=%d, want 5/5/1", s, d, b)
+	}
+}
+
+func zeroCols(n, w int) [][]float64 {
+	xs := make([][]float64, w)
+	for j := range xs {
+		xs[j] = make([]float64, n)
+	}
+	return xs
 }
 
 // TestWarmSolveAllocationFreeBlocked is the blocked counterpart of the

@@ -86,36 +86,53 @@ type SolveStats struct {
 
 // SolveInto computes x = L_G^+ b against this snapshot via sparsifier-
 // preconditioned flexible CG, writing the solution into the caller-provided
-// x. It is safe to call from any number of goroutines; each call checks a
-// pooled, goroutine-confined solve state out of the shared factorization,
-// so the warm path allocates nothing. opts overrides the engine solve
-// defaults field-wise for this request; ctx aborts the solve within one
-// iteration of cancellation (partial stats are still returned).
+// x. It is a width-1 call into the same blocked solver SolveBlockInto runs,
+// so column j of any block equals a SolveInto of b[j] bit for bit. It is
+// safe to call from any number of goroutines; each call checks a pooled,
+// goroutine-confined solve state out of the shared factorization, so the
+// warm path allocates nothing. opts overrides the engine solve defaults
+// field-wise for this request; ctx aborts the solve within one iteration
+// of cancellation (partial stats are still returned).
 func (s *Snapshot) SolveInto(ctx context.Context, x, b []float64, opts solver.Options) (SolveStats, error) {
-	if len(b) != s.G.NumNodes() {
-		return SolveStats{}, fmt.Errorf("service: rhs length %d != %d nodes", len(b), s.G.NumNodes())
-	}
-	if len(x) != len(b) {
-		return SolveStats{}, fmt.Errorf("service: solution length %d != rhs length %d", len(x), len(b))
+	if err := s.checkColumn(x, b); err != nil {
+		return SolveStats{}, err
 	}
 	if err := s.ensureFactorized(); err != nil {
 		return SolveStats{}, err
 	}
 	start := time.Now()
 	res, err := s.fact.Solve(ctx, s.proj, x, b, opts)
-	st := SolveStats{
+	s.recordSolve(res.Outer.Iterations, time.Since(start), err)
+	return SolveStats{
 		Generation:  s.Gen,
 		Iterations:  res.Outer.Iterations,
 		Residual:    res.Outer.Residual,
 		Converged:   res.Outer.Converged,
 		PrecondUses: res.InnerUses,
+	}, err
+}
+
+// checkColumn validates one solve column against this snapshot.
+func (s *Snapshot) checkColumn(x, b []float64) error {
+	if len(b) != s.G.NumNodes() {
+		return fmt.Errorf("service: rhs length %d != %d nodes", len(b), s.G.NumNodes())
 	}
+	if len(x) != len(b) {
+		return fmt.Errorf("service: solution length %d != rhs length %d", len(x), len(b))
+	}
+	return nil
+}
+
+// recordSolve accounts one solved column: its iteration count, the service
+// time its caller experienced, and its outcome class. Every solve lands
+// here exactly once, whichever path served it, which keeps
+// solve_duration_seconds_count in step with solves_total.
+func (s *Snapshot) recordSolve(iters int, elapsed time.Duration, err error) {
 	s.stats.solves.Add(1)
-	s.stats.solveIters.Add(uint64(res.Outer.Iterations))
-	s.stats.solveDur.ObserveSince(start)
-	s.stats.solveIterH.Observe(int64(res.Outer.Iterations))
+	s.stats.solveIters.Add(uint64(iters))
+	s.stats.solveIterH.Observe(int64(iters))
+	s.stats.solveDur.Observe(int64(elapsed))
 	s.stats.recordSolveOutcome(err)
-	return st, err
 }
 
 // BlockSolveStats reports the group-level outcome of one blocked solve.
@@ -133,21 +150,22 @@ type BlockSolveStats struct {
 // throughput comes from. Per-column outcomes land in out; colCtx optionally
 // cancels single columns (masked without aborting the group — see
 // sparse.BlockSpec). Column j's result is bit-identical to an independent
-// SolveInto of b[j] with the same options.
+// SolveInto of b[j] with the same options. Each column is recorded as one
+// solve that took the block's duration; the execution itself is recorded
+// once in the block-duration histogram.
 //
 // Safe for any number of concurrent goroutines; the warm path allocates
 // nothing (the per-call blocked solve state is pooled on the shared
 // factorization). Blocks wider than sparse.MaxBlockWidth are rejected;
 // chunking is the caller's job (the public API chunks transparently).
 func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out []sparse.ColumnResult, colCtx []context.Context, opts solver.Options) (BlockSolveStats, error) {
-	n := s.G.NumNodes()
 	w := len(xs)
 	if len(bs) != w || len(out) != w {
 		return BlockSolveStats{}, fmt.Errorf("service: block widths xs=%d bs=%d out=%d", w, len(bs), len(out))
 	}
 	for j := 0; j < w; j++ {
-		if len(bs[j]) != n || len(xs[j]) != n {
-			return BlockSolveStats{}, fmt.Errorf("service: block column %d dims x=%d b=%d vs %d nodes", j, len(xs[j]), len(bs[j]), n)
+		if err := s.checkColumn(xs[j], bs[j]); err != nil {
+			return BlockSolveStats{}, fmt.Errorf("service: block column %d: %w", j, err)
 		}
 	}
 	if err := s.ensureFactorized(); err != nil {
@@ -158,18 +176,11 @@ func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out [
 	elapsed := time.Since(start)
 	s.stats.blockDur.Observe(int64(elapsed))
 	for j := 0; j < w; j++ {
-		s.stats.solves.Add(1)
-		s.stats.solveIters.Add(uint64(out[j].Iterations))
-		s.stats.solveIterH.Observe(int64(out[j].Iterations))
-		// Each coalesced column experienced the block's duration as its
-		// service time; recording it keeps solve_duration_seconds_count in
-		// step with solves_total whichever path a solve took.
-		s.stats.solveDur.Observe(int64(elapsed))
 		cerr := err
 		if cerr == nil {
 			cerr = out[j].Err
 		}
-		s.stats.recordSolveOutcome(cerr)
+		s.recordSolve(out[j].Iterations, elapsed, cerr)
 	}
 	return BlockSolveStats{Generation: s.Gen, InnerUses: inner}, err
 }
@@ -181,16 +192,13 @@ func (s *Snapshot) Solve(ctx context.Context, b []float64, opts solver.Options) 
 	}
 	x := make([]float64, len(b))
 	st, err := s.SolveInto(ctx, x, b, opts)
-	if err != nil {
-		return x, st, err
-	}
-	return x, st, nil
+	return x, st, err
 }
 
 // EffectiveResistance computes the effective resistance between u and v on
-// this snapshot's original graph, reusing the cached preconditioner.
-// Scratch comes from the snapshot operator's workspace pool, so warm
-// queries allocate nothing.
+// this snapshot's original graph as a width-1 solve against the cached
+// preconditioner. Scratch comes from the snapshot operator's workspace
+// pool, so warm queries allocate nothing.
 func (s *Snapshot) EffectiveResistance(ctx context.Context, u, v int) (float64, error) {
 	n := s.G.NumNodes()
 	if u < 0 || u >= n || v < 0 || v >= n {

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -9,6 +10,22 @@ import (
 	"ingrass/internal/solver"
 	"ingrass/internal/vecmath"
 )
+
+// ErrNoConvergence aliases the stack-wide sentinel so existing errors.Is
+// checks against the sparse package keep working.
+var ErrNoConvergence = solver.ErrNoConvergence
+
+// ErrDimension is wrapped by every structural rejection of a solve: block
+// widths that disagree, columns or a caller-supplied workspace whose length
+// is not the operator's dimension, or a block wider than MaxBlockWidth.
+var ErrDimension = errors.New("sparse: dimension mismatch")
+
+// CGResult reports how one column's solve went.
+type CGResult struct {
+	Iterations int
+	Residual   float64 // final relative residual
+	Converged  bool
+}
 
 // MaxBlockWidth is the widest multi-RHS block the blocked solvers iterate in
 // lockstep — bounded by the multi-vector SpMV's per-row accumulator width.
@@ -134,23 +151,28 @@ func blockApply(a Operator) func(dst, x [][]float64) {
 	}
 }
 
-// checkBlock validates a BlockSpec against an operator and returns the
-// width.
-func checkBlock(name string, a Operator, spec BlockSpec) (int, error) {
+// checkBlock validates a BlockSpec and an optional caller-supplied
+// workspace against an operator and returns the width. Every rejection
+// wraps ErrDimension, so a mis-sized input is an error, never a panic
+// inside the SpMV.
+func checkBlock(name string, a Operator, spec BlockSpec, ws *solver.Workspace) (int, error) {
 	n := a.Dim()
 	w := len(spec.X)
 	if len(spec.B) != w || len(spec.Out) != w {
-		return 0, fmt.Errorf("sparse: %s block widths X=%d B=%d Out=%d", name, w, len(spec.B), len(spec.Out))
+		return 0, fmt.Errorf("%w: %s block widths X=%d B=%d Out=%d", ErrDimension, name, w, len(spec.B), len(spec.Out))
 	}
 	if w > MaxBlockWidth {
-		return 0, fmt.Errorf("sparse: %s width %d exceeds MaxBlockWidth=%d", name, w, MaxBlockWidth)
+		return 0, fmt.Errorf("%w: %s width %d exceeds MaxBlockWidth=%d", ErrDimension, name, w, MaxBlockWidth)
 	}
 	if spec.ColCtx != nil && len(spec.ColCtx) != w {
-		return 0, fmt.Errorf("sparse: %s ColCtx length %d != width %d", name, len(spec.ColCtx), w)
+		return 0, fmt.Errorf("%w: %s ColCtx length %d != width %d", ErrDimension, name, len(spec.ColCtx), w)
+	}
+	if ws != nil && ws.Dim() != n {
+		return 0, fmt.Errorf("%w: %s workspace dim %d != n=%d", ErrDimension, name, ws.Dim(), n)
 	}
 	for j := 0; j < w; j++ {
 		if len(spec.X[j]) != n || len(spec.B[j]) != n {
-			return 0, fmt.Errorf("sparse: %s column %d dims x=%d b=%d n=%d", name, j, len(spec.X[j]), len(spec.B[j]), n)
+			return 0, fmt.Errorf("%w: %s column %d dims x=%d b=%d n=%d", ErrDimension, name, j, len(spec.X[j]), len(spec.B[j]), n)
 		}
 	}
 	return w, nil
@@ -175,7 +197,8 @@ func enterBlock(a Operator, spec BlockSpec, ws *solver.Workspace, sc *BlockScrat
 		sc.normB[m], sc.target[m] = nb, tol*nb
 		sc.r[m] = ws.Take()
 		if aliasZ {
-			// No preconditioner: z is r itself, exactly as in CG.
+			// No preconditioner: z is r itself, so the copy passes and the
+			// separate z'r product disappear.
 			sc.z[m] = sc.r[m]
 		} else {
 			sc.z[m] = ws.Take()
@@ -221,26 +244,32 @@ func maskCancelled(spec BlockSpec, sc *BlockScratch, m int) int {
 	return m
 }
 
-// BlockCG solves A x[j] = b[j] for a block of right-hand sides by
-// preconditioned conjugate gradients, iterating every column in lockstep:
-// each iteration applies A to all active columns in one structure traversal
+// BlockCG solves A x[j] = b[j] for a symmetric positive (semi-)definite
+// operator and a block of right-hand sides by preconditioned conjugate
+// gradients — the package's one CG implementation; a single right-hand side
+// is a width-1 block. Every column iterates in lockstep: each iteration
+// applies A to all active columns in one structure traversal
 // (BlockOperator) and runs the per-column recurrences through one fused
 // multi-vector kernel dispatch each. Columns are mathematically independent
-// — each keeps its own alpha/beta/residual — so a width-1 block is
-// bit-identical to CG, and a column masked out at its own convergence,
-// cancellation, or breakdown leaves an iterate identical to the one an
-// independent solve would have produced.
+// — each keeps its own alpha/beta/residual — so column j of any block is
+// bit-identical to a width-1 solve of b[j], and a column masked out at its
+// own convergence, cancellation, or breakdown leaves the iterate that
+// independent solve would have produced. For singular-but-consistent
+// systems (Laplacians with mean-zero b), wrap A in a ProjectedOperator.
 //
-// ctx aborts the whole block; spec.ColCtx entries abort single columns (see
+// X is the start guess and is overwritten; pre may be nil for no
+// preconditioning. ctx is checked before any work and once per iteration
+// and aborts the whole block; spec.ColCtx entries abort single columns (see
 // BlockSpec). Per-column outcomes land in spec.Out; the returned error is
-// reserved for structural failures (dimension mismatches) and whole-block
-// cancellation. Scratch vectors come from ws, bookkeeping from sc; both are
-// goroutine-confined for the duration of the call.
+// reserved for structural failures (ErrDimension) and whole-block
+// cancellation (solver.ErrCancelled). Scratch vectors come from ws,
+// bookkeeping from sc; pass nil for either to allocate privately (cold
+// paths only). Both are goroutine-confined for the duration of the call.
 func BlockCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPreconditioner, ws *solver.Workspace, sc *BlockScratch, opts solver.Options) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w, err := checkBlock("BlockCG", a, spec)
+	w, err := checkBlock("BlockCG", a, spec, ws)
 	if err != nil {
 		return err
 	}
@@ -356,19 +385,21 @@ func BlockCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPrecondit
 	return nil
 }
 
-// BlockFlexibleCG is the blocked counterpart of FlexibleCG: flexible
-// (Polak-Ribiere) preconditioned conjugate gradients over a block of
-// right-hand sides in lockstep, tolerating an inexact, iteration-varying
-// preconditioner — and handing that preconditioner the whole active column
-// set per application, so a truncated inner solve (precond.SolveBlock's
-// inner BlockCG) traverses its sparsifier CSR once per inner iteration for
-// the entire block. Column independence, masking, and context semantics
-// match BlockCG; a width-1 block is bit-identical to FlexibleCG.
+// BlockFlexibleCG is flexible (Polak-Ribiere) preconditioned conjugate
+// gradients over a block of right-hand sides in lockstep — the package's
+// one flexible-CG implementation. Unlike standard PCG it tolerates an
+// inexact, iteration-varying preconditioner (a truncated CG on a
+// sparsifier Laplacian, exactly the setting of sparsifier-preconditioned
+// solvers), and it hands that preconditioner the whole active column set
+// per application, so a truncated inner solve (precond's inner BlockCG)
+// traverses its sparsifier CSR once per inner iteration for the entire
+// block. Column independence, masking, arguments, and context semantics
+// match BlockCG.
 func BlockFlexibleCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPreconditioner, ws *solver.Workspace, sc *BlockScratch, opts solver.Options) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w, err := checkBlock("BlockFlexibleCG", a, spec)
+	w, err := checkBlock("BlockFlexibleCG", a, spec, ws)
 	if err != nil {
 		return err
 	}
@@ -447,7 +478,7 @@ func BlockFlexibleCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockP
 				out.Residual = math.Sqrt(sc.rnSq[i]) / sc.normB[i]
 				// A cancellation landing inside the iterative preconditioner
 				// leaves a degenerate direction; classify it as cancellation,
-				// not breakdown (mirrors FlexibleCG).
+				// not breakdown.
 				if c := sc.cctx[i]; c != nil && solver.CheckCancel(c) != nil {
 					out.Err = solver.CheckCancel(c)
 				} else if err := solver.CheckCancel(ctx); err != nil {
@@ -480,7 +511,7 @@ func BlockFlexibleCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockP
 		applyPre(sc.z[:m], sc.r[:m], sc.col[:m])
 		// Polak-Ribiere per column: r - rPrev = -alpha*ap by construction,
 		// so beta = -alpha * z'ap / (z_prev' r_prev) — one fused pass yields
-		// both products (mirrors FlexibleCG's reduction).
+		// both products, and no rPrev copy is ever kept.
 		kp.Dot2Multi(sc.z[:m], sc.ap[:m], sc.r[:m], sc.s1[:m], sc.s2[:m])
 		for i := m - 1; i >= 0; i-- {
 			beta := -sc.alpha[i] * sc.s1[i] / sc.rz[i]

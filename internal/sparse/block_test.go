@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ingrass/internal/graph"
 	"ingrass/internal/solver"
 	"ingrass/internal/vecmath"
 )
@@ -41,87 +42,87 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestBlockCGWidthOneBitIdentical is the acceptance property: a width-1
-// BlockCG must be bit-for-bit the same solve as CG — same iterate, same
-// iteration count, same residual — with and without a preconditioner, for
-// serial and pooled operators.
-func TestBlockCGWidthOneBitIdentical(t *testing.T) {
+// cg1 runs a width-1 BlockCG (or BlockFlexibleCG) of a x = b and returns
+// the column's stats with the error a single right-hand-side caller sees:
+// the structural or whole-block error if any, else the column's own.
+func cg1(ctx context.Context, flexible bool, a Operator, x, b []float64, pre BlockPreconditioner, opts solver.Options) (CGResult, error) {
+	out := make([]ColumnResult, 1)
+	run := BlockCG
+	if flexible {
+		run = BlockFlexibleCG
+	}
+	err := run(ctx, a, BlockSpec{X: [][]float64{x}, B: [][]float64{b}, Out: out}, pre, nil, nil, opts)
+	if err == nil {
+		err = out[0].Err
+	}
+	return out[0].CGResult, err
+}
+
+// columnsMatchWidthOne is the one-path acceptance property: column j of a
+// width-w block must be bit-for-bit the solve a width-1 block of b[j]
+// produces — same iterate, same iteration count, same residual, same
+// outcome. The graphs straddle the pooled-SpMV cutover (the 80x80 grid is
+// above it), so with workers > 1 the width-1 pooled LapMul route is checked
+// against the pooled multi-column kernel.
+func columnsMatchWidthOne(t *testing.T, flexible bool) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	for _, workers := range []int{1, 4} {
-		for _, usePre := range []bool{false, true} {
-			for seed := uint64(1); seed <= 5; seed++ {
-				g := randomConnectedGraph(seed, 60, 90)
-				op := NewLapOperator(g)
-				op.SetWorkers(workers)
-				proj := &ProjectedOperator{Inner: op}
-				b := blockRHS(g.NumNodes(), 1, seed)[0]
-
-				var pre Preconditioner
-				var bpre BlockPreconditioner
+	const w = 5
+	for gi, g := range []*graph.Graph{randomConnectedGraph(1, 60, 90), randomConnectedGraph(2, 60, 90), gridGraph(80, 80)} {
+		n := g.NumNodes()
+		for _, workers := range []int{1, 4} {
+			op := NewLapOperator(g)
+			op.SetWorkers(workers)
+			proj := &ProjectedOperator{Inner: op}
+			for _, usePre := range []bool{false, true} {
+				var pre BlockPreconditioner
 				if usePre {
 					pre = op.Jacobi()
-					bpre = op.Jacobi()
 				}
 				opts := solver.Options{Tol: 1e-9}
-
-				xCG := make([]float64, g.NumNodes())
-				res, errCG := CG(context.Background(), proj, xCG, b, pre, nil, opts)
-
-				xBlk := zeroBlock(g.NumNodes(), 1)
-				out := make([]ColumnResult, 1)
-				if err := BlockCG(context.Background(), proj, BlockSpec{X: xBlk, B: [][]float64{b}, Out: out}, bpre, nil, nil, opts); err != nil {
-					t.Fatalf("seed %d workers %d pre %v: BlockCG: %v", seed, workers, usePre, err)
+				bs := blockRHS(n, w, uint64(gi+1))
+				xs := zeroBlock(n, w)
+				out := make([]ColumnResult, w)
+				run := BlockCG
+				if flexible {
+					run = BlockFlexibleCG
 				}
-
-				if !bitsEqual(xCG, xBlk[0]) {
-					t.Fatalf("seed %d workers %d pre %v: width-1 iterate differs from CG", seed, workers, usePre)
+				if err := run(context.Background(), proj, BlockSpec{X: xs, B: bs, Out: out}, pre, nil, nil, opts); err != nil {
+					t.Fatalf("graph %d workers %d pre %v: block solve: %v", gi, workers, usePre, err)
 				}
-				cr := out[0]
-				if cr.Iterations != res.Iterations || cr.Converged != res.Converged ||
-					math.Float64bits(cr.Residual) != math.Float64bits(res.Residual) {
-					t.Fatalf("seed %d workers %d pre %v: stats differ: CG %+v err=%v, block %+v",
-						seed, workers, usePre, res, errCG, cr)
-				}
-				if (errCG == nil) != (cr.Err == nil) {
-					t.Fatalf("seed %d workers %d pre %v: error mismatch: CG %v, block %v",
-						seed, workers, usePre, errCG, cr.Err)
+				for j := 0; j < w; j++ {
+					solo := make([]float64, n)
+					res, err := cg1(context.Background(), flexible, proj, solo, bs[j], pre, opts)
+					if !bitsEqual(solo, xs[j]) {
+						t.Fatalf("graph %d workers %d pre %v column %d: iterate differs from width-1 solve", gi, workers, usePre, j)
+					}
+					cr := out[j]
+					if cr.Iterations != res.Iterations || cr.Converged != res.Converged ||
+						math.Float64bits(cr.Residual) != math.Float64bits(res.Residual) {
+						t.Fatalf("graph %d workers %d pre %v column %d: stats differ: width-1 %+v err=%v, block %+v",
+							gi, workers, usePre, j, res, err, cr)
+					}
+					if (err == nil) != (cr.Err == nil) {
+						t.Fatalf("graph %d workers %d pre %v column %d: error mismatch: width-1 %v, block %v",
+							gi, workers, usePre, j, err, cr.Err)
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestBlockCGWidthOneBitIdentical: every column of a BlockCG block equals
+// the width-1 BlockCG of its right-hand side, bit for bit.
+func TestBlockCGWidthOneBitIdentical(t *testing.T) { columnsMatchWidthOne(t, false) }
+
 // TestBlockFlexibleCGWidthOneBitIdentical pins the same property for the
 // flexible variant (the outer loop of every preconditioned service solve).
-func TestBlockFlexibleCGWidthOneBitIdentical(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		g := randomConnectedGraph(seed, 50, 70)
-		op := NewLapOperator(g)
-		proj := &ProjectedOperator{Inner: op}
-		b := blockRHS(g.NumNodes(), 1, seed+10)[0]
-		opts := solver.Options{Tol: 1e-9}
-
-		xF := make([]float64, g.NumNodes())
-		res, _ := FlexibleCG(context.Background(), proj, xF, b, op.Jacobi(), nil, opts)
-
-		xBlk := zeroBlock(g.NumNodes(), 1)
-		out := make([]ColumnResult, 1)
-		if err := BlockFlexibleCG(context.Background(), proj, BlockSpec{X: xBlk, B: [][]float64{b}, Out: out}, op.Jacobi(), nil, nil, opts); err != nil {
-			t.Fatalf("seed %d: BlockFlexibleCG: %v", seed, err)
-		}
-		if !bitsEqual(xF, xBlk[0]) {
-			t.Fatalf("seed %d: width-1 flexible iterate differs from FlexibleCG", seed)
-		}
-		if out[0].Iterations != res.Iterations || out[0].Converged != res.Converged {
-			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, res, out[0])
-		}
-	}
-}
+func TestBlockFlexibleCGWidthOneBitIdentical(t *testing.T) { columnsMatchWidthOne(t, true) }
 
 // TestBlockCGMaskedMatchesIndependent is the masking property: columns of a
 // blocked solve with per-column convergence masking must match independent
-// single-vector solves within tolerance. (The lockstep recurrences are
+// width-1 solves within tolerance. (The lockstep recurrences are
 // mathematically independent, so in practice they agree bit-for-bit; the
 // tolerance guards the property, not the implementation.)
 func TestBlockCGMaskedMatchesIndependent(t *testing.T) {
@@ -156,7 +157,7 @@ func TestBlockCGMaskedMatchesIndependent(t *testing.T) {
 			iters[out[j].Iterations] = true
 
 			solo := make([]float64, n)
-			res, err := CG(context.Background(), proj, solo, bs[j], op.Jacobi(), nil, opts)
+			res, err := cg1(context.Background(), false, proj, solo, bs[j], op.Jacobi(), opts)
 			if err != nil {
 				t.Fatalf("seed %d column %d solo: %v", seed, j, err)
 			}
@@ -257,5 +258,22 @@ func TestBlockCGWidthOverflow(t *testing.T) {
 	out := make([]ColumnResult, w)
 	if err := BlockCG(context.Background(), op, BlockSpec{X: xs, B: bs, Out: out}, nil, nil, nil, solver.Options{}); err == nil {
 		t.Fatal("want width-overflow error")
+	}
+}
+
+// TestBlockSolversRejectMisSizedWorkspace: a caller-supplied workspace whose
+// vectors are not the operator's dimension is a structural ErrDimension,
+// not a panic inside the SpMV.
+func TestBlockSolversRejectMisSizedWorkspace(t *testing.T) {
+	g := gridGraph(5, 5)
+	proj := &ProjectedOperator{Inner: NewLapOperator(g)}
+	n := g.NumNodes()
+	for _, run := range []func(context.Context, Operator, BlockSpec, BlockPreconditioner, *solver.Workspace, *BlockScratch, solver.Options) error{BlockCG, BlockFlexibleCG} {
+		out := make([]ColumnResult, 1)
+		spec := BlockSpec{X: zeroBlock(n, 1), B: blockRHS(n, 1, 2), Out: out}
+		err := run(context.Background(), proj, spec, nil, solver.NewWorkspace(n-3), nil, solver.Options{})
+		if !errors.Is(err, ErrDimension) {
+			t.Fatalf("mis-sized workspace: want ErrDimension, got %v", err)
+		}
 	}
 }

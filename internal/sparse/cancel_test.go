@@ -28,8 +28,8 @@ func (c *cancellingOperator) Apply(dst, x []float64) {
 	c.inner.Apply(dst, x)
 }
 
-// slowGrid is a system large and ill-conditioned enough that neither solver
-// converges within a couple of iterations.
+// slowGrid is a system large and ill-conditioned enough that neither
+// solver converges within a couple of iterations.
 func slowGrid(t testing.TB) (*ProjectedOperator, []float64) {
 	t.Helper()
 	g := gridGraph(40, 40)
@@ -44,12 +44,12 @@ func TestCGCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := make([]float64, op.Dim())
-	res, err := CG(ctx, op, x, b, nil, nil, solver.Options{})
+	res, err := cg1(ctx, false, op, x, b, nil, solver.Options{})
 	if !errors.Is(err, solver.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCancelled/context.Canceled, got %v", err)
 	}
 	if res.Iterations != 0 {
-		t.Fatalf("pre-cancelled CG ran %d iterations", res.Iterations)
+		t.Fatalf("pre-cancelled BlockCG ran %d iterations", res.Iterations)
 	}
 }
 
@@ -62,15 +62,15 @@ func TestCGCancelMidSolve(t *testing.T) {
 	// Apply #1 is the initial residual; apply #4 lands inside iteration 3.
 	co := &cancellingOperator{inner: op, cancel: cancel, at: 4}
 	x := make([]float64, op.Dim())
-	res, err := CG(ctx, co, x, b, nil, nil, solver.Options{Tol: 1e-14})
+	res, err := cg1(ctx, false, co, x, b, nil, solver.Options{Tol: 1e-14})
 	if !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
 	if res.Iterations > 4 {
-		t.Fatalf("CG ran %d iterations past a cancel at apply 4", res.Iterations)
+		t.Fatalf("BlockCG ran %d iterations past a cancel at apply 4", res.Iterations)
 	}
 	if res.Iterations == 0 {
-		t.Fatal("CG should have completed the in-flight iterations before the cancel")
+		t.Fatal("BlockCG should have completed the in-flight iterations before the cancel")
 	}
 }
 
@@ -80,12 +80,12 @@ func TestFlexibleCGCancelMidSolve(t *testing.T) {
 	defer cancel()
 	co := &cancellingOperator{inner: op, cancel: cancel, at: 4}
 	x := make([]float64, op.Dim())
-	res, err := FlexibleCG(ctx, co, x, b, nil, nil, solver.Options{Tol: 1e-14})
+	res, err := cg1(ctx, true, co, x, b, nil, solver.Options{Tol: 1e-14})
 	if !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
 	if res.Iterations > 4 {
-		t.Fatalf("FlexibleCG ran %d iterations past a cancel at apply 4", res.Iterations)
+		t.Fatalf("BlockFlexibleCG ran %d iterations past a cancel at apply 4", res.Iterations)
 	}
 }
 
@@ -94,49 +94,49 @@ func TestFlexibleCGCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := make([]float64, op.Dim())
-	res, err := FlexibleCG(ctx, op, x, b, nil, nil, solver.Options{})
+	res, err := cg1(ctx, true, op, x, b, nil, solver.Options{})
 	if !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
 	if res.Iterations != 0 {
-		t.Fatalf("pre-cancelled FlexibleCG ran %d iterations", res.Iterations)
+		t.Fatalf("pre-cancelled BlockFlexibleCG ran %d iterations", res.Iterations)
 	}
 }
 
 // cancellingPrecond mimics a truncated inner solve whose context is
 // cancelled mid-application: it cancels and leaves dst zeroed, exactly
-// what precond.solveState produces when the inner CG aborts before its
-// first iteration.
+// what precond's inner solve produces when the inner BlockCG aborts before
+// its first iteration.
 type cancellingPrecond struct {
 	cancel context.CancelFunc
 	at     int
 	count  int
 }
 
-func (c *cancellingPrecond) Precond(dst, src []float64) {
+func (c *cancellingPrecond) PrecondBlock(dst, src [][]float64) {
 	c.count++
-	if c.count >= c.at {
-		c.cancel()
-		for i := range dst {
-			dst[i] = 0
+	for j := range dst {
+		if c.count >= c.at {
+			c.cancel()
+			vecmath.Zero(dst[j])
+			continue
 		}
-		return
+		copy(dst[j], src[j])
 	}
-	copy(dst, src)
 }
 
 // TestFlexibleCGCancelInsidePreconditioner is the regression test for the
 // misclassification bug: a cancellation landing inside the preconditioner
 // leaves z = 0, which used to surface as a spurious "preconditioner not
 // positive" breakdown (mapped to HTTP 422) instead of ErrCancelled
-// (408/499).
+// (408/499). Run as a width-1 BlockFlexibleCG.
 func TestFlexibleCGCancelInsidePreconditioner(t *testing.T) {
 	op, b := slowGrid(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pre := &cancellingPrecond{cancel: cancel, at: 3}
 	x := make([]float64, op.Dim())
-	_, err := FlexibleCG(ctx, op, x, b, pre, nil, solver.Options{Tol: 1e-14})
+	_, err := cg1(ctx, true, op, x, b, pre, solver.Options{Tol: 1e-14})
 	if !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}

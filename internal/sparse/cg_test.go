@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestCGSolvesSPDDense(t *testing.T) {
 	b := make([]float64, n)
 	vecmath.NewRNG(1).FillNormal(b)
 	x := make([]float64, n)
-	res, err := CG(context.Background(), op, x, b, nil, nil, solver.Options{})
+	res, err := cg1(context.Background(), false, op, x, b, nil, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestCGSolvesSPDDense(t *testing.T) {
 func TestCGZeroRHS(t *testing.T) {
 	op := &FuncOperator{N: 3, Fn: func(dst, x []float64) { copy(dst, x) }}
 	x := []float64{1, 2, 3}
-	res, err := CG(context.Background(), op, x, make([]float64, 3), nil, nil, solver.Options{})
+	res, err := cg1(context.Background(), false, op, x, make([]float64, 3), nil, solver.Options{})
 	if err != nil || !res.Converged {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -74,8 +75,9 @@ func TestCGZeroRHS(t *testing.T) {
 
 func TestCGDimensionMismatch(t *testing.T) {
 	op := &FuncOperator{N: 3, Fn: func(dst, x []float64) { copy(dst, x) }}
-	if _, err := CG(context.Background(), op, make([]float64, 2), make([]float64, 3), nil, nil, solver.Options{}); err == nil {
-		t.Fatal("expected dimension error")
+	_, err := cg1(context.Background(), false, op, make([]float64, 2), make([]float64, 3), nil, solver.Options{})
+	if !errors.Is(err, ErrDimension) {
+		t.Fatalf("want ErrDimension, got %v", err)
 	}
 }
 
@@ -88,7 +90,7 @@ func TestCGBreakdownOnIndefinite(t *testing.T) {
 	}}
 	b := []float64{1, 0, 0, 0}
 	x := make([]float64, 4)
-	if _, err := CG(context.Background(), op, x, b, nil, nil, solver.Options{}); err == nil {
+	if _, err := cg1(context.Background(), false, op, x, b, nil, solver.Options{}); err == nil {
 		t.Fatal("expected breakdown error")
 	}
 }
@@ -101,8 +103,8 @@ func TestCGIterationLimit(t *testing.T) {
 	vecmath.NewRNG(3).FillNormal(b)
 	vecmath.CenterMean(b)
 	dst := make([]float64, g.NumNodes())
-	if _, err := s.Solve(context.Background(), dst, b); err == nil {
-		t.Fatal("expected ErrNoConvergence with 2 iterations")
+	if _, err := s.Solve(context.Background(), dst, b); !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("want ErrNoConvergence with 2 iterations, got %v", err)
 	}
 }
 
@@ -177,10 +179,10 @@ func TestSolvePairParallelEdges(t *testing.T) {
 
 func TestJacobiPrecondZeroDiagonal(t *testing.T) {
 	p := NewJacobi([]float64{2, 0, 4})
-	dst := make([]float64, 3)
-	p.Precond(dst, []float64{2, 3, 8})
-	if dst[0] != 1 || dst[1] != 3 || dst[2] != 2 {
-		t.Fatalf("precond = %v", dst)
+	dst := [][]float64{make([]float64, 3)}
+	p.PrecondBlock(dst, [][]float64{{2, 3, 8}})
+	if dst[0][0] != 1 || dst[0][1] != 3 || dst[0][2] != 2 {
+		t.Fatalf("precond = %v", dst[0])
 	}
 }
 
@@ -212,9 +214,9 @@ func TestJacobiSpeedsUpCG(t *testing.T) {
 	proj := &ProjectedOperator{Inner: lop}
 
 	xPlain := make([]float64, g.NumNodes())
-	plain, errPlain := CG(context.Background(), proj, xPlain, b, nil, nil, solver.Options{Tol: 1e-10, MaxIter: 5000})
+	plain, errPlain := cg1(context.Background(), false, proj, xPlain, b, nil, solver.Options{Tol: 1e-10, MaxIter: 5000})
 	xPre := make([]float64, g.NumNodes())
-	pre, errPre := CG(context.Background(), proj, xPre, b, lop.Jacobi(), nil, solver.Options{Tol: 1e-10, MaxIter: 5000})
+	pre, errPre := cg1(context.Background(), false, proj, xPre, b, lop.Jacobi(), solver.Options{Tol: 1e-10, MaxIter: 5000})
 	if errPlain != nil || errPre != nil {
 		t.Fatalf("plain err=%v pre err=%v", errPlain, errPre)
 	}

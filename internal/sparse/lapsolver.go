@@ -10,7 +10,7 @@ import (
 )
 
 // LaplacianSolver bundles a graph Laplacian with a Jacobi-preconditioned CG
-// configuration. Scratch for every solve is checked out of the underlying
+// configuration; each solve is a width-1 BlockCG. Scratch for every solve is checked out of the underlying
 // operator's workspace pool per call, so the many repeated solves issued by
 // resistance queries and condition-number pencils run allocation-free once
 // the pool is warm.
@@ -28,6 +28,13 @@ type LaplacianSolver struct {
 	pool *solver.Pool
 	opts solver.Options
 	n    int
+
+	// Width-1 block headers, result slot, and bookkeeping for the blocked
+	// solver. The handle is goroutine-confined, so keeping them here keeps
+	// warm solves allocation-free.
+	x1, b1 [1][]float64
+	out1   [1]ColumnResult
+	sc     BlockScratch
 
 	// Solve statistics, accumulated across calls.
 	Solves     int
@@ -79,20 +86,35 @@ func (s *LaplacianSolver) ApplyLap(dst, x []float64) {
 // solver.ErrNoConvergence is reported but dst still holds the best iterate,
 // and a cancelled ctx aborts with a solver.ErrCancelled-wrapped error.
 func (s *LaplacianSolver) Solve(ctx context.Context, dst, b []float64) (CGResult, error) {
-	if len(dst) != s.n || len(b) != s.n {
-		return CGResult{}, fmt.Errorf("sparse: Solve dims dst=%d b=%d n=%d", len(dst), len(b), s.n)
+	if len(b) != s.n {
+		return CGResult{}, fmt.Errorf("%w: Solve rhs length %d != n=%d", ErrDimension, len(b), s.n)
 	}
 	ws := s.pool.Get()
 	defer s.pool.Put(ws)
 	rhs := ws.Take()
 	copy(rhs, b)
 	vecmath.CenterMean(rhs)
-	vecmath.Zero(dst)
-	res, err := CG(ctx, s.op, dst, rhs, s.jac, ws, s.opts)
+	res, err := s.solve(ctx, ws, dst, rhs)
 	vecmath.CenterMean(dst)
+	return res, err
+}
+
+// solve runs x = L^+ rhs (rhs already mean-centered) as a width-1 BlockCG
+// from a zero start and accounts it. Structural errors (a dst of the wrong
+// length) come back from BlockCG's own validation.
+func (s *LaplacianSolver) solve(ctx context.Context, ws *solver.Workspace, x, rhs []float64) (CGResult, error) {
+	vecmath.Zero(x)
+	s.x1[0], s.b1[0] = x, rhs
+	s.out1[0] = ColumnResult{}
+	err := BlockCG(ctx, s.op, BlockSpec{X: s.x1[:], B: s.b1[:], Out: s.out1[:]}, s.jac, ws, &s.sc, s.opts)
+	s.x1[0], s.b1[0] = nil, nil
+	res := s.out1[0]
 	s.Solves++
 	s.TotalIters += res.Iterations
-	return res, err
+	if err == nil {
+		err = res.Err
+	}
+	return res.CGResult, err
 }
 
 // SolvePair computes the potential difference x_p - x_q where x = L^+ b_pq.
@@ -107,8 +129,6 @@ func (s *LaplacianSolver) SolvePair(ctx context.Context, p, q int) (float64, err
 	sol := ws.Take()
 	vecmath.Basis(rhs, p, q)
 	vecmath.CenterMean(rhs)
-	vecmath.Zero(sol)
-	_, err := CG(ctx, s.op, sol, rhs, s.jac, ws, s.opts)
-	s.Solves++
+	_, err := s.solve(ctx, ws, sol, rhs)
 	return sol[p] - sol[q], err
 }

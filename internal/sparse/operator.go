@@ -1,5 +1,6 @@
 // Package sparse provides the iterative linear-algebra substrate: abstract
-// symmetric operators, conjugate-gradient solvers with Jacobi
+// symmetric operators, the blocked conjugate-gradient solvers (BlockCG and
+// BlockFlexibleCG — a single right-hand side is a width-1 block) with Jacobi
 // preconditioning, and Laplacian-specific wrappers that work in the
 // orthogonal complement of the constant vector (a connected Laplacian's
 // null space). Exact effective resistances and condition-number estimates
@@ -27,19 +28,6 @@ type Operator interface {
 	Apply(dst, x []float64)
 }
 
-// Preconditioner applies an SPD-like map dst = M^{-1} src. Implementations
-// used on the hot path are pointer types so passing them through interface
-// values never allocates.
-type Preconditioner interface {
-	Precond(dst, src []float64)
-}
-
-// PrecondFunc adapts a closure to the Preconditioner interface.
-type PrecondFunc func(dst, src []float64)
-
-// Precond invokes the closure.
-func (f PrecondFunc) Precond(dst, src []float64) { f(dst, src) }
-
 // Jacobi is a diagonal preconditioner. Zero diagonal entries (isolated
 // nodes) pass through unscaled.
 type Jacobi struct {
@@ -59,18 +47,16 @@ func NewJacobi(diag []float64) *Jacobi {
 	return &Jacobi{inv: inv}
 }
 
-// Precond computes dst = D^{-1} src.
-func (j *Jacobi) Precond(dst, src []float64) {
-	for i := range dst {
-		dst[i] = j.inv[i] * src[i]
-	}
-}
-
-// PrecondBlock applies the diagonal preconditioner column-wise, so Jacobi
-// serves blocked solves (the inner loop of precond.SolveBlock) directly.
+// PrecondBlock computes dst[c] = D^{-1} src[c] for every column, so Jacobi
+// serves the blocked solvers (LaplacianSolver and precond's inner solve)
+// directly.
 func (j *Jacobi) PrecondBlock(dst, src [][]float64) {
 	for c := range dst {
-		j.Precond(dst[c], src[c])
+		d := dst[c]
+		s, inv := src[c][:len(d)], j.inv[:len(d)]
+		for i := range d {
+			d[i] = inv[i] * s[i]
+		}
 	}
 }
 

@@ -82,8 +82,8 @@ func TestSolvePairSymmetryProperty(t *testing.T) {
 	}
 }
 
-// Property: CG and FlexibleCG agree with the dense oracle on random SPD
-// systems (Laplacian + small diagonal shift).
+// Property: width-1 BlockCG and BlockFlexibleCG agree with the dense oracle
+// on random SPD systems (Laplacian + small diagonal shift).
 func TestCGAgainstDenseOracleProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomConnectedGraph(seed, 15, 20)
@@ -109,11 +109,11 @@ func TestCGAgainstDenseOracleProperty(t *testing.T) {
 		}
 
 		x1 := make([]float64, 15)
-		if _, err := CG(context.Background(), op, x1, b, nil, nil, solver.Options{Tol: 1e-12}); err != nil {
+		if _, err := cg1(context.Background(), false, op, x1, b, nil, solver.Options{Tol: 1e-12}); err != nil {
 			return false
 		}
 		x2 := make([]float64, 15)
-		if _, err := FlexibleCG(context.Background(), op, x2, b, nil, nil, solver.Options{Tol: 1e-12}); err != nil {
+		if _, err := cg1(context.Background(), true, op, x2, b, nil, solver.Options{Tol: 1e-12}); err != nil {
 			return false
 		}
 		for i := range want {

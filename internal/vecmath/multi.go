@@ -7,7 +7,7 @@ import "fmt"
 // accumulator and is processed in ascending index order, so column j of a
 // multi kernel is bit-identical to the corresponding single-vector kernel on
 // column j alone — the property the blocked conjugate-gradient solvers rely
-// on for their width-1 ≡ CG and masked ≡ independent guarantees. The win is
+// on for their column ≡ width-1 and masked ≡ independent guarantees. The win is
 // not fewer memory passes (columns are distinct vectors) but one call — and,
 // in the pooled variants in internal/kernel, one fork-join dispatch — per
 // block instead of one per column.
