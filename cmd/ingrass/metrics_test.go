@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -66,10 +67,24 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		`ingrass_spmv_duration_seconds_count{format="csr"}`,
 		`ingrass_spmv_duration_seconds_count{format="sell"} 0`,
 		"ingrass_operator_arena_reserved_bytes 0",
+		"ingrass_precond_factored 1",
+		"ingrass_precond_factor_nnz ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// /stats reports the same preconditioner regime as the gauges.
+	var st statsResponse
+	if r := doJSON(t, srv, http.MethodGet, "/stats", nil, &st); r.StatusCode != http.StatusOK {
+		t.Fatalf("stats: %d", r.StatusCode)
+	}
+	if !st.PrecondFactored || st.PrecondFactorNNZ == 0 {
+		t.Errorf("stats precond_factored=%v precond_factor_nnz=%d, want an exact factor",
+			st.PrecondFactored, st.PrecondFactorNNZ)
+	}
+	if !strings.Contains(out, fmt.Sprintf("ingrass_precond_factor_nnz %d\n", st.PrecondFactorNNZ)) {
+		t.Errorf("ingrass_precond_factor_nnz gauge disagrees with /stats (%d)", st.PrecondFactorNNZ)
 	}
 }
 

@@ -38,7 +38,8 @@ const (
 	SpanBatchGroup
 	// SpanSolveOuter is the outer (flexible) CG solve for one column.
 	SpanSolveOuter
-	// SpanSolveInner is one truncated inner preconditioner application.
+	// SpanSolveInner is one preconditioner application: the factor sweeps
+	// over H, or a truncated inner solve on H.
 	SpanSolveInner
 	// SpanWALAppend covers encoding + writing one WAL batch record.
 	SpanWALAppend

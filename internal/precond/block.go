@@ -14,10 +14,10 @@ import (
 // blockSolveState is the per-call mutable half of a solve: the scratch
 // workspace, the request context, and the header arenas and BlockScratch
 // bookkeeping both nesting levels of a blocked solve need. It
-// implements sparse.BlockPreconditioner — one truncated blocked Jacobi-PCG
-// on L_H per application, traversing the sparsifier CSR once per inner
-// iteration for the whole active column set. States are pooled on the
-// Factorization and confined to one solve call tree while checked out.
+// implements sparse.BlockPreconditioner — per application, one sweep pair
+// over the exact factor, or in the fallback regime one truncated blocked
+// Jacobi-PCG on L_H, for the whole active column set. States are pooled on
+// the Factorization and confined to one solve call tree while checked out.
 type blockSolveState struct {
 	f            *Factorization
 	ws           *solver.Workspace
@@ -69,13 +69,15 @@ func (st *blockSolveState) SetActiveColumns(cols []int) {
 }
 
 // PrecondBlock computes dst[j] ~= L_H^+ src[j] (mean-centered) for the
-// whole active column set by one truncated blocked Jacobi-PCG. Columns are
-// independent inside the inner BlockCG, so column j's arithmetic does not
-// depend on which other columns share the application; convergence
-// failures of the truncated solve are expected and benign — the partial
-// iterate is still an SPD-like contraction the outer flexible CG accepts.
-// A cancelled context makes the inner solve return immediately; the outer
-// loop then observes the same context and aborts.
+// whole active column set. With an exact factor that is one forward and one
+// backward sweep over L for all columns. In the fallback regime it is one
+// truncated blocked Jacobi-PCG: columns are independent inside the inner
+// BlockCG, so column j's arithmetic does not depend on which other columns
+// share the application; convergence failures of the truncated solve are
+// expected and benign — the partial iterate is still an SPD-like
+// contraction the outer flexible CG accepts. A cancelled context makes the
+// inner solve return immediately; the outer loop then observes the same
+// context and aborts.
 func (st *blockSolveState) PrecondBlock(dst, src [][]float64) {
 	st.applications++
 	m := len(src)
@@ -85,6 +87,30 @@ func (st *blockSolveState) PrecondBlock(dst, src [][]float64) {
 			st.innerSpans[i] = st.spans[st.activeCols[i]].StartChild(trace.SpanSolveInner)
 		}
 	}
+	if st.f.ldl != nil {
+		for j := 0; j < m; j++ {
+			copy(dst[j], src[j])
+			vecmath.CenterMean(dst[j])
+		}
+		st.f.ldl.solve(dst[:m])
+	} else {
+		st.truncatedSolve(dst, src)
+	}
+	for j := 0; j < m; j++ {
+		vecmath.CenterMean(dst[j])
+	}
+	if traced {
+		for i := 0; i < m; i++ {
+			st.innerSpans[i].End()
+			st.innerSpans[i] = trace.Span{}
+		}
+	}
+}
+
+// truncatedSolve runs the fallback regime's inner solve: a blocked
+// Jacobi-PCG on L_H from a zero start, capped by the inner options.
+func (st *blockSolveState) truncatedSolve(dst, src [][]float64) {
+	m := len(src)
 	mark := st.ws.Mark()
 	defer st.ws.Release(mark)
 	rhs := headers(&st.innerRHS, m)
@@ -100,15 +126,6 @@ func (st *blockSolveState) PrecondBlock(dst, src [][]float64) {
 	_ = sparse.BlockCG(st.ctx, st.f.proj, sparse.BlockSpec{
 		X: dst, B: rhs, Out: st.innerOut[:m],
 	}, st.f.hop.Jacobi(), st.ws, &st.innerSC, st.inner)
-	for j := 0; j < m; j++ {
-		vecmath.CenterMean(dst[j])
-	}
-	if traced {
-		for i := 0; i < m; i++ {
-			st.innerSpans[i].End()
-			st.innerSpans[i] = trace.Span{}
-		}
-	}
 }
 
 var _ sparse.BlockPreconditioner = (*blockSolveState)(nil)
@@ -130,16 +147,19 @@ func (bp *blockStatePool) put(st *blockSolveState) {
 }
 
 // SolveBlock runs one blocked flexible-CG solve of sys x[j] = b[j] for up
-// to sparse.MaxBlockWidth right-hand sides, preconditioned by truncated
-// blocked inner solves of L_H: each outer iteration applies the system
-// operator once to the whole block, and each preconditioner application
-// runs one blocked inner solve — so the CSR structures of G and H are each
-// traversed once per iteration for all columns, instead of once per column.
+// to sparse.MaxBlockWidth right-hand sides, preconditioned by blocked
+// solves of L_H: each outer iteration applies the system operator once to
+// the whole block, and each preconditioner application runs one blocked
+// sweep pair over the factor (or, in the fallback regime, one blocked
+// truncated inner solve) — so G's operator and H's factor or operator are
+// each traversed once per iteration for all columns, instead of once per
+// column.
 //
 // Per-column semantics match Solve exactly: every b[j] is mean-centered
 // internally, every solution written into x[j] is mean-zero, and column j's
 // arithmetic is bit-identical to an independent Solve of that column (the
-// lockstep recurrences are mathematically independent; see sparse.BlockCG).
+// lockstep recurrences are mathematically independent; see sparse.BlockCG,
+// and the factor sweeps run each column's operations in a fixed order).
 // opts overrides the factorization defaults field-wise for the whole group
 // — coalesced requests must share option sets, which the batch scheduler
 // guarantees. colCtx optionally carries one context per column: a cancelled

@@ -12,15 +12,34 @@ import (
 )
 
 // TestSolveBlockMatchesSolve: every column of a blocked preconditioned
-// solve must agree with an independent Solve of that column — the lockstep
-// recurrences (outer flexible CG and the truncated blocked inner solves)
-// are per-column independent, so the agreement is bit-for-bit.
+// solve must agree with an independent Solve of that column, in both
+// preconditioner regimes — the lockstep recurrences (outer flexible CG, and
+// the factor sweeps or the truncated blocked inner solves) are per-column
+// independent, so the agreement is bit-for-bit.
 func TestSolveBlockMatchesSolve(t *testing.T) {
-	g, h := testPair(t, 10, 10)
+	gridG, gridH := testPair(t, 10, 10)
+	for _, tc := range []struct {
+		name     string
+		g, h     *graph.Graph
+		factored bool
+	}{
+		{"exact", gridG, gridH, true},
+		{"fallback", complete(70, 1), complete(70, 2), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkBlockMatchesSolve(t, tc.g, tc.h, tc.factored)
+		})
+	}
+}
+
+func checkBlockMatchesSolve(t *testing.T, g, h *graph.Graph, factored bool) {
 	n := g.NumNodes()
 	fact, err := Factorize(h, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fact.Factored() != factored {
+		t.Fatalf("Factored() = %v, want %v", fact.Factored(), factored)
 	}
 	gop := sparse.NewLapOperator(g)
 	proj := &sparse.ProjectedOperator{Inner: gop}

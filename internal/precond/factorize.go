@@ -10,44 +10,57 @@ import (
 )
 
 // Factorization is the reusable, immutable half of a sparsifier
-// preconditioner: the frozen CSR view of H, its projected operator and
-// Jacobi diagonal, and the engine-level solve defaults. Building it is the
-// expensive part (O(N+E) CSR assembly); everything it holds is read-only
-// afterwards, so one Factorization can back any number of concurrent
-// solves. The service layer builds one per snapshot generation and keys its
-// cache on that generation, which is how repeated solves against an
-// unchanged graph skip re-factorization.
+// preconditioner, in one of two regimes fixed by H at factorize time:
+//
+//   - exact: an LDLᵀ factor of the grounded L_H (see factorLDL), applied
+//     by one forward and one backward sweep per preconditioner
+//     application. Only the factor is kept: no frozen operator of H.
+//   - fallback: when elimination meets a pivot of degree above
+//     maxPivotDegree, the frozen CSR view of H, its projected operator
+//     and Jacobi diagonal, which back a truncated inner Jacobi-PCG on L_H
+//     per application.
+//
+// It also holds the engine-level solve defaults. Everything it holds is
+// read-only after Factorize, so one Factorization can back any number of
+// concurrent solves. The service layer builds one per snapshot generation
+// and keys its cache on that generation, which is how repeated solves
+// against an unchanged graph skip re-factorization.
 //
 // Per-call mutable state (scratch workspace, headers, counters) lives in a
 // pooled blockSolveState checked out for the duration of each Solve or
 // SolveBlock, so warm solves allocate nothing.
 type Factorization struct {
 	n    int
-	hop  *sparse.LapOperator
-	proj *sparse.ProjectedOperator
-	opts solver.Options // defaults applied; Workers frozen here
+	ldl  *ldl                      // exact regime; nil in the fallback
+	hop  *sparse.LapOperator       // fallback regime; nil when exact
+	proj *sparse.ProjectedOperator // fallback regime; nil when exact
+	opts solver.Options            // defaults applied; Workers frozen here
 	bp   blockStatePool
 }
 
 // Factorize freezes the sparsifier h into a reusable preconditioner
-// factorization. opts supplies the engine-level defaults every solve
-// against this factorization starts from — in particular InnerTol /
-// InnerIters for the truncated inner solve and Workers for parallel
-// Laplacian application (frozen at factorize time; per-request Workers
-// overrides are ignored on shared factorizations because the operator is
-// shared across concurrent solves).
+// factorization: an exact LDLᵀ factor of L_H when minimum-degree
+// elimination stays within the pivot-degree cap, and H's frozen operator
+// for the truncated inner solve otherwise. opts supplies the engine-level
+// defaults every solve against this factorization starts from — InnerTol /
+// InnerIters for the fallback's truncated inner solve and Workers / Format
+// for its Laplacian application (frozen at factorize time; per-request
+// Workers overrides are ignored on shared factorizations because the
+// operator is shared across concurrent solves).
 func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
 	if h.NumNodes() == 0 {
 		return nil, fmt.Errorf("precond: empty sparsifier")
 	}
-	hop := sparse.NewLapOperator(h)
-	hop.SetWorkers(opts.Workers)
-	hop.SetFormat(opts.Format)
 	f := &Factorization{
 		n:    h.NumNodes(),
-		hop:  hop,
-		proj: &sparse.ProjectedOperator{Inner: hop},
+		ldl:  factorLDL(h),
 		opts: opts.WithDefaults(h.NumNodes()),
+	}
+	if f.ldl == nil {
+		f.hop = sparse.NewLapOperator(h)
+		f.hop.SetWorkers(opts.Workers)
+		f.hop.SetFormat(opts.Format)
+		f.proj = &sparse.ProjectedOperator{Inner: f.hop}
 	}
 	f.bp.p.New = func() any {
 		return &blockSolveState{f: f, ws: solver.NewWorkspace(f.n)}
@@ -58,29 +71,44 @@ func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
 // Dim returns the node count of the factorized sparsifier.
 func (f *Factorization) Dim() int { return f.n }
 
+// Factored reports whether the exact LDLᵀ factor serves preconditioner
+// applications (false: the truncated inner solve on H's operator does).
+func (f *Factorization) Factored() bool { return f.ldl != nil }
+
+// FactorNNZ returns the entries stored in the LDLᵀ factor (L's
+// off-diagonal entries plus D's pivots), or 0 in the fallback regime.
+func (f *Factorization) FactorNNZ() int {
+	if f.ldl == nil {
+		return 0
+	}
+	return f.ldl.nnz()
+}
+
 // Operator returns the frozen Laplacian operator of the factorized
-// sparsifier. Callers may inspect its format/arena stats or install an
-// SpMV observer before the factorization is shared; the operator itself is
-// read-only.
+// sparsifier in the fallback regime, and nil when the factor is exact
+// (which keeps no operator of H). Callers may inspect its format/arena
+// stats or install an SpMV observer before the factorization is shared;
+// the operator itself is read-only.
 func (f *Factorization) Operator() *sparse.LapOperator { return f.hop }
 
 // Options returns the factorization's effective (defaults-applied) options.
 func (f *Factorization) Options() solver.Options { return f.opts }
 
-// Solve runs flexible CG on sys x = b preconditioned by truncated inner
-// solves of L_H: a width-1 SolveBlock whose column headers and result slot
-// live in the pooled solve state. b is mean-centered internally (Laplacian
-// systems are only consistent on the complement of ones); the solution
-// written into x is mean-zero. sys must have dimension Dim; if it is not
-// already a *sparse.ProjectedOperator it is projected in place without
-// allocating.
+// Solve runs flexible CG on sys x = b preconditioned by solves of L_H
+// (exact, or truncated in the fallback regime): a width-1 SolveBlock whose
+// column headers and result slot live in the pooled solve state. b is
+// mean-centered internally (Laplacian systems are only consistent on the
+// complement of ones); the solution written into x is mean-zero. sys must
+// have dimension Dim; if it is not already a *sparse.ProjectedOperator it
+// is projected in place without allocating.
 //
 // opts overrides the factorization defaults field-wise for this request
-// (Tol, MaxIter, InnerTol, InnerIters; Workers is frozen — see Factorize).
-// ctx aborts the outer loop (and truncates the inner solve) within one
-// iteration of cancellation, returning partial stats alongside a
-// solver.ErrCancelled-wrapped error; the column's own outcome
-// (ErrNoConvergence, a breakdown) is returned as the error otherwise.
+// (Tol, MaxIter, and InnerTol / InnerIters in the fallback regime; Workers
+// is frozen — see Factorize). ctx aborts the outer loop (and truncates a
+// fallback inner solve) within one iteration of cancellation, returning
+// partial stats alongside a solver.ErrCancelled-wrapped error; the
+// column's own outcome (ErrNoConvergence, a breakdown) is returned as the
+// error otherwise.
 //
 // Safe for any number of concurrent callers; each call checks a private
 // solve state out of the factorization's pool.

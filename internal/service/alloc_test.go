@@ -7,7 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"ingrass/internal/core"
 	"ingrass/internal/graph"
+	"ingrass/internal/krylov"
+	"ingrass/internal/lrd"
 	"ingrass/internal/solver"
 	"ingrass/internal/vecmath"
 	"ingrass/internal/wal"
@@ -45,6 +48,9 @@ func TestWarmSolveAllocationFree(t *testing.T) {
 		if _, err := snap.SolveInto(ctx, x, rhs, opts); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if !snap.fact.Factored() {
+		t.Fatal("grid sparsifier hit the pivot-degree cap; want the exact regime")
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
@@ -93,6 +99,73 @@ func TestWarmSolveAllocationFreeSELL(t *testing.T) {
 	if allocs > 1.0 {
 		t.Fatalf("warm SELL SolveInto allocates %.2f objects/op, want ~0", allocs)
 	}
+}
+
+// TestWarmSolveAllocationFreeFallback pins the zero-allocation budget on
+// the preconditioner's fallback regime: on a complete graph the first pivot
+// has degree n-1, above the elimination cap, so the factorization keeps H's
+// frozen operator and every application runs the truncated inner solve on
+// it. Both storage formats of that operator stay under the gate.
+func TestWarmSolveAllocationFreeFallback(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation counts are not meaningful")
+	}
+	for _, format := range []solver.Format{solver.FormatCSR, solver.FormatSELL} {
+		t.Run(format.String(), func(t *testing.T) {
+			e := newCompleteEngine(t, 70, Options{Solver: solver.Options{Format: format}})
+			snap := e.Current()
+			if err := snap.ensureFactorized(); err != nil {
+				t.Fatal(err)
+			}
+			hop := snap.fact.Operator()
+			if snap.fact.Factored() || hop == nil {
+				t.Fatal("complete-graph sparsifier was factored exactly; want the fallback regime")
+			}
+			if hop.Format() != format {
+				t.Fatalf("H operator froze %v, want forced %v", hop.Format(), format)
+			}
+			n := snap.G.NumNodes()
+			rhs := warmRHS(n)
+			x := make([]float64, n)
+			ctx := context.Background()
+			opts := solver.Options{Tol: 1e-8}
+			for i := 0; i < 3; i++ {
+				if _, err := snap.SolveInto(ctx, x, rhs, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := snap.SolveInto(ctx, x, rhs, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1.0 {
+				t.Fatalf("warm fallback SolveInto allocates %.2f objects/op, want ~0", allocs)
+			}
+		})
+	}
+}
+
+// newCompleteEngine serves the complete graph K_n with H = G, a sparsifier
+// whose elimination exceeds the pivot-degree cap for n > 65.
+func newCompleteEngine(t testing.TB, n int, opts Options) *Engine {
+	t.Helper()
+	g := graph.New(n, n*(n-1)/2)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			g.AddEdge(u, v, 1+float64((u+v)%3))
+		}
+	}
+	sp, err := core.NewSparsifier(g, g.Clone(), core.Config{
+		TargetCond: 50,
+		LRD:        lrd.Config{Krylov: krylov.Config{Seed: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(sp, opts)
+	t.Cleanup(e.Close)
+	return e
 }
 
 // TestWarmSolveAllocationFreeWithWAL pins the same zero-allocation budget

@@ -312,6 +312,9 @@ func (e *Engine) flush(batch []*request) {
 	if mutated {
 		e.reg.Publish(snap)
 	}
+	// Count the flush before completing its futures, so a writer woken by
+	// its future already sees the flush in Stats.
+	e.stats.flushes.Add(1)
 
 	// Complete futures outside the write lock.
 	for _, r := range batch {
@@ -367,7 +370,6 @@ func (e *Engine) flush(batch []*request) {
 			}
 		}
 	}
-	e.stats.flushes.Add(1)
 }
 
 type decisionLite struct {

@@ -123,6 +123,15 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 		opFmt(solver.FormatSELL), obs.Label{Key: "format", Value: "sell"})
 	reg.GaugeFunc("ingrass_operator_sell_padding_ratio", "padding fraction of the SELL-frozen operator (0 under CSR)",
 		func() float64 { return math.Float64frombits(e.stats.opPadding.Load()) })
+	reg.GaugeFunc("ingrass_precond_factored", "1 when the served generation preconditions with an exact LDLT factor of H, 0 for the truncated inner solve",
+		func() float64 {
+			if e.stats.precondFactored.Load() {
+				return 1
+			}
+			return 0
+		})
+	reg.GaugeFunc("ingrass_precond_factor_nnz", "entries stored in the served generation's LDLT factor of H (0 for the truncated inner solve)",
+		func() float64 { return float64(e.stats.precondFactorNNZ.Load()) })
 	reg.GaugeFunc("ingrass_operator_arena_reserved_bytes", "arena bytes reserved by the served generation's frozen operators",
 		func() float64 { return float64(e.stats.arenaBytes.Load()) })
 

@@ -61,11 +61,14 @@ func (s *Snapshot) ensureFactorized() error {
 		s.proj = &sparse.ProjectedOperator{Inner: gop}
 		s.fact, s.factErr = precond.Factorize(s.H, s.sopts)
 		if s.factErr == nil {
-			hop := s.fact.Operator()
-			if f := s.stats.spmvObserver(hop.Format()); f != nil {
-				hop.SetSpMVObserver(f)
+			hop := s.fact.Operator() // nil when H is factored exactly
+			if hop != nil {
+				if f := s.stats.spmvObserver(hop.Format()); f != nil {
+					hop.SetSpMVObserver(f)
+				}
 			}
 			s.stats.noteOperators(gop, hop)
+			s.stats.notePrecond(s.fact)
 		}
 		s.stats.precondBuilds.Add(1)
 	})
@@ -139,20 +142,22 @@ func (s *Snapshot) recordSolve(iters int, elapsed time.Duration, err error) {
 type BlockSolveStats struct {
 	Generation uint64
 	// InnerUses counts blocked preconditioner applications — each one is a
-	// truncated inner solve shared by the whole active column set.
+	// sparsifier solve (factor sweeps, or a truncated inner solve) shared by
+	// the whole active column set.
 	InnerUses int
 }
 
 // SolveBlockInto computes x[j] = L_G^+ b[j] for a whole block of right-hand
-// sides in one blocked flexible-CG solve against this snapshot: the CSR
-// structures of G and H are traversed once per iteration for all columns
-// instead of once per column, which is where the batched query engine's
-// throughput comes from. Per-column outcomes land in out; colCtx optionally
-// cancels single columns (masked without aborting the group — see
-// sparse.BlockSpec). Column j's result is bit-identical to an independent
-// SolveInto of b[j] with the same options. Each column is recorded as one
-// solve that took the block's duration; the execution itself is recorded
-// once in the block-duration histogram.
+// sides in one blocked flexible-CG solve against this snapshot: G's
+// operator and H's factor (or, in the fallback regime, H's operator) are
+// traversed once per iteration for all columns instead of once per column,
+// which is where the batched query engine's throughput comes from.
+// Per-column outcomes land in out; colCtx optionally cancels single
+// columns (masked without aborting the group — see sparse.BlockSpec).
+// Column j's result is bit-identical to an independent SolveInto of b[j]
+// with the same options. Each column is recorded as one solve that took
+// the block's duration; the execution itself is recorded once in the
+// block-duration histogram.
 //
 // Safe for any number of concurrent goroutines; the warm path allocates
 // nothing (the per-call blocked solve state is pooled on the shared

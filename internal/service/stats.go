@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ingrass/internal/obs"
+	"ingrass/internal/precond"
 	"ingrass/internal/solver"
 	"ingrass/internal/sparse"
 )
@@ -72,6 +73,12 @@ type Stats struct {
 	opPadding  atomic.Uint64
 	arenaBytes atomic.Uint64
 
+	// Preconditioner regime of the generation currently served, recorded at
+	// factorization time: whether an exact LDLᵀ factor of H serves reads
+	// (false: the truncated inner solve), and the factor's stored entries.
+	precondFactored  atomic.Bool
+	precondFactorNNZ atomic.Uint64
+
 	// Latency/shape histograms, created when a metrics registry is attached
 	// (Options.Obs) and nil otherwise — every observe site records
 	// unconditionally through the nil-safe receivers, so the unwired cost is
@@ -107,13 +114,24 @@ func (s *Stats) noteMaintTrigger(r MaintReason) {
 }
 
 // noteOperators records the frozen shape of a generation's operators after
-// factorization.
+// factorization. hop is nil when H is factored exactly and keeps no
+// operator.
 func (s *Stats) noteOperators(gop, hop *sparse.LapOperator) {
 	s.opFormat.Store(uint32(gop.Format()))
 	s.opPadding.Store(math.Float64bits(gop.PaddingRatio()))
-	_, gr, _ := gop.ArenaStats()
-	_, hr, _ := hop.ArenaStats()
-	s.arenaBytes.Store(uint64(gr + hr))
+	_, reserved, _ := gop.ArenaStats()
+	if hop != nil {
+		_, hr, _ := hop.ArenaStats()
+		reserved += hr
+	}
+	s.arenaBytes.Store(uint64(reserved))
+}
+
+// notePrecond records which preconditioner regime a generation's
+// factorization runs.
+func (s *Stats) notePrecond(f *precond.Factorization) {
+	s.precondFactored.Store(f.Factored())
+	s.precondFactorNNZ.Store(uint64(f.FactorNNZ()))
 }
 
 // spmvObserver returns the SpMV wall-time observer for operators frozen in
@@ -186,10 +204,17 @@ type StatsView struct {
 	// OperatorFormat names the frozen sparse layout ("csr" or "sell") of the
 	// generation currently served; OperatorPaddingRatio its SELL padding
 	// fraction (0 for CSR) and OperatorArenaBytes the arena bytes reserved
-	// across the G and H operators (0 when CSR-frozen).
+	// across the G and H operators (0 when CSR-frozen; H has no operator
+	// when it is factored exactly).
 	OperatorFormat       string  `json:"operator_format"`
 	OperatorPaddingRatio float64 `json:"operator_padding_ratio"`
 	OperatorArenaBytes   uint64  `json:"operator_arena_bytes"`
+	// PrecondFactored is true when the generation currently served
+	// preconditions reads with an exact LDLᵀ factor of H, false when it
+	// runs the truncated inner solve; PrecondFactorNNZ is the factor's
+	// stored entries (0 for the truncated inner solve).
+	PrecondFactored  bool   `json:"precond_factored"`
+	PrecondFactorNNZ uint64 `json:"precond_factor_nnz"`
 	// WALAppends / WALBytes count batches logged to the write-ahead log and
 	// their framed size; WALErrors counts failed appends (each one degrades
 	// durability until the next successful checkpoint). Checkpoints counts
@@ -254,6 +279,8 @@ func (s *Stats) View() StatsView {
 		OperatorFormat:        solver.Format(s.opFormat.Load()).String(),
 		OperatorPaddingRatio:  math.Float64frombits(s.opPadding.Load()),
 		OperatorArenaBytes:    s.arenaBytes.Load(),
+		PrecondFactored:       s.precondFactored.Load(),
+		PrecondFactorNNZ:      s.precondFactorNNZ.Load(),
 		WALAppends:            s.walAppends.Load(),
 		WALBytes:              s.walBytes.Load(),
 		WALErrors:             s.walErrors.Load(),

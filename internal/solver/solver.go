@@ -53,8 +53,9 @@ func CheckCancel(ctx context.Context) error {
 // Options is the one knob set for the whole solver stack. A zero value
 // means "all defaults". The same struct configures the outer solve (Tol,
 // MaxIter), the preconditioner's truncated inner solve (InnerTol,
-// InnerIters), and operator parallelism (Workers), so a request body like
-// {"tol": 1e-6, "max_iter": 500} reaches the innermost loop without
+// InnerIters — used only when the sparsifier is not factored exactly, see
+// package precond), and operator parallelism (Workers), so a request body
+// like {"tol": 1e-6, "max_iter": 500} reaches the innermost loop without
 // translation layers.
 type Options struct {
 	// Tol is the relative residual target ||r|| <= Tol*||b||. Default 1e-8.
@@ -64,7 +65,8 @@ type Options struct {
 	// verbatim and never clamped.
 	MaxIter int
 	// InnerTol is the relative-residual target of the preconditioner's
-	// truncated inner solve. Default 1e-2 — the outer flexible CG tolerates
+	// truncated inner solve, which runs only when the sparsifier is not
+	// factored exactly. Default 1e-2 — the outer flexible CG tolerates
 	// loose inner solves.
 	InnerTol float64
 	// InnerIters caps the inner solve's iterations per preconditioner

@@ -621,10 +621,17 @@ type ServiceStats struct {
 	SolveLatency LatencySummary `json:"solve_latency_seconds"`
 	// Frozen-operator shape of the served generation: storage layout ("csr"
 	// or "sell", "auto" until the first factorization), SELL padding
-	// fraction, and arena bytes reserved across the G and H operators.
+	// fraction, and arena bytes reserved across the G and H operators (H
+	// keeps no operator when it is factored exactly).
 	OperatorFormat       string  `json:"operator_format"`
 	OperatorPaddingRatio float64 `json:"operator_padding_ratio"`
 	OperatorArenaBytes   uint64  `json:"operator_arena_bytes"`
+	// Preconditioner regime of the served generation: true when an exact
+	// LDLᵀ factor of H preconditions solves (false: the truncated inner
+	// solve, which InnerTol / InnerIters tune), and the entries the factor
+	// stores (0 for the truncated inner solve).
+	PrecondFactored  bool   `json:"precond_factored"`
+	PrecondFactorNNZ uint64 `json:"precond_factor_nnz"`
 	// Durability counters (zero without DataDir): logged batches, their
 	// framed bytes, failed appends, completed checkpoints, and the
 	// generation the newest checkpoint covers.
@@ -708,6 +715,8 @@ func (s *Service) Stats() ServiceStats {
 		OperatorFormat:        v.OperatorFormat,
 		OperatorPaddingRatio:  v.OperatorPaddingRatio,
 		OperatorArenaBytes:    v.OperatorArenaBytes,
+		PrecondFactored:       v.PrecondFactored,
+		PrecondFactorNNZ:      v.PrecondFactorNNZ,
 		WALAppends:            v.WALAppends,
 		WALBytes:              v.WALBytes,
 		WALErrors:             v.WALErrors,

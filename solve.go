@@ -12,7 +12,9 @@ import (
 // value means "all defaults". The same struct configures the outer flexible
 // CG (Tol, MaxIter) and the preconditioner's truncated inner solve
 // (InnerTol, InnerIters); it flows unchanged from the public API down to
-// the innermost CG loop. The HTTP layer defines its own wire struct
+// the innermost CG loop. The preconditioner solves the sparsifier exactly
+// by a sparse LDLᵀ factor when minimum-degree elimination keeps every
+// pivot's degree at 64 or below, and InnerTol / InnerIters then go unused. The HTTP layer defines its own wire struct
 // (cmd/ingrass solveRequest) because not every field is HTTP-settable.
 type SolveOptions struct {
 	// Tol is the relative residual target ||r|| <= Tol*||b||. Default 1e-8.
@@ -20,11 +22,11 @@ type SolveOptions struct {
 	// MaxIter bounds outer iterations. 0 derives 10*n clamped to 20000; an
 	// explicit value is used verbatim, never clamped.
 	MaxIter int
-	// InnerTol is the preconditioner's inner relative-residual target.
-	// Default 1e-2.
+	// InnerTol is the preconditioner's inner relative-residual target when
+	// the sparsifier is not factored exactly. Default 1e-2.
 	InnerTol float64
-	// InnerIters caps inner iterations per preconditioner application.
-	// Default 25.
+	// InnerIters caps inner iterations per preconditioner application when
+	// the sparsifier is not factored exactly. Default 25.
 	InnerIters int
 	// Workers bounds the parallelism of Laplacian application and the fused
 	// CG vector kernels; the count is clamped to GOMAXPROCS and dispatches
@@ -63,7 +65,7 @@ type SolveStats struct {
 	Residual float64 `json:"residual"`
 	// Converged reports whether the tolerance was met.
 	Converged bool `json:"converged"`
-	// PrecondUses counts inner sparsifier solves.
+	// PrecondUses counts preconditioner applications (sparsifier solves).
 	PrecondUses int `json:"precond_uses"`
 	// Generation is the snapshot generation that served the solve. Only
 	// set by Service.Solve; standalone SolveLaplacian leaves it zero.
