@@ -83,9 +83,9 @@ type BatchSolveResult struct {
 // SolveBatch solves L_G x_i = b_i for every right-hand side against one
 // snapshot generation, executing the batch as blocked multi-RHS solves that
 // traverse the graph and sparsifier structures once per iteration for a
-// whole block — at 8 right-hand sides this beats 8 independent solves by
-// well over the coalescing target (see BENCH_solve.json). Each column's
-// answer is bit-identical to an independent Solve of that b_i with the same
+// whole block, so a batch costs less than as many independent solves
+// (BenchmarkLapMulMulti times the blocked product). Each column's answer
+// is bit-identical to an independent Solve of that b_i with the same
 // options.
 //
 // All right-hand sides share one option set and one generation (the current

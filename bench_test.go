@@ -1,14 +1,14 @@
 package ingrass
 
-// Benchmark harness: one benchmark per table and figure of the paper, plus
-// the ablations called out in DESIGN.md and microbenchmarks for the O(log N)
-// per-edge update claim. Run with:
+// Micro-kernel and ablation benchmarks: the per-edge update cost behind the
+// paper's O(log N) claim, the setup phases and solves in isolation, and the
+// ablations called out in DESIGN.md. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// Benchmarks run at reduced scale (BenchScale) so the suite completes in
-// minutes; cmd/experiments regenerates the full tables with condition
-// numbers at any scale.
+// The paper's tables and figure are produced by cmd/experiments
+// (internal/bench); end-to-end numbers with a noise band come from the
+// benchmark/ module that BENCHMARK.json declares.
 
 import (
 	"context"
@@ -33,9 +33,7 @@ import (
 // BenchScale shrinks the paper's graph sizes to benchmark-friendly ones.
 const BenchScale = 0.1
 
-var benchCases = []string{"g2_circuit", "fe_4elt2", "fe_sphere", "delaunay_n14", "social_ba"}
-
-// cachedGraph memoizes generated benchmark graphs across benchmarks.
+// cachedGraphs memoizes generated benchmark graphs across benchmarks.
 var cachedGraphs sync.Map // name -> *graph.Graph
 
 func benchGraph(b *testing.B, name string) *graph.Graph {
@@ -81,190 +79,6 @@ func benchStream(b *testing.B, g *graph.Graph, count, batches int) [][]graph.Edg
 		b.Fatal(err)
 	}
 	return s
-}
-
-// --- Table I -------------------------------------------------------------
-
-// BenchmarkTable1Grass measures the from-scratch GRASS sparsification that
-// Table I's left timing column reports.
-func BenchmarkTable1Grass(b *testing.B) {
-	for _, name := range benchCases {
-		g := benchGraph(b, name)
-		b.Run(name, func(b *testing.B) {
-			b.ReportMetric(float64(g.NumEdges()), "edges")
-			for i := 0; i < b.N; i++ {
-				benchSparsifier(b, g)
-			}
-		})
-	}
-}
-
-// BenchmarkTable1Setup measures inGRASS's one-time setup phase (Krylov
-// embedding + LRD decomposition + multilevel sketch), Table I's right
-// column.
-func BenchmarkTable1Setup(b *testing.B) {
-	for _, name := range benchCases {
-		g := benchGraph(b, name)
-		h := benchSparsifier(b, g).H
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gi := g.Clone()
-				hi := h.Clone()
-				b.StartTimer()
-				if _, err := core.NewSparsifier(gi, hi, core.Config{
-					TargetCond: 100,
-					LRD:        lrd.Config{Krylov: krylov.Config{Seed: 1}},
-				}); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-			}
-		})
-	}
-}
-
-// --- Table II ------------------------------------------------------------
-
-// BenchmarkTable2InGrassUpdates measures the 10-batch incremental update
-// stream — the paper's inGRASS-T column.
-func BenchmarkTable2InGrassUpdates(b *testing.B) {
-	for _, name := range benchCases {
-		g := benchGraph(b, name)
-		init := benchSparsifier(b, g)
-		count := int(0.24 * float64(g.NumEdges()))
-		stream := benchStream(b, g, count, 10)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				gi := g.Clone()
-				hi := init.H.Clone()
-				sp, err := core.NewSparsifier(gi, hi, core.Config{
-					TargetCond: 100,
-					LRD:        lrd.Config{Krylov: krylov.Config{Seed: 1}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, batch := range stream {
-					if _, err := sp.UpdateBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(count), "stream-edges")
-		})
-	}
-}
-
-// BenchmarkTable2GrassRerun measures re-running GRASS from scratch after
-// every batch — the paper's GRASS-T column (the baseline inGRASS replaces).
-func BenchmarkTable2GrassRerun(b *testing.B) {
-	for _, name := range benchCases {
-		g := benchGraph(b, name)
-		count := int(0.24 * float64(g.NumEdges()))
-		stream := benchStream(b, g, count, 10)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				gi := g.Clone()
-				b.StartTimer()
-				for _, batch := range stream {
-					for _, e := range batch {
-						gi.AddEdge(e.U, e.V, e.W)
-					}
-					benchSparsifier(b, gi)
-				}
-			}
-		})
-	}
-}
-
-// --- Table III -----------------------------------------------------------
-
-// BenchmarkTable3InitialDensity sweeps the initial sparsifier density on
-// the G2_circuit analog, measuring the full update stream at each setting.
-func BenchmarkTable3InitialDensity(b *testing.B) {
-	g := benchGraph(b, "g2_circuit")
-	count := int(0.3 * float64(g.NumEdges()))
-	stream := benchStream(b, g, count, 10)
-	for _, density := range []float64{0.127, 0.118, 0.09, 0.076, 0.066} {
-		b.Run(fmt.Sprintf("D=%.3f", density), func(b *testing.B) {
-			init, err := grass.Sparsify(g, grass.Config{
-				TargetDensity: density, Tree: grass.TreeLowStretch,
-				SimilarityFilter: true, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				gi := g.Clone()
-				hi := init.H.Clone()
-				sp, err := core.NewSparsifier(gi, hi, core.Config{
-					TargetCond: 100,
-					LRD:        lrd.Config{Krylov: krylov.Config{Seed: 1}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, batch := range stream {
-					if _, err := sp.UpdateBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- Fig. 4 --------------------------------------------------------------
-
-// BenchmarkFig4Scalability sweeps Delaunay sizes, timing the update stream
-// (the per-size GRASS rerun cost is BenchmarkTable2GrassRerun; together
-// they reproduce Fig. 4's two series).
-func BenchmarkFig4Scalability(b *testing.B) {
-	for _, n := range []int{4000, 8000, 16000, 32000} {
-		g, err := gen.Delaunay(n, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		init, err := grass.Sparsify(g, grass.Config{
-			TargetDensity: 0.10, Tree: grass.TreeLowStretch,
-			SimilarityFilter: true, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		count := int(0.24 * float64(g.NumEdges()))
-		stream, err := gen.Stream(g, gen.StreamConfig{Kind: gen.StreamLocal, Count: count, Batches: 10, Seed: 7})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				gi := g.Clone()
-				hi := init.H.Clone()
-				sp, err := core.NewSparsifier(gi, hi, core.Config{
-					TargetCond: 100,
-					LRD:        lrd.Config{Krylov: krylov.Config{Seed: 1}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, batch := range stream {
-					if _, err := sp.UpdateBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(count)/float64(b.Elapsed().Nanoseconds())*1e9*float64(b.N), "edges/s")
-		})
-	}
 }
 
 // --- Ablations (DESIGN.md section 5) --------------------------------------

@@ -632,7 +632,7 @@ func printSLOReport(w *os.File, rep *sloReport) {
 }
 
 // sloFile is the BENCH_slo.json shape: a schema tag and an append-only run
-// list, mirroring BENCH_solve.json so tooling can treat them alike.
+// list.
 type sloFile struct {
 	Schema int          `json:"schema"`
 	Runs   []*sloReport `json:"runs"`

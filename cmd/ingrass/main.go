@@ -80,8 +80,6 @@ func main() {
 		cmdLoad(os.Args[2:])
 	case "info":
 		cmdInfo(os.Args[2:])
-	case "bench":
-		cmdBench(os.Args[2:])
 	case "loadgen":
 		cmdLoadgen(os.Args[2:])
 	case "slow":
@@ -106,7 +104,6 @@ commands:
   save       initialize a durable data directory from a graph (setup + checkpoint)
   load       recover a data directory; inspect, verify, or export the state
   info       print graph statistics
-  bench      run hot-path microbenchmarks; append a run to BENCH_solve.json
   loadgen    drive a serve instance with an open-loop trace workload; report SLOs
   slow       render a server's flight-recorder traces as per-span waterfalls
   metricslint  lint a Prometheus text exposition (stdin or -in) for format violations`)

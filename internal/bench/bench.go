@@ -4,8 +4,8 @@
 // Table III (robustness across initial densities), and Fig. 4 (runtime
 // scalability) — on the synthetic benchmark families of internal/gen.
 //
-// The same runners back both cmd/experiments (full tables with condition
-// numbers) and the root bench_test.go (testing.B timing rows).
+// cmd/experiments runs them and prints the full tables with condition
+// numbers.
 package bench
 
 import (

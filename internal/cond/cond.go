@@ -6,8 +6,14 @@
 // The estimator runs power iterations on the operators L_H^+ L_G (largest
 // eigenvalue) and L_G^+ L_H (reciprocal of the smallest), with every
 // pseudo-inverse application performed by a Jacobi-preconditioned conjugate
-// gradient solve. A dense oracle over the deflated pencil is provided for
-// validation on small graphs.
+// gradient solve. The package tests check both extremes against a dense
+// oracle of the pencil, including on sparsifiers the inGRASS update phase
+// has rewritten (TestEstimateMatchesDenseOracleAfterUpdates).
+//
+// With LambdaMaxOnly the estimate clamps lambda_min to 1. The clamp is exact
+// only while L_H ⪯ L_G, and inGRASS's merge and redistribute weight
+// transfer breaks that condition, so after updates the one-sided kappa can
+// understate the two-sided one several-fold (see Options.LambdaMaxOnly).
 package cond
 
 import (
@@ -43,12 +49,14 @@ type Options struct {
 	// pencil's top eigenvector moves slowly under incremental edge churn.
 	StartVector []float64
 	// LambdaMaxOnly reports kappa = lambda_max(L_H^+ L_G), clamping
-	// lambda_min to 1. This is the convention of the GRASS line of papers,
-	// where H starts as a subgraph of G (lambda_min = 1 exactly) and
-	// subsequent weight adjustments are judged only by how well they pull
-	// the large generalized eigenvalues down. The paper's tables are
-	// reproduced under this convention; leave it false for the honest
-	// two-sided pencil estimate.
+	// lambda_min to 1 and skipping the inverse pencil (no G-side solver is
+	// built). This is the convention of the GRASS line of papers. The clamp
+	// is exact only while L_H ⪯ L_G, as for a subgraph H of G with G's
+	// weights. inGRASS's merge and redistribute weight transfer breaks that
+	// condition: after the Table II stream at oracle size,
+	// TestEstimateMatchesDenseOracleAfterUpdates measures lambda_min at
+	// 0.27-0.34 with transfer on, and a two-sided kappa 2.9-3.8 times the
+	// one-sided one. Leave it false for the two-sided pencil estimate.
 	LambdaMaxOnly bool
 }
 
@@ -102,23 +110,23 @@ func Estimate(ctx context.Context, g, h *graph.Graph, opts Options) (Result, err
 	}
 	o := opts.withDefaults()
 
+	// Each Laplacian is frozen once: its operator is the forward product
+	// of one pencil and backs the pseudo-inverse solves of the other.
 	gOp := sparse.NewLapOperator(g)
 	gOp.SetWorkers(o.Solver.Workers)
 	gOp.SetFormat(o.Solver.Format)
 	hOp := sparse.NewLapOperator(h)
 	hOp.SetWorkers(o.Solver.Workers)
 	hOp.SetFormat(o.Solver.Format)
-	hSolver := sparse.NewLaplacianSolver(h, o.Solver)
-	gSolver := sparse.NewLaplacianSolver(g, o.Solver)
 
-	lmax, itMax, vec, err := pencilPower(ctx, gOp, hSolver, o, o.StartVector)
+	lmax, itMax, vec, err := pencilPower(ctx, gOp, sparse.NewLaplacianSolverFromOperator(hOp, o.Solver), o, o.StartVector)
 	if err != nil {
 		return Result{}, fmt.Errorf("cond: lambda_max: %w", err)
 	}
 	res := Result{LambdaMax: lmax, LambdaMin: 1, ItersMax: itMax, Vector: vec}
 	if !o.LambdaMaxOnly {
 		// The inverse pencil swaps the roles of G and H.
-		linvMin, itMin, _, err := pencilPower(ctx, hOp, gSolver, o, nil)
+		linvMin, itMin, _, err := pencilPower(ctx, hOp, sparse.NewLaplacianSolverFromOperator(gOp, o.Solver), o, nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("cond: lambda_min: %w", err)
 		}
@@ -193,101 +201,4 @@ func pencilPower(ctx context.Context, opA sparse.Operator, solveB *sparse.Laplac
 		prev = rho
 	}
 	return rho, iters, append([]float64(nil), x...), nil
-}
-
-// DensePencil returns the ascending generalized eigenvalues of the pencil
-// (L_G, L_H) on the complement of ones, computed densely. It is a test
-// oracle for small graphs (n <= a few hundred).
-func DensePencil(g, h *graph.Graph) ([]float64, error) {
-	n := g.NumNodes()
-	if n != h.NumNodes() {
-		return nil, fmt.Errorf("cond: node counts differ")
-	}
-	if n < 2 {
-		return nil, nil
-	}
-	lg := sparse.DenseLaplacian(g)
-	lh := sparse.DenseLaplacian(h)
-
-	// Orthonormal basis Q of the ones-complement: mean-centered coordinate
-	// vectors, orthonormalized.
-	raw := make([][]float64, 0, n-1)
-	for i := 0; i < n-1; i++ {
-		v := make([]float64, n)
-		v[i] = 1
-		vecmath.ProjectOutOnes(v)
-		raw = append(raw, v)
-	}
-	q := vecmath.OrthonormalizeMGS(raw, 1e-12)
-	m := len(q)
-
-	project := func(l *vecmath.Dense) *vecmath.Dense {
-		out := vecmath.NewDense(m, m)
-		tmp := make([]float64, n)
-		for j := 0; j < m; j++ {
-			l.MulVec(tmp, q[j])
-			for i := 0; i < m; i++ {
-				out.Set(i, j, vecmath.Dot(q[i], tmp))
-			}
-		}
-		return out
-	}
-	a := project(lg)
-	b := project(lh)
-
-	// B^{-1/2} via its eigendecomposition.
-	bvals, bvecs, err := vecmath.SymEig(b)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range bvals {
-		if v <= 1e-12 {
-			return nil, fmt.Errorf("cond: H Laplacian singular on ones-complement (disconnected?)")
-		}
-	}
-	// S = V diag(1/sqrt(d)) V'
-	s := vecmath.NewDense(m, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			var acc float64
-			for k := 0; k < m; k++ {
-				acc += bvecs.At(i, k) * bvecs.At(j, k) / math.Sqrt(bvals[k])
-			}
-			s.Set(i, j, acc)
-		}
-	}
-	// C = S A S, symmetric; its eigenvalues are the pencil eigenvalues.
-	sa := vecmath.NewDense(m, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			var acc float64
-			for k := 0; k < m; k++ {
-				acc += s.At(i, k) * a.At(k, j)
-			}
-			sa.Set(i, j, acc)
-		}
-	}
-	c := vecmath.NewDense(m, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			var acc float64
-			for k := 0; k < m; k++ {
-				acc += sa.At(i, k) * s.At(k, j)
-			}
-			c.Set(i, j, acc)
-		}
-	}
-	// Symmetrize against round-off before the eigensolve.
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			v := 0.5 * (c.At(i, j) + c.At(j, i))
-			c.Set(i, j, v)
-			c.Set(j, i, v)
-		}
-	}
-	vals, _, err := vecmath.SymEig(c)
-	if err != nil {
-		return nil, err
-	}
-	return vals, nil
 }

@@ -198,14 +198,6 @@ func (l *LapOperator) ArenaStats() (used, reserved, blocks int) {
 // free of timing calls. Set before the operator is shared.
 func (l *LapOperator) SetSpMVObserver(f func(time.Duration)) { l.spmvObs = f }
 
-// WorkerCount reports the frozen effective parallelism degree (1 = serial).
-func (l *LapOperator) WorkerCount() int {
-	if l.workers < 1 {
-		return 1
-	}
-	return l.workers
-}
-
 // Kernels returns the operator's kernel pool (nil when serial), letting the
 // iterative solvers run their fused vector kernels on the same workers.
 func (l *LapOperator) Kernels() *kernel.Pool { return l.kern }

@@ -9,11 +9,10 @@ import "sync/atomic"
 // kernels, which delegate per column) to hand-written AVX2 assembly.
 // Everywhere else the pure-Go bodies in generic.go run unconditionally.
 //
-// The toggle exists for two callers: benchmarks that want to attribute
-// format wins separately from ISA wins (`ingrass bench -simd=false`), and
-// tests that pin SIMD/generic equivalence. It is process-global and safe
-// for concurrent use; in-flight kernels observe either path, both of which
-// are correct (see generic.go for the exact bit-level contract).
+// The toggle exists for tests that pin SIMD/generic equivalence. It is
+// process-global and safe for concurrent use; in-flight kernels observe
+// either path, both of which are correct (see generic.go for the exact
+// bit-level contract).
 var simdActive atomic.Bool
 
 func init() { simdActive.Store(simdSupported) }
