@@ -20,10 +20,9 @@ const MaxBlockWidth = sparse.MaxBlockWidth
 // blocked multi-RHS executions, and the blocked execution itself. The zero
 // value means all defaults.
 type BatchOptions struct {
-	// Window is how long an open coalescing group waits for companions
-	// before executing anyway (default 200µs — far below a warm solve, so
-	// under load groups fill to MaxBlock and the window only bounds
-	// idle-time latency).
+	// Deprecated: Window is ignored. A coalescing group waits for no timer:
+	// it takes every same-generation request that queues while the
+	// executors are busy and runs as soon as one is free.
 	Window time.Duration
 	// MaxBlock is the widest coalesced group (default 8, capped at
 	// MaxBlockWidth). Explicit SolveBatch calls chunk to this width too.
@@ -38,8 +37,8 @@ type BatchOptions struct {
 	// CoalesceSingles routes single Service.Solve and EffectiveResistance
 	// calls through the coalescing scheduler, so concurrent same-generation
 	// requests transparently share blocked executions. Answers are
-	// bit-identical to the direct path; the trade is up to Window of added
-	// latency on an idle service. `ingrass serve` enables this.
+	// bit-identical to the direct path, and an idle service adds no wait.
+	// `ingrass serve` enables this.
 	CoalesceSingles bool
 }
 
@@ -49,7 +48,6 @@ func (o BatchOptions) internal() batch.Options {
 		mb = MaxBlockWidth
 	}
 	return batch.Options{
-		Window:   o.Window,
 		MaxBlock: mb,
 		QueueCap: o.QueueCap,
 		Workers:  o.Workers,

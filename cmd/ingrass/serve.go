@@ -41,7 +41,11 @@ func cmdServe(args []string) {
 	target := fs.Float64("target", 0, "target condition number (0 = default)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	maxBatch := fs.Int("max-batch", 128, "flush the write batch at this many edges")
-	flushEvery := fs.Duration("flush-interval", 2*time.Millisecond, "flush a non-empty batch after this interval")
+	// Deprecated: -flush-interval and -batch-window are accepted and
+	// ignored. Both coalescers batch whatever queued while the previous
+	// batch ran, with no timer.
+	fs.Duration("flush-interval", 0, "deprecated and ignored: a write batch is whatever queued while the previous one was applied")
+	fs.Duration("batch-window", 0, "deprecated and ignored: a read group is whatever queued while the executors were busy")
 	dataDir := fs.String("data-dir", "", "durable data directory (empty = in-memory only)")
 	fsyncMode := fs.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 	fsyncEvery := fs.Duration("fsync-every", 100*time.Millisecond, "flush interval for -fsync=interval")
@@ -49,7 +53,6 @@ func cmdServe(args []string) {
 	ckptEvery := fs.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 = only on shutdown)")
 	format := fs.String("format", "auto", "frozen operator storage layout: auto, csr, or sell")
 	coalesce := fs.Bool("coalesce", true, "coalesce concurrent single solves into blocked multi-RHS executions")
-	batchWindow := fs.Duration("batch-window", 200*time.Microsecond, "coalescing window for the batched query engine")
 	batchMax := fs.Int("batch-max", 8, "widest coalesced block (capped at 16)")
 	maintain := fs.Bool("maintain", false, "enable closed-loop maintenance: background re-sparsification when a health threshold trips")
 	maintainEvery := fs.Duration("maintain-every", 2*time.Second, "health-evaluation cadence for -maintain")
@@ -81,11 +84,9 @@ func cmdServe(args []string) {
 			TargetCond:     *target,
 			Seed:           *seed,
 		},
-		MaxBatch:      *maxBatch,
-		FlushInterval: *flushEvery,
-		Solve:         ingrass.SolveOptions{Format: *format},
+		MaxBatch: *maxBatch,
+		Solve:    ingrass.SolveOptions{Format: *format},
 		Batch: ingrass.BatchOptions{
-			Window:          *batchWindow,
 			MaxBlock:        *batchMax,
 			CoalesceSingles: *coalesce,
 		},

@@ -1,9 +1,14 @@
 // Package batch is the query-execution scheduler of the batched query
 // engine: it admits concurrent solve and effective-resistance requests into
 // a bounded queue, coalesces requests that target the same snapshot
-// generation within a small time/size window, and hands each sealed group
-// to an executor that runs it as one blocked multi-RHS solve (see
-// sparse.BlockCG and service's group executor).
+// generation, and hands each group to an executor that runs it as one
+// blocked multi-RHS solve (see sparse.BlockCG and service's group executor).
+//
+// Coalescing is group commit, with no timer: a group is queued for the
+// executors the moment it opens, same-key requests join it while it waits,
+// and it seals when an executor picks it up (or at MaxBlock). An idle
+// service therefore runs a lone request at once, and a busy one batches
+// whatever queued while the previous groups ran.
 //
 // The scheduler is generic over the execution target T (the service layer
 // instantiates it with its *Snapshot), which keeps the grouping machinery
@@ -42,10 +47,6 @@ var ErrClosed = errors.New("batch: scheduler closed")
 
 // Options configures a Scheduler. The zero value means all defaults.
 type Options struct {
-	// Window is how long an open group waits for companions before it seals
-	// anyway. Default 200µs — far below a warm solve, so under load groups
-	// fill to MaxBlock and the window only bounds idle-time latency.
-	Window time.Duration
 	// MaxBlock seals a group at this many coalesced right-hand sides.
 	// Default 8; the executor's kernels cap it (sparse.MaxBlockWidth).
 	MaxBlock int
@@ -53,7 +54,7 @@ type Options struct {
 	// block (backpressure) until capacity frees or their context expires.
 	// Default 1024.
 	QueueCap int
-	// Workers is the number of executor goroutines draining sealed groups.
+	// Workers is the number of executor goroutines draining queued groups.
 	// Default GOMAXPROCS.
 	Workers int
 	// OnGroup, when non-nil, is invoked once per executed (or directly
@@ -64,9 +65,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 200 * time.Microsecond
-	}
 	if o.MaxBlock <= 0 {
 		o.MaxBlock = 8
 	}
@@ -149,13 +147,13 @@ type groupKey struct {
 	opts solver.Options
 }
 
-// group is one coalescing unit: same-key requests sealed together.
+// group is one coalescing unit: same-key requests executed together. It is
+// open (in Scheduler.open, accepting companions) until an executor takes it
+// or it reaches MaxBlock.
 type group[T any] struct {
 	target T
 	key    groupKey
 	reqs   []*Req
-	sealed bool
-	timer  *time.Timer
 }
 
 // Runner executes one sealed group against its target, filling each
@@ -199,21 +197,18 @@ type Scheduler[T any] struct {
 	mu   sync.Mutex
 	open map[groupKey]*group[T]
 
-	execQ chan *group[T]
-	sem   chan struct{}
-	quit  chan struct{}
-	wg    sync.WaitGroup
-	// inflight counts dispatches between sealing (under mu, closed
-	// re-checked) and their send/fail resolution, so Close can wait for
-	// them before its final queue drain — otherwise a descheduled dispatch
-	// could land a group in execQ after the drain, stranding its futures.
-	inflight sync.WaitGroup
-	closed   atomic.Bool
-	busy     atomic.Int32 // executors currently inside a Runner
-	stats    Stats
+	// execQ holds every group not yet taken by an executor, in opening
+	// order. Each queued group holds at least one admission slot, so
+	// QueueCap bounds its length and a send under mu never blocks.
+	execQ  chan *group[T]
+	sem    chan struct{}
+	quit   chan struct{}
+	wg     sync.WaitGroup
+	closed atomic.Bool
+	stats  Stats
 }
 
-// New starts a scheduler whose sealed groups are executed by run.
+// New starts a scheduler whose groups are executed by run.
 func New[T any](opts Options, run Runner[T]) *Scheduler[T] {
 	s := &Scheduler[T]{
 		opts: opts.withDefaults(),
@@ -221,7 +216,7 @@ func New[T any](opts Options, run Runner[T]) *Scheduler[T] {
 		open: make(map[groupKey]*group[T]),
 		quit: make(chan struct{}),
 	}
-	s.execQ = make(chan *group[T], s.opts.Workers)
+	s.execQ = make(chan *group[T], s.opts.QueueCap)
 	s.sem = make(chan struct{}, s.opts.QueueCap)
 	for i := 0; i < s.opts.Workers; i++ {
 		s.wg.Add(1)
@@ -231,10 +226,10 @@ func New[T any](opts Options, run Runner[T]) *Scheduler[T] {
 }
 
 // Submit admits one request against the given generation/target; it joins
-// the open group for (gen, r.Opts) or opens one. solo bypasses coalescing
-// entirely (a width-1 group). Submit blocks while the admission queue is
-// full; ctx (the request's own context) bounds that wait.
-func (s *Scheduler[T]) Submit(ctx context.Context, gen uint64, target T, r *Req, solo bool) error {
+// the open group for (gen, r.Opts) or opens and queues one. Submit blocks
+// while the admission queue is full; ctx (the request's own context) bounds
+// that wait.
+func (s *Scheduler[T]) Submit(ctx context.Context, gen uint64, target T, r *Req) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -255,72 +250,23 @@ func (s *Scheduler[T]) Submit(ctx context.Context, gen uint64, target T, r *Req,
 	s.stats.depth.Add(1)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed.Load() {
-		s.mu.Unlock()
 		s.admitRelease(1)
 		return ErrClosed
 	}
 	key := groupKey{gen: gen, opts: r.Opts}
-	if solo {
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		s.dispatch(&group[T]{target: target, key: key, reqs: []*Req{r}, sealed: true})
-		return nil
-	}
 	g := s.open[key]
 	if g == nil {
 		g = &group[T]{target: target, key: key}
 		s.open[key] = g
-		g.timer = time.AfterFunc(s.opts.Window, func() { s.sealOnTimer(g) })
+		s.execQ <- g
 	}
 	g.reqs = append(g.reqs, r)
 	if len(g.reqs) >= s.opts.MaxBlock {
-		g.sealed = true
 		delete(s.open, key)
-		g.timer.Stop()
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		s.dispatch(g)
-		return nil
 	}
-	s.mu.Unlock()
 	return nil
-}
-
-// sealOnTimer seals a group whose coalescing window elapsed. If every
-// executor is busy and the group still has room, sealing now would only
-// fragment it — execution cannot start until a worker frees anyway — so
-// the timer re-arms and the group keeps filling (group-commit batching:
-// under sustained load, groups grow to MaxBlock while the previous block
-// executes, and the window only ever bounds idle-time latency).
-func (s *Scheduler[T]) sealOnTimer(g *group[T]) {
-	s.mu.Lock()
-	if g.sealed || s.open[g.key] != g {
-		s.mu.Unlock()
-		return
-	}
-	if int(s.busy.Load()) >= s.opts.Workers && len(g.reqs) < s.opts.MaxBlock {
-		g.timer.Reset(s.opts.Window)
-		s.mu.Unlock()
-		return
-	}
-	g.sealed = true
-	delete(s.open, g.key)
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	s.dispatch(g)
-}
-
-// dispatch hands a sealed group to the executors (or fails it on shutdown).
-// Callers hold an inflight token taken under mu; quit being closed bounds
-// the send, so the token is always released.
-func (s *Scheduler[T]) dispatch(g *group[T]) {
-	defer s.inflight.Done()
-	select {
-	case s.execQ <- g:
-	case <-s.quit:
-		s.fail(g, ErrClosed)
-	}
 }
 
 // exec is one executor goroutine: run groups until shutdown.
@@ -336,14 +282,22 @@ func (s *Scheduler[T]) exec() {
 	}
 }
 
-// runGroup executes one group and completes its futures.
+// runGroup seals one group, executes it and completes its futures. A group
+// taken after Close began is failed instead: it has not started executing.
 func (s *Scheduler[T]) runGroup(g *group[T]) {
+	s.mu.Lock()
+	if s.open[g.key] == g {
+		delete(s.open, g.key)
+	}
+	s.mu.Unlock()
+	if s.closed.Load() {
+		s.fail(g, ErrClosed)
+		return
+	}
 	w := len(g.reqs)
 	s.admitRelease(w)
 	s.recordGroup(w)
-	s.busy.Add(1)
 	s.run(g.target, g.reqs)
-	s.busy.Add(-1)
 	for _, r := range g.reqs {
 		close(r.done)
 	}
@@ -401,22 +355,10 @@ func (s *Scheduler[T]) Close() {
 	}
 	close(s.quit)
 	s.wg.Wait()
+	// Every group that no executor took is still in execQ. Holding mu waits
+	// out a Submit that saw the scheduler open; later ones see it closed.
 	s.mu.Lock()
-	groups := make([]*group[T], 0, len(s.open))
-	for _, g := range s.open {
-		g.sealed = true
-		g.timer.Stop()
-		groups = append(groups, g)
-	}
-	s.open = map[groupKey]*group[T]{}
-	s.mu.Unlock()
-	for _, g := range groups {
-		s.fail(g, ErrClosed)
-	}
-	// Wait out dispatches that sealed before closed flipped: quit is
-	// closed, so each resolves promptly (enqueue or fail), and the drain
-	// below then catches anything that made it into the queue.
-	s.inflight.Wait()
+	defer s.mu.Unlock()
 	for {
 		select {
 		case g := <-s.execQ:

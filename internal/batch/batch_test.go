@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,12 +14,16 @@ import (
 
 // recorder is a test Runner that records the groups it executes.
 type recorder struct {
-	mu     sync.Mutex
-	groups [][]*Req
-	block  chan struct{} // if non-nil, each run waits on it
+	mu      sync.Mutex
+	groups  [][]*Req
+	block   chan struct{} // if non-nil, each run waits on it
+	started chan struct{} // if non-nil, each run signals it before blocking
 }
 
 func (rc *recorder) run(target string, reqs []*Req) {
+	if rc.started != nil {
+		rc.started <- struct{}{}
+	}
 	if rc.block != nil {
 		<-rc.block
 	}
@@ -40,31 +45,57 @@ func (rc *recorder) widths() []int {
 	return out
 }
 
-func submitWait(t *testing.T, s *Scheduler[string], gen uint64, r *Req, solo bool) {
+func submitWait(t *testing.T, s *Scheduler[string], gen uint64, r *Req) {
 	t.Helper()
 	if r.Ctx == nil {
 		r.Ctx = context.Background()
 	}
-	if err := s.Submit(r.Ctx, gen, "target", r, solo); err != nil {
+	if err := s.Submit(r.Ctx, gen, "target", r); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 }
 
-// TestCoalescesWithinWindow: requests submitted inside one window against
-// one generation share a group.
-func TestCoalescesWithinWindow(t *testing.T) {
-	rc := &recorder{}
-	s := New(Options{Window: 20 * time.Millisecond, MaxBlock: 8}, rc.run)
-	defer s.Close()
-	reqs := make([]*Req, 4)
-	for i := range reqs {
-		reqs[i] = &Req{Ctx: context.Background()}
-		submitWait(t, s, 7, reqs[i], false)
-	}
+// busyScheduler starts a one-executor scheduler and parks its executor in a
+// plug request (generation 0) until the returned release is called, so
+// requests submitted meanwhile queue behind it deterministically.
+func busyScheduler(t *testing.T, maxBlock int) (*Scheduler[string], *recorder, *Req, func()) {
+	t.Helper()
+	// Every run signals started, but only the plug's is read: the buffer
+	// covers the groups a test runs after it.
+	rc := &recorder{block: make(chan struct{}), started: make(chan struct{}, 64)}
+	s := New(Options{MaxBlock: maxBlock, Workers: 1}, rc.run)
+	plug := &Req{}
+	submitWait(t, s, 0, plug)
+	<-rc.started
+	var once sync.Once
+	release := func() { once.Do(func() { close(rc.block) }) }
+	// Release before Close waits for the executor (cleanups run LIFO).
+	t.Cleanup(s.Close)
+	t.Cleanup(release)
+	return s, rc, plug, release
+}
+
+func waitAll(t *testing.T, reqs ...*Req) {
+	t.Helper()
 	for _, r := range reqs {
 		if err := r.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCoalescesWhileBusy: requests that queue against one generation while
+// the executor is busy share one group, which runs once it frees.
+func TestCoalescesWhileBusy(t *testing.T) {
+	s, rc, plug, release := busyScheduler(t, 8)
+	reqs := make([]*Req, 4)
+	for i := range reqs {
+		reqs[i] = &Req{}
+		submitWait(t, s, 7, reqs[i])
+	}
+	release()
+	waitAll(t, append(reqs, plug)...)
+	for _, r := range reqs {
 		if r.Iterations != 4 {
 			t.Fatalf("request ran in width-%d group, want 4", r.Iterations)
 		}
@@ -72,94 +103,66 @@ func TestCoalescesWithinWindow(t *testing.T) {
 			t.Fatalf("request gen %d, want 7", r.Gen())
 		}
 	}
-	if w := rc.widths(); len(w) != 1 || w[0] != 4 {
-		t.Fatalf("groups %v, want [4]", w)
+	if w := rc.widths(); len(w) != 2 || w[0] != 1 || w[1] != 4 {
+		t.Fatalf("groups %v, want [1 4]", w)
 	}
 	v := s.Stats()
-	if v.BatchesFormed != 1 || v.ColumnsTotal != 4 || v.RequestsCoalesced != 4 || v.QueueDepth != 0 {
+	if v.BatchesFormed != 2 || v.ColumnsTotal != 5 || v.RequestsCoalesced != 4 || v.QueueDepth != 0 {
 		t.Fatalf("stats %+v", v)
 	}
-	if v.AvgBlockFill() != 4 {
-		t.Fatalf("fill %v, want 4", v.AvgBlockFill())
+	if v.AvgBlockFill() != 2.5 {
+		t.Fatalf("fill %v, want 2.5", v.AvgBlockFill())
 	}
 }
 
-// TestSealsAtMaxBlock: the size bound seals a group immediately, without
-// waiting for the window.
+// TestSealsAtMaxBlock: the size bound seals a group while the executor is
+// still busy; the next same-key request opens a new group.
 func TestSealsAtMaxBlock(t *testing.T) {
-	rc := &recorder{}
-	s := New(Options{Window: time.Hour, MaxBlock: 3}, rc.run)
-	defer s.Close()
-	reqs := make([]*Req, 3)
+	s, rc, plug, release := busyScheduler(t, 3)
+	reqs := make([]*Req, 4)
 	for i := range reqs {
-		reqs[i] = &Req{Ctx: context.Background()}
-		submitWait(t, s, 1, reqs[i], false)
+		reqs[i] = &Req{}
+		submitWait(t, s, 1, reqs[i])
 	}
-	for _, r := range reqs {
-		if err := r.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w := rc.widths(); len(w) != 1 || w[0] != 3 {
-		t.Fatalf("groups %v, want [3] despite infinite window", w)
+	release()
+	waitAll(t, append(reqs, plug)...)
+	if w := rc.widths(); len(w) != 3 || w[0] != 1 || w[1] != 3 || w[2] != 1 {
+		t.Fatalf("groups %v, want [1 3 1]", w)
 	}
 }
 
-// TestGenerationsNeverMix: same-window requests against different
-// generations form distinct groups — the group-never-spans-generations
-// invariant.
+// TestGenerationsNeverMix: requests queued together against different
+// generations, or with different option sets, form distinct groups — the
+// group-never-spans-generations invariant.
 func TestGenerationsNeverMix(t *testing.T) {
-	rc := &recorder{}
-	s := New(Options{Window: 10 * time.Millisecond, MaxBlock: 8}, rc.run)
-	defer s.Close()
+	s, rc, plug, release := busyScheduler(t, 8)
 	var reqs []*Req
 	for i := 0; i < 6; i++ {
-		r := &Req{Ctx: context.Background()}
+		r := &Req{}
 		reqs = append(reqs, r)
-		submitWait(t, s, uint64(i%2), r, false)
+		submitWait(t, s, uint64(1+i%2), r)
 	}
-	for _, r := range reqs {
-		if err := r.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 2; i++ {
+		r := &Req{Opts: solver.Options{Tol: 1e-3}}
+		reqs = append(reqs, r)
+		submitWait(t, s, 1, r)
 	}
+	release()
+	waitAll(t, append(reqs, plug)...)
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if len(rc.groups) != 2 {
-		t.Fatalf("%d groups, want 2 (one per generation)", len(rc.groups))
+	if len(rc.groups) != 4 {
+		t.Fatalf("%d groups, want 4 (plug, one per generation, one per option set)", len(rc.groups))
 	}
-	for _, g := range rc.groups {
-		gen := g[0].Gen()
+	for _, g := range rc.groups[1:] {
+		if len(g) < 2 {
+			t.Fatalf("group of width %d, want every same-key request coalesced", len(g))
+		}
 		for _, r := range g {
-			if r.Gen() != gen {
-				t.Fatalf("group mixes generations %d and %d", gen, r.Gen())
+			if r.Gen() != g[0].Gen() || r.Opts != g[0].Opts {
+				t.Fatalf("group mixes keys (%d, %+v) and (%d, %+v)", g[0].Gen(), g[0].Opts, r.Gen(), r.Opts)
 			}
 		}
-	}
-}
-
-// TestSoloBypassesCoalescing: a solo request never shares a group, even
-// with an open group of its generation.
-func TestSoloBypassesCoalescing(t *testing.T) {
-	rc := &recorder{}
-	s := New(Options{Window: 20 * time.Millisecond, MaxBlock: 8}, rc.run)
-	defer s.Close()
-	open := &Req{Ctx: context.Background()}
-	submitWait(t, s, 3, open, false)
-	solo := &Req{Ctx: context.Background(), Opts: solver.Options{Tol: 1e-3}}
-	submitWait(t, s, 3, solo, true)
-	if err := solo.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if solo.Iterations != 1 {
-		t.Fatalf("solo request ran in width-%d group", solo.Iterations)
-	}
-	if err := open.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	v := s.Stats()
-	if v.RequestsCoalesced != 0 {
-		t.Fatalf("stats count solo/width-1 requests as coalesced: %+v", v)
 	}
 }
 
@@ -167,22 +170,21 @@ func TestSoloBypassesCoalescing(t *testing.T) {
 // until the submitter's context expires.
 func TestQueueBoundBlocksAndCancels(t *testing.T) {
 	rc := &recorder{block: make(chan struct{})}
-	s := New(Options{Window: time.Microsecond, MaxBlock: 1, QueueCap: 1, Workers: 1}, rc.run)
+	s := New(Options{MaxBlock: 1, QueueCap: 1, Workers: 1}, rc.run)
 	// Unblock the executor before Close waits for it (defers run LIFO).
 	defer s.Close()
 	defer close(rc.block)
 	// First request occupies the single queue slot (its group may start
-	// executing and park on rc.block).
+	// executing and park on rc.block, freeing the slot for the next
+	// submission; the one after that must then block).
 	first := &Req{Ctx: context.Background()}
-	submitWait(t, s, 1, first, false)
-	// Give it a moment to seal+dispatch so the slot state settles either
-	// way; the queue stays at capacity until execution starts.
+	submitWait(t, s, 1, first)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	filled := false
 	for !filled {
 		r := &Req{Ctx: ctx}
-		err := s.Submit(ctx, 1, "t", r, false)
+		err := s.Submit(ctx, 1, "t", r)
 		if errors.Is(err, context.DeadlineExceeded) {
 			filled = true
 		} else if err != nil {
@@ -191,26 +193,90 @@ func TestQueueBoundBlocksAndCancels(t *testing.T) {
 	}
 }
 
-// TestCloseFailsPending: Close fails queued requests with ErrClosed and
-// rejects later submissions.
+// TestCloseFailsPending: Close fails requests queued behind a busy
+// executor with ErrClosed, lets the running group finish, fails every
+// request admitted while it races submitters exactly once, and rejects
+// later submissions.
 func TestCloseFailsPending(t *testing.T) {
-	rc := &recorder{block: make(chan struct{})}
-	s := New(Options{Window: time.Hour, MaxBlock: 8, Workers: 1}, rc.run)
-	pending := &Req{Ctx: context.Background()}
-	submitWait(t, s, 1, pending, false)
-	done := make(chan struct{})
-	go func() { s.Close(); close(done) }()
-	if err := pending.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(pending.Err, ErrClosed) {
-		t.Fatalf("pending request err %v, want ErrClosed", pending.Err)
-	}
-	close(rc.block)
-	<-done
-	if err := s.Submit(context.Background(), 1, "t", &Req{Ctx: context.Background()}, false); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close Submit: %v, want ErrClosed", err)
-	}
+	t.Run("queued behind busy executor", func(t *testing.T) {
+		s, _, plug, release := busyScheduler(t, 8)
+		pending := []*Req{{}, {Opts: solver.Options{Tol: 1e-3}}}
+		for _, r := range pending {
+			submitWait(t, s, 1, r)
+		}
+		done := make(chan struct{})
+		go func() { s.Close(); close(done) }()
+		for !s.closed.Load() {
+			runtime.Gosched()
+		}
+		release()
+		<-done
+		waitAll(t, plug)
+		if plug.Err != nil {
+			t.Fatalf("running group failed: %v", plug.Err)
+		}
+		for _, r := range pending {
+			if err := r.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(r.Err, ErrClosed) {
+				t.Fatalf("pending request err %v, want ErrClosed", r.Err)
+			}
+		}
+		if d := s.Stats().QueueDepth; d != 0 {
+			t.Fatalf("queue depth %d after close", d)
+		}
+		if err := s.Submit(context.Background(), 1, "t", &Req{Ctx: context.Background()}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("post-close Submit: %v, want ErrClosed", err)
+		}
+	})
+	t.Run("racing submitters", func(t *testing.T) {
+		var ran atomic.Int64
+		s := New(Options{MaxBlock: 4, Workers: 2}, func(target string, reqs []*Req) {
+			ran.Add(int64(len(reqs)))
+		})
+		var admitted, failed atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; ; i++ {
+					r := &Req{Ctx: context.Background()}
+					if err := s.Submit(r.Ctx, uint64(i%3), "t", r); err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("Submit: %v", err)
+						}
+						return
+					}
+					admitted.Add(1)
+					// A second close of done would panic: completion is
+					// exactly once.
+					<-r.Done()
+					if r.Err != nil {
+						if !errors.Is(r.Err, ErrClosed) {
+							t.Errorf("request err %v", r.Err)
+						}
+						failed.Add(1)
+					}
+				}
+			}(g)
+		}
+		close(start)
+		for ran.Load() < 100 {
+			runtime.Gosched()
+		}
+		s.Close()
+		wg.Wait()
+		if got := ran.Load() + failed.Load(); got != admitted.Load() {
+			t.Fatalf("%d ran + %d failed, want %d admitted", ran.Load(), failed.Load(), admitted.Load())
+		}
+		if d := s.Stats().QueueDepth; d != 0 {
+			t.Fatalf("queue depth %d after close", d)
+		}
+	})
 }
 
 // TestConcurrentSubmitters hammers Submit from many goroutines across
@@ -218,7 +284,7 @@ func TestCloseFailsPending(t *testing.T) {
 // generation.
 func TestConcurrentSubmitters(t *testing.T) {
 	var ran atomic.Int64
-	s := New(Options{Window: 200 * time.Microsecond, MaxBlock: 4}, func(target string, reqs []*Req) {
+	s := New(Options{MaxBlock: 4}, func(target string, reqs []*Req) {
 		ran.Add(int64(len(reqs)))
 	})
 	defer s.Close()
@@ -230,7 +296,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				r := &Req{Ctx: context.Background()}
-				if err := s.Submit(context.Background(), uint64(i%3), "t", r, i%5 == 0); err != nil {
+				if err := s.Submit(context.Background(), uint64(i%3), "t", r); err != nil {
 					t.Errorf("Submit: %v", err)
 					return
 				}

@@ -81,27 +81,20 @@ type request struct {
 	span trace.Span
 }
 
-// run is the single writer goroutine: it drains the request channel,
-// coalesces requests until the batch reaches MaxBatch edges or the flush
-// window elapses, applies each batch under the write lock (all insertions
-// through one core.ApplyBatch pass; deletions per request, for exact error
-// isolation), publishes a fresh snapshot, and completes the futures.
+// run is the single writer goroutine. It coalesces by group commit: it
+// blocks for one request, takes every request that queued meanwhile
+// (typically while the previous flush ran), and flushes them as one batch,
+// flushing early at MaxBatch edges, at a barrier, or before a maintenance
+// swap. Each batch is applied under the write lock (all insertions through
+// one core.ApplyBatch pass; deletions per request, for exact error
+// isolation), published as a fresh snapshot, and its futures completed.
 func (e *Engine) run() {
 	defer e.wg.Done()
 	var (
 		batch      []*request
 		batchEdges int
-		timer      *time.Timer
-		timerC     <-chan time.Time
 	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
-		}
-	}
 	flush := func() {
-		stopTimer()
 		if len(batch) > 0 {
 			e.flush(batch)
 			batch, batchEdges = nil, 0
@@ -119,19 +112,15 @@ func (e *Engine) run() {
 		batchEdges += len(r.edges)
 		if r.kind == opBarrier || batchEdges >= e.opts.MaxBatch {
 			flush()
-			return
-		}
-		if timer == nil {
-			timer = time.NewTimer(e.opts.FlushInterval)
-			timerC = timer.C
 		}
 	}
 	for {
 		select {
 		case r := <-e.reqs:
 			accept(r)
-		case <-timerC:
-			timer, timerC = nil, nil
+			for len(e.reqs) > 0 {
+				accept(<-e.reqs)
+			}
 			flush()
 		case <-e.quit:
 			// Graceful shutdown: drain whatever is already enqueued and

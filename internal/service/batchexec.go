@@ -16,7 +16,7 @@ import (
 
 // The engine side of the batched query engine: the coalescing scheduler
 // (internal/batch) keyed by snapshot generation, and the group executor
-// that turns each sealed group — a mix of solve and effective-resistance
+// that turns each group — a mix of solve and effective-resistance
 // requests against one snapshot — into a single blocked multi-RHS solve.
 
 // groupScratch is the per-execution scratch a group needs beyond the pooled
@@ -151,7 +151,7 @@ func (e *Engine) SolveCoalesced(ctx context.Context, snap *Snapshot, x, b []floa
 		return SolveStats{}, err
 	}
 	r := &batch.Req{Ctx: ctx, Kind: batch.KindSolve, X: x, B: b, Opts: opts}
-	if err := e.sched.Submit(ctx, snap.Gen, snap, r, false); err != nil {
+	if err := e.sched.Submit(ctx, snap.Gen, snap, r); err != nil {
 		return SolveStats{}, wrapSubmitErr(err)
 	}
 	if err := r.Wait(ctx); err != nil {
@@ -183,7 +183,7 @@ func (e *Engine) ResistanceCoalesced(ctx context.Context, snap *Snapshot, u, v i
 		return 0, nil
 	}
 	r := &batch.Req{Ctx: ctx, Kind: batch.KindPair, U: u, V: v}
-	if err := e.sched.Submit(ctx, snap.Gen, snap, r, false); err != nil {
+	if err := e.sched.Submit(ctx, snap.Gen, snap, r); err != nil {
 		return 0, wrapSubmitErr(err)
 	}
 	if err := r.Wait(ctx); err != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -141,11 +142,45 @@ func TestWarmSolveAllocationFreeBlocked(t *testing.T) {
 	}
 }
 
+// executorGate parks a one-worker scheduler's executor in its first group,
+// so requests submitted meanwhile queue behind it and run as one group.
+type executorGate struct {
+	parked, open chan struct{}
+	once         sync.Once
+}
+
+// newGatedEngine builds an engine whose scheduler has one executor, and
+// occupies it with a plug resistance query; it returns once the executor
+// is parked in the plug's group.
+func newGatedEngine(t *testing.T, rows, cols, maxBlock int) (*Engine, *executorGate) {
+	t.Helper()
+	g := &executorGate{parked: make(chan struct{}), open: make(chan struct{})}
+	var first sync.Once
+	e := newEngine(t, rows, cols, Options{Batch: batch.Options{MaxBlock: maxBlock, Workers: 1, OnGroup: func(int) {
+		first.Do(func() { close(g.parked); <-g.open })
+	}}})
+	t.Cleanup(g.release) // before e.Close, which waits for the executor
+	go e.ResistanceCoalesced(context.Background(), e.Current(), 0, 1)
+	<-g.parked
+	return e, g
+}
+
+// releaseWhenQueued waits until n requests are queued behind the plug,
+// then lets the executor go.
+func (g *executorGate) releaseWhenQueued(e *Engine, n int64) {
+	for e.Stats().BatchQueueDepth < n {
+		runtime.Gosched()
+	}
+	g.release()
+}
+
+func (g *executorGate) release() { g.once.Do(func() { close(g.open) }) }
+
 // TestSolveCoalescedGroupsRequests: concurrent same-generation solves
 // through the scheduler must coalesce into shared blocked groups, answer
 // identically to direct solves, and show up in the scheduler counters.
 func TestSolveCoalescedGroupsRequests(t *testing.T) {
-	e := newEngine(t, 16, 16, Options{Batch: batch.Options{Window: 2 * time.Millisecond, MaxBlock: 8}})
+	e, gate := newGatedEngine(t, 16, 16, 8)
 	snap := e.Current()
 	n := snap.G.NumNodes()
 	const clients = 8
@@ -162,6 +197,7 @@ func TestSolveCoalescedGroupsRequests(t *testing.T) {
 			stats[c], errs[c] = e.SolveCoalesced(context.Background(), snap, xs[c], bs[c], solver.Options{})
 		}(c)
 	}
+	gate.releaseWhenQueued(e, clients)
 	wg.Wait()
 	for c := 0; c < clients; c++ {
 		if errs[c] != nil || !stats[c].Converged {
@@ -181,21 +217,16 @@ func TestSolveCoalescedGroupsRequests(t *testing.T) {
 		}
 	}
 	v := e.Stats()
-	if v.BatchesFormed == 0 || v.BatchesFormed >= clients {
-		t.Fatalf("8 concurrent solves formed %d batches; want coalescing (1..7)", v.BatchesFormed)
-	}
-	if v.RequestsCoalesced == 0 {
-		t.Fatal("no requests recorded as coalesced")
-	}
-	if v.AvgBlockFill <= 1 {
-		t.Fatalf("average block fill %.2f, want > 1", v.AvgBlockFill)
+	if v.BatchesFormed != 2 || v.RequestsCoalesced != clients || v.AvgBlockFill != 4.5 {
+		t.Fatalf("plug + 8 queued solves: %d batches, %d coalesced, fill %.2f; want 2, 8, 4.5",
+			v.BatchesFormed, v.RequestsCoalesced, v.AvgBlockFill)
 	}
 }
 
 // TestResistanceCoalescedMatchesDirect: scheduled resistance queries mix
 // into blocked groups and agree with the direct path.
 func TestResistanceCoalescedMatchesDirect(t *testing.T) {
-	e := newEngine(t, 12, 12, Options{Batch: batch.Options{Window: time.Millisecond}})
+	e, gate := newGatedEngine(t, 12, 12, 8)
 	snap := e.Current()
 	ctx := context.Background()
 	pairs := [][2]int{{0, 5}, {1, 77}, {3, 140}, {9, 9}, {140, 3}}
@@ -209,7 +240,11 @@ func TestResistanceCoalescedMatchesDirect(t *testing.T) {
 			got[i], errs[i] = e.ResistanceCoalesced(ctx, snap, u, v)
 		}(i, p[0], p[1])
 	}
+	gate.releaseWhenQueued(e, int64(len(pairs)-1)) // u==v answers without queueing
 	wg.Wait()
+	if v := e.Stats(); v.BatchesFormed != 2 || v.RequestsCoalesced != 4 {
+		t.Fatalf("plug + 4 queued pairs: %d batches, %d coalesced; want 2 and 4", v.BatchesFormed, v.RequestsCoalesced)
+	}
 	for i, p := range pairs {
 		if errs[i] != nil {
 			t.Fatalf("pair %v: %v", p, errs[i])
@@ -234,7 +269,7 @@ func TestResistanceCoalescedMatchesDirect(t *testing.T) {
 // TestCoalescedCancellationMasksColumn: cancelling one request of a group
 // must not disturb its groupmates.
 func TestCoalescedCancellationMasksColumn(t *testing.T) {
-	e := newEngine(t, 16, 16, Options{Batch: batch.Options{Window: 5 * time.Millisecond, MaxBlock: 4}})
+	e, gate := newGatedEngine(t, 16, 16, 4)
 	snap := e.Current()
 	n := snap.G.NumNodes()
 	bs := blockRHS(n, 2, 3)
@@ -254,12 +289,16 @@ func TestCoalescedCancellationMasksColumn(t *testing.T) {
 		defer wg.Done()
 		_, badErr = e.SolveCoalesced(cancelled, snap, x1, bs[1], solver.Options{})
 	}()
+	gate.releaseWhenQueued(e, 2)
 	wg.Wait()
 	if okErr != nil || !okStats.Converged {
 		t.Fatalf("healthy groupmate: err=%v stats=%+v", okErr, okStats)
 	}
 	if badErr == nil {
 		t.Fatal("cancelled request returned nil error")
+	}
+	if v := e.Stats(); v.BatchesFormed != 2 || v.RequestsCoalesced != 2 {
+		t.Fatalf("healthy and cancelled requests did not share a group: %+v", v)
 	}
 }
 
@@ -271,7 +310,7 @@ func TestCoalescedCancellationMasksColumn(t *testing.T) {
 func TestSchedulerHammer(t *testing.T) {
 	e := newEngine(t, 16, 16, Options{
 		MaxBatch: 4,
-		Batch:    batch.Options{Window: 500 * time.Microsecond, MaxBlock: 4},
+		Batch:    batch.Options{MaxBlock: 4},
 	})
 	n := e.Current().G.NumNodes()
 	ctx := context.Background()

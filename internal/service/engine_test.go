@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"ingrass/internal/grass"
 	"ingrass/internal/krylov"
 	"ingrass/internal/lrd"
+	"ingrass/internal/obs/trace"
 	"ingrass/internal/solver"
 	"ingrass/internal/vecmath"
 )
@@ -89,21 +92,39 @@ func TestWriteBecomesVisibleAfterFlush(t *testing.T) {
 	}
 }
 
-func TestCoalescingSingleFlush(t *testing.T) {
-	// Long interval + large MaxBatch: nothing flushes until the barrier.
-	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000, FlushInterval: time.Hour})
-	ctx := ctxT(t)
-	var pendings []*Pending
-	for i := 0; i < 20; i++ {
-		p, err := e.AddAsync([]graph.Edge{{U: i % 36, V: (i + 7) % 36, W: 1 + float64(i)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pendings = append(pendings, p)
-	}
-	if err := e.Flush(ctx); err != nil {
+// parkWriter holds the engine's write lock while the writer goroutine
+// flushes a barrier, so every write enqueued before release runs queues
+// behind that flush and is taken as one batch. Adds must be enqueued with
+// mustEnqueue while parked: AddAsync validates under the same lock.
+func parkWriter(t *testing.T, e *Engine) (release func()) {
+	t.Helper()
+	e.mu.Lock()
+	var once sync.Once
+	release = func() { once.Do(e.mu.Unlock) }
+	t.Cleanup(release)
+	mustEnqueue(t, e, opBarrier, nil)
+	return release
+}
+
+func mustEnqueue(t *testing.T, e *Engine, kind opKind, edges []graph.Edge) *Pending {
+	t.Helper()
+	p, err := e.enqueue(kind, edges, trace.Span{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+func TestCoalescingSingleFlush(t *testing.T) {
+	// Writes that queue while a flush runs are taken as one batch.
+	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000})
+	ctx := ctxT(t)
+	release := parkWriter(t, e)
+	var pendings []*Pending
+	for i := 0; i < 20; i++ {
+		pendings = append(pendings, mustEnqueue(t, e, opAdd, []graph.Edge{{U: i % 36, V: (i + 7) % 36, W: 1 + float64(i)}}))
+	}
+	release()
 	gens := map[uint64]bool{}
 	for _, p := range pendings {
 		res, err := p.Wait(ctx)
@@ -115,35 +136,28 @@ func TestCoalescingSingleFlush(t *testing.T) {
 	if len(gens) != 1 {
 		t.Fatalf("coalesced writes landed in %d generations, want 1", len(gens))
 	}
-	if st := e.Stats(); st.Flushes != 1 {
-		t.Fatalf("flushes = %d, want 1", st.Flushes)
+	if st := e.Stats(); st.Flushes != 2 {
+		t.Fatalf("flushes = %d, want 2 (the parked barrier, then every queued write)", st.Flushes)
 	}
 }
 
 func TestErrorIsolation(t *testing.T) {
-	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000, FlushInterval: time.Hour})
+	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000})
 	ctx := ctxT(t)
-	good, err := e.AddAsync([]graph.Edge{{U: 0, V: 35, W: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	release := parkWriter(t, e)
+	good := mustEnqueue(t, e, opAdd, []graph.Edge{{U: 0, V: 35, W: 1}})
 	// Deleting a nonexistent edge fails at flush time; it must not poison
 	// the coalesced good request.
-	bad, err := e.DeleteAsync([]graph.Edge{{U: 0, V: 34}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
+	bad := mustEnqueue(t, e, opDelete, []graph.Edge{{U: 0, V: 34}})
+	release()
 	if _, err := good.Wait(ctx); err != nil {
 		t.Fatalf("good request failed: %v", err)
 	}
 	if _, err := bad.Wait(ctx); err == nil {
 		t.Fatal("bad delete unexpectedly succeeded")
 	}
-	if st := e.Stats(); st.WriteErrors != 1 {
-		t.Fatalf("write errors = %d, want 1", st.WriteErrors)
+	if st := e.Stats(); st.WriteErrors != 1 || st.Flushes != 2 {
+		t.Fatalf("write errors = %d, flushes = %d; want 1 and 2 (one coalesced batch)", st.WriteErrors, st.Flushes)
 	}
 }
 
@@ -289,14 +303,23 @@ func TestConditionNumberOnSnapshot(t *testing.T) {
 }
 
 func TestCloseRejectsNewWritesAndFlushesPending(t *testing.T) {
-	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000, FlushInterval: time.Hour})
-	p, err := e.AddAsync([]graph.Edge{{U: 0, V: 35, W: 1}})
-	if err != nil {
-		t.Fatal(err)
+	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000})
+	release := parkWriter(t, e)
+	p := mustEnqueue(t, e, opAdd, []graph.Edge{{U: 0, V: 35, W: 1}})
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	for !e.closed.Load() {
+		runtime.Gosched()
 	}
-	e.Close()
+	release()
+	<-closed
+	select {
+	case <-p.Done():
+	default:
+		t.Fatal("pending write dropped at close")
+	}
 	if _, err := p.Result(); err != nil {
-		t.Fatalf("pending write dropped at close: %v", err)
+		t.Fatalf("pending write failed at close: %v", err)
 	}
 	if _, err := e.AddAsync([]graph.Edge{{U: 1, V: 34, W: 1}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close write: %v", err)
@@ -308,18 +331,29 @@ func TestCloseRejectsNewWritesAndFlushesPending(t *testing.T) {
 }
 
 func TestMaxBatchTriggersFlush(t *testing.T) {
-	e := newEngine(t, 6, 6, Options{MaxBatch: 4, FlushInterval: time.Hour})
+	e := newEngine(t, 6, 6, Options{MaxBatch: 4})
 	ctx := ctxT(t)
-	edges := []graph.Edge{
+	release := parkWriter(t, e)
+	// 4 edges reach MaxBatch: that batch flushes before the write queued
+	// behind it is taken.
+	full := mustEnqueue(t, e, opAdd, []graph.Edge{
 		{U: 0, V: 20, W: 1}, {U: 1, V: 21, W: 1},
 		{U: 2, V: 22, W: 1}, {U: 3, V: 23, W: 1},
-	}
-	// 4 edges reach MaxBatch: the flush happens without barrier or timer.
-	res, err := e.Add(ctx, edges)
+	})
+	next := mustEnqueue(t, e, opAdd, []graph.Edge{{U: 4, V: 24, W: 1}})
+	release()
+	rf, err := full.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Generation == 0 {
-		t.Fatal("batch did not flush on MaxBatch")
+	rn, err := next.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rf.Generation == 0 || rn.Generation != rf.Generation+1 {
+		t.Fatalf("generations %d then %d: MaxBatch did not seal the batch", rf.Generation, rn.Generation)
+	}
+	if st := e.Stats(); st.Flushes != 3 {
+		t.Fatalf("flushes = %d, want 3", st.Flushes)
 	}
 }

@@ -675,7 +675,7 @@ func TestRetainAfterSwapEvicts(t *testing.T) {
 // CI), every read is served by a consistent snapshot, and the engine is
 // still coherent afterwards.
 func TestMaintenanceConcurrencyHammer(t *testing.T) {
-	e := newEngine(t, 8, 8, Options{MaxBatch: 8, FlushInterval: 200 * time.Microsecond,
+	e := newEngine(t, 8, 8, Options{MaxBatch: 8,
 		Maintenance: MaintenanceOptions{IterTarget: 5, MinSolves: 1, CooldownTicks: 1}})
 	n := e.Current().G.NumNodes()
 	ctx := ctxT(t)

@@ -3,8 +3,9 @@
 // solves, effective-resistance queries, condition-number checks, and
 // sparsifier exports against immutable copy-on-write snapshots, while one
 // writer goroutine drains a coalescing batcher that applies insert/delete
-// requests in batches (flushed by edge count or time window), bumps the
-// snapshot generation, and completes futures back to the callers.
+// requests in batches (each batch is whatever queued while the previous one
+// was applied, capped by edge count), bumps the snapshot generation, and
+// completes futures back to the callers.
 //
 // The concurrency architecture, in one paragraph: core.Sparsifier is the
 // only mutable state and is touched exclusively by the batcher goroutine
@@ -31,8 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
-
 	"sync"
 	"sync/atomic"
 
@@ -50,9 +49,6 @@ type Options struct {
 	// MaxBatch flushes the write batch once it holds this many edges.
 	// Default 128.
 	MaxBatch int
-	// FlushInterval flushes a non-empty batch after this much time even if
-	// MaxBatch was not reached. Default 2ms.
-	FlushInterval time.Duration
 	// QueueCapacity bounds enqueued-but-unflushed write requests; further
 	// writers block (backpressure). Default 1024.
 	QueueCapacity int
@@ -73,8 +69,8 @@ type Options struct {
 	InitialGeneration uint64
 	// Batch configures the batched query engine: the scheduler that
 	// coalesces concurrent same-generation solve and resistance requests
-	// into blocked multi-RHS executions (window, block size, admission
-	// queue, executor workers).
+	// into blocked multi-RHS executions (block size, admission queue,
+	// executor workers).
 	Batch batch.Options
 	// Obs, when non-nil, is the metrics registry the engine exposes itself
 	// through: the atomic counters are bridged as CounterFunc/GaugeFunc
@@ -97,9 +93,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 128
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 2 * time.Millisecond
 	}
 	if o.QueueCapacity <= 0 {
 		o.QueueCapacity = 1024

@@ -29,7 +29,7 @@ func TestStressConcurrentReadersLiveWriter(t *testing.T) {
 		markerEdges = 4
 		readers     = 16
 	)
-	e := newEngine(t, rows, cols, Options{MaxBatch: 32, FlushInterval: 200 * time.Microsecond})
+	e := newEngine(t, rows, cols, Options{MaxBatch: 32})
 	ctx := ctxT(t)
 	n := rows * cols
 

@@ -48,8 +48,9 @@ type ServiceOptions struct {
 	// MaxBatch flushes the write batch once it holds this many edges
 	// (default 128).
 	MaxBatch int
-	// FlushInterval flushes a non-empty batch after this much time even if
-	// MaxBatch was not reached (default 2ms).
+	// Deprecated: FlushInterval is ignored. The batcher waits for no timer:
+	// each batch is every write that queued while the previous one was
+	// applied.
 	FlushInterval time.Duration
 	// QueueCapacity bounds enqueued-but-unflushed write requests; further
 	// writers block (default 1024).
@@ -67,10 +68,9 @@ type ServiceOptions struct {
 	// solves.
 	Solve SolveOptions
 
-	// Batch configures the batched query engine: coalescing window, block
-	// width, admission queue, executor workers, and whether single
-	// Solve/EffectiveResistance calls ride the coalescing scheduler
-	// (CoalesceSingles). Explicit SolveBatch/EffectiveResistanceBatch calls
+	// Batch configures the batched query engine: block width, admission
+	// queue, executor workers, and whether single Solve/EffectiveResistance
+	// calls ride the coalescing scheduler (CoalesceSingles). Explicit SolveBatch/EffectiveResistanceBatch calls
 	// use the blocked execution path regardless.
 	Batch BatchOptions
 
@@ -208,7 +208,6 @@ func (o ServiceOptions) engineOptions(sopts SolveOptions) service.Options {
 	}
 	return service.Options{
 		MaxBatch:      o.MaxBatch,
-		FlushInterval: o.FlushInterval,
 		QueueCapacity: o.QueueCapacity,
 		Retain:        o.RetainSnapshots,
 		Solver:        s,
@@ -425,7 +424,7 @@ func toInternalEdges(edges []Edge) []graph.Edge {
 // AddEdgesAsync enqueues an insertion batch and returns immediately; the
 // batcher coalesces it with neighboring requests into one update pass.
 //
-// Within one flush window, all coalesced insertions apply before any
+// Within one flushed batch, all coalesced insertions apply before any
 // deletions. For a delete-then-add of the same endpoint pair that lands in
 // a single flush, the deletion still removes the oldest matching edge, so
 // the outcome matches sequential execution; interleave a Flush between the
