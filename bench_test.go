@@ -24,6 +24,7 @@ import (
 	"ingrass/internal/lrd"
 	"ingrass/internal/partition"
 	"ingrass/internal/precond"
+	"ingrass/internal/sketch"
 	"ingrass/internal/solver"
 	"ingrass/internal/sparse"
 	"ingrass/internal/tree"
@@ -212,6 +213,40 @@ func BenchmarkLRDBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lrd.Build(h, lrd.Config{Krylov: krylov.Config{Seed: 1}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGrassSparsify measures the GRASS construction of H(0) that the
+// setup phase starts from: low-stretch tree, distortion ranking and the
+// similarity filter.
+func BenchmarkGrassSparsify(b *testing.B) {
+	g := benchGraph(b, "delaunay_n14")
+	for b.Loop() {
+		benchSparsifier(b, g)
+	}
+}
+
+// BenchmarkLowStretch measures the AKPW low-stretch spanning tree alone.
+func BenchmarkLowStretch(b *testing.B) {
+	g := benchGraph(b, "delaunay_n14")
+	for b.Loop() {
+		tree.LowStretch(g, 1)
+	}
+}
+
+// BenchmarkSketchNew measures setup phase 3 alone: indexing H's edges by
+// LRD cluster pair at every level.
+func BenchmarkSketchNew(b *testing.B) {
+	g := benchGraph(b, "delaunay_n14")
+	h := benchSparsifier(b, g).H
+	dec, err := lrd.Build(h, lrd.Config{Krylov: krylov.Config{Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := sketch.New(dec, h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -83,13 +85,14 @@ type spanRow struct {
 	span  trace.SpanSnapshot
 	proc  string
 	depth int
+	seq   int // position in collection order, the tie-break for equal starts
 }
 
 // collectRows flattens a trace and its stitched remote continuations into
 // one row list. proc labels the local process ("" for the queried one).
 func collectRows(t *trace.TraceSnapshot, proc string, rows []spanRow) []spanRow {
 	for _, s := range t.Spans {
-		rows = append(rows, spanRow{span: s, proc: proc})
+		rows = append(rows, spanRow{span: s, proc: proc, seq: len(rows)})
 	}
 	for _, rem := range t.Remote {
 		for _, rt := range rem.Traces {
@@ -97,6 +100,11 @@ func collectRows(t *trace.TraceSnapshot, proc string, rows []spanRow) []spanRow 
 		}
 	}
 	return rows
+}
+
+// byStart orders rows by span start, then by collection order.
+func byStart(a, b spanRow) int {
+	return cmp.Or(cmp.Compare(a.span.StartUnixNano, b.span.StartUnixNano), cmp.Compare(a.seq, b.seq))
 }
 
 // renderTrace prints one trace's waterfall to w.
@@ -129,9 +137,7 @@ func renderTrace(w io.Writer, t *trace.TraceSnapshot, width int) {
 	for i := range rows {
 		rows[i].depth = depth(rows[i].span.ID)
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return rows[i].span.StartUnixNano < rows[j].span.StartUnixNano
-	})
+	slices.SortFunc(rows, byStart)
 
 	t0 := rows[0].span.StartUnixNano
 	t1 := t0

@@ -1,0 +1,195 @@
+//go:build amd64 && !amd64.v3
+
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"ingrass/internal/gen"
+	"ingrass/internal/graph"
+	"ingrass/internal/grass"
+	"ingrass/internal/krylov"
+	"ingrass/internal/lrd"
+	"ingrass/internal/vecmath"
+)
+
+// TestGoldenSetupDeterminism pins every bit the setup phase produces on two
+// fixed graphs: the GRASS H(0) (low-stretch and max-weight backbones), every
+// LRD level's cluster ids, diameters and budgets, the level-1 Krylov
+// resistance estimates, and the decisions and final H of a seeded 10-batch
+// update stream.
+//
+// Why exact bits: a checkpoint stores only hBase, and recovery, WAL replay
+// of maintenance records and every replica rebuild the LRD hierarchy and the
+// sketch from it (persist.go, setup.go). Those rebuilds agree with the live
+// engine only if the setup phase is a pure function of its input bits, so a
+// change that reorders a sort tie or a floating-point sum is a change to
+// durable behaviour, not a refactor. A change that needs new hashes breaks
+// replay of existing checkpoints and must say so; an optimisation never
+// re-records them.
+//
+// The Krylov embedding's dot products differ in their last bits between the
+// AVX2 kernel bodies and the pure-Go ones, so each dispatch path has its own
+// hashes. The build constraint pins the float semantics they were taken
+// with: amd64 without GOAMD64=v3, where the compiler never fuses x*y+z.
+func TestGoldenSetupDeterminism(t *testing.T) {
+	cases := []struct {
+		name          string
+		scale         float64
+		simd, generic goldenHashes
+	}{
+		{"delaunay_n14", 0.5, goldenHashes{
+			GrassLowStretch: 0x855dbd593a15201f, GrassMaxWeight: 0x26e92cfa4c05aff0,
+			LRD: 0x63110aa7b024bb77, Embedding: 0xac6fae92974f1878, Stream: 0x7084062600db6833,
+		}, goldenHashes{
+			GrassLowStretch: 0x855dbd593a15201f, GrassMaxWeight: 0x26e92cfa4c05aff0,
+			LRD: 0xbb9d5b1f1d784070, Embedding: 0x8560646ba092241, Stream: 0xd5d107655bba3396,
+		}},
+		{"social_ba", 0.25, goldenHashes{
+			GrassLowStretch: 0x7172f22a7c7e0f9c, GrassMaxWeight: 0xbfbbc7c6c5e82a4,
+			LRD: 0x4feffd7128698f3b, Embedding: 0x893c82e659501d38, Stream: 0x7d977c68f46451d2,
+		}, goldenHashes{
+			GrassLowStretch: 0x7172f22a7c7e0f9c, GrassMaxWeight: 0xbfbbc7c6c5e82a4,
+			LRD: 0x1b5f76c7e5f49fbc, Embedding: 0x6efd3742fbf4f8c0, Stream: 0xae40872b5276be54,
+		}},
+	}
+	prev := vecmath.SIMDActive()
+	defer vecmath.SetSIMD(prev)
+	for _, simd := range []bool{false, true} {
+		if vecmath.SetSIMD(simd) != simd {
+			continue // no AVX2 on this CPU, or a purego build
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/simd=%v", tc.name, simd), func(t *testing.T) {
+				want := tc.generic
+				if simd {
+					want = tc.simd
+				}
+				if got := setupHashes(t, tc.name, tc.scale); got != want {
+					t.Errorf("setup output changed:\n got  %#v\n want %#v", got, want)
+				}
+			})
+		}
+	}
+}
+
+type goldenHashes struct {
+	GrassLowStretch, GrassMaxWeight, LRD, Embedding, Stream uint64
+}
+
+func setupHashes(t *testing.T, name string, scale float64) goldenHashes {
+	t.Helper()
+	tc, err := gen.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tc.Build(scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := gen.Stream(g, gen.StreamConfig{
+		Kind: gen.StreamUniform, Count: g.NumEdges() / 10, Batches: 10, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out goldenHashes
+
+	mw, err := grass.Sparsify(g, grass.Config{
+		TargetDensity: 0.10, Tree: grass.TreeMaxWeight, SimilarityFilter: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.GrassMaxWeight = hashGrass(mw)
+
+	res, err := grass.InitialSparsifier(g, 0.10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := res.H
+	out.GrassLowStretch = hashGrass(res)
+
+	cfg := Config{LRD: lrd.Config{Krylov: krylov.Config{Seed: 1}}}
+	dec, err := lrd.Build(h, cfg.LRD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := fnv.New64a()
+	for l := 0; l < dec.Levels; l++ {
+		putU64(hs, uint64(dec.NumClusters[l]))
+		putF64(hs, dec.Budget[l])
+		for v := 0; v < dec.N; v++ {
+			putU64(hs, uint64(dec.ClusterID(l, v)))
+		}
+		for _, d := range dec.Diameter[l] {
+			putF64(hs, d)
+		}
+	}
+	out.LRD = hs.Sum64()
+
+	// lrd.Build seeds level l's embedding with Seed + l*0x9e37.
+	emb, err := krylov.NewEmbedding(h, krylov.Config{Seed: 1 + 0x9e37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs = fnv.New64a()
+	for _, r := range emb.EstimateEdges(h.Edges(), 0) {
+		putF64(hs, r)
+	}
+	out.Embedding = hs.Sum64()
+
+	s, err := NewSparsifier(g, h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs = fnv.New64a()
+	for _, batch := range stream {
+		decs, err := s.UpdateBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range decs {
+			putEdge(hs, d.Edge)
+			putU64(hs, uint64(d.Action))
+			putF64(hs, d.Distortion)
+			putU64(hs, uint64(d.Target))
+		}
+	}
+	for _, e := range s.H.Edges() {
+		putEdge(hs, e)
+	}
+	out.Stream = hs.Sum64()
+	return out
+}
+
+func hashGrass(r *grass.Result) uint64 {
+	hs := fnv.New64a()
+	for _, e := range r.H.Edges() {
+		putEdge(hs, e)
+	}
+	for _, d := range r.Distortion {
+		putF64(hs, d)
+	}
+	putU64(hs, uint64(r.SkippedRedundant))
+	return hs.Sum64()
+}
+
+func putEdge(h hash.Hash64, e graph.Edge) {
+	putU64(h, uint64(e.U))
+	putU64(h, uint64(e.V))
+	putF64(h, e.W)
+}
+
+func putF64(h hash.Hash64, f float64) { putU64(h, math.Float64bits(f)) }
+
+func putU64(h hash.Hash64, x uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], x)
+	h.Write(b[:])
+}

@@ -21,8 +21,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ingrass/internal/graph"
@@ -191,10 +192,6 @@ func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 	// Order by estimated distortion, most critical first (paper III-C1).
 	// Estimates are independent embedding lookups, so large batches fan
 	// out across workers.
-	type scored struct {
-		e graph.Edge
-		d float64
-	}
 	work := make([]scored, len(batch))
 	if w := s.cfg.Workers; w > 1 && len(batch) >= 256 {
 		var wg sync.WaitGroup
@@ -212,17 +209,17 @@ func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 			go func(lo, hi int) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					work[i] = scored{e: batch[i], d: s.EstimateDistortion(batch[i])}
+					work[i] = scored{e: batch[i], d: s.EstimateDistortion(batch[i]), pos: i}
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
 	} else {
 		for i, e := range batch {
-			work[i] = scored{e: e, d: s.EstimateDistortion(e)}
+			work[i] = scored{e: e, d: s.EstimateDistortion(e), pos: i}
 		}
 	}
-	sort.SliceStable(work, func(a, b int) bool { return work[a].d > work[b].d })
+	slices.SortFunc(work, byDistortion)
 
 	decisions := make([]Decision, 0, len(work))
 	for _, it := range work {
@@ -231,6 +228,25 @@ func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 		decisions = append(decisions, d)
 	}
 	return decisions, nil
+}
+
+// scored is a new edge with its distortion estimate and batch position.
+type scored struct {
+	e   graph.Edge
+	d   float64
+	pos int
+}
+
+// byDistortion orders new edges by distortion, highest first, then by batch
+// position. It is a total order, so the unstable sort is deterministic.
+func byDistortion(a, b scored) int {
+	switch {
+	case a.d > b.d:
+		return -1
+	case a.d < b.d:
+		return 1
+	}
+	return cmp.Compare(a.pos, b.pos)
 }
 
 // applyOne runs the level-L filtering rules for a single new edge.

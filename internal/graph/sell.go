@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -75,8 +77,9 @@ func sellOrder(c *CSR, sigma int) (order []int, chunkLen []int32, slots int) {
 		if w1 > n {
 			w1 = n
 		}
-		win := order[w0:w1]
-		sort.SliceStable(win, func(a, b int) bool { return rl(win[a]) > rl(win[b]) })
+		slices.SortFunc(order[w0:w1], func(a, b int) int {
+			return cmp.Or(cmp.Compare(rl(b), rl(a)), cmp.Compare(a, b))
+		})
 	}
 	chunks := (n + SellC - 1) / SellC
 	chunkLen = make([]int32, chunks)

@@ -18,8 +18,9 @@
 package grass
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/tree"
@@ -88,17 +89,13 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 
 	// Rank off-tree candidates by spectral distortion w * R_T.
 	off := st.OffTreeEdges()
-	type cand struct {
-		edge       int
-		distortion float64
-	}
 	cands := make([]cand, 0, len(off))
 	for _, ei := range off {
 		e := g.Edge(ei)
 		d := e.W * oracle.Resistance(e.U, e.V)
 		cands = append(cands, cand{edge: ei, distortion: d})
 	}
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].distortion > cands[b].distortion })
+	slices.SortFunc(cands, byDistortion)
 
 	budget := int(cfg.TargetDensity * float64(g.NumEdges()))
 	if budget > len(cands) {
@@ -119,13 +116,14 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 
 	var skipped []cand
+	var path []int
 	for _, c := range cands {
 		if res.OffTree >= budget {
 			break
 		}
 		if cfg.SimilarityFilter {
 			e := g.Edge(c.edge)
-			path := oracle.PathEdges(e.U, e.V)
+			path = oracle.AppendPathEdges(path[:0], e.U, e.V)
 			covered := len(path) > 0
 			for _, te := range path {
 				if cover[te] < cfg.CoverLimit {
@@ -155,6 +153,24 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 
 	res.H = g.Subgraph(keep)
 	return res, nil
+}
+
+// cand is an off-tree edge ranked for admission.
+type cand struct {
+	edge       int
+	distortion float64
+}
+
+// byDistortion orders candidates by distortion, highest first, then by edge
+// index. It is a total order, so the unstable sort is deterministic.
+func byDistortion(a, b cand) int {
+	switch {
+	case a.distortion > b.distortion:
+		return -1
+	case a.distortion < b.distortion:
+		return 1
+	}
+	return cmp.Compare(a.edge, b.edge)
 }
 
 // InitialSparsifier is the convenience entry point used across the

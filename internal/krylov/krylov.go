@@ -253,14 +253,18 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 
 	// Node-major coordinate table: coords[v][i] = (Q y_i)[v] / sqrt(theta_i).
 	// Ritz values at numerical zero are null-space remnants and are skipped.
+	// Each column accumulates contiguously, in j order, then scatters once:
+	// the sums are the ones a strided accumulation would form, bit for bit.
+	// The scalar c*q + col stays plain Go (no SIMD AXPY) for the same reason.
 	coords := make([]float64, n*m)
-	dims := m
+	col := make([]float64, n)
 	for i := 0; i < m; i++ {
 		th := theta[i]
 		if th <= 1e-12 {
 			continue
 		}
 		scale := 1 / math.Sqrt(th)
+		clear(col)
 		for j := 0; j < m; j++ {
 			yji := y.At(j, i)
 			if yji == 0 {
@@ -268,10 +272,13 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 			}
 			qj := basis[j]
 			c := yji * scale
-			for v := 0; v < n; v++ {
-				coords[v*dims+i] += c * qj[v]
+			for v, q := range qj {
+				col[v] += c * q
 			}
 		}
+		for v, x := range col {
+			coords[v*m+i] = x
+		}
 	}
-	return &Embedding{N: n, Dims: dims, coords: coords}, nil
+	return &Embedding{N: n, Dims: m, coords: coords}, nil
 }

@@ -15,9 +15,10 @@
 package lrd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/krylov"
@@ -195,22 +196,22 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			}
 		}
 
-		order := make([]int, cur.NumEdges())
-		for i := range order {
-			order[i] = i
+		order := make([]edgeResist, cur.NumEdges())
+		for i, r := range resist {
+			order[i] = edgeResist{r: r, edge: i}
 		}
-		sort.SliceStable(order, func(a, b int) bool { return resist[order[a]] < resist[order[b]] })
+		slices.SortFunc(order, byResist)
 
 		uf := graph.NewUnionFind(cur.NumNodes())
 		diam := append([]float64(nil), carriedDiam...)
 		merged := false
-		for _, ei := range order {
-			e := cur.Edge(ei)
+		for _, o := range order {
+			e := cur.Edge(o.edge)
 			ru, rv := uf.Find(e.U), uf.Find(e.V)
 			if ru == rv {
 				continue
 			}
-			nd := diam[ru] + diam[rv] + resist[ei]
+			nd := diam[ru] + diam[rv] + o.r
 			if !final && nd > budget {
 				continue
 			}
@@ -274,13 +275,10 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			// smallest merging cost next time.
 			if len(order) > 0 {
 				minCost := math.Inf(1)
-				for _, ei := range order {
-					e := cur.Edge(ei)
-					if uf.Find(e.U) != uf.Find(e.V) {
-						c := resist[ei]
-						if c < minCost {
-							minCost = c
-						}
+				for _, o := range order {
+					e := cur.Edge(o.edge)
+					if uf.Find(e.U) != uf.Find(e.V) && o.r < minCost {
+						minCost = o.r
 					}
 				}
 				if !math.IsInf(minCost, 1) && budget < minCost {
@@ -316,11 +314,29 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 	return d, nil
 }
 
+// edgeResist is an edge of the current level with its estimated resistance.
+type edgeResist struct {
+	r    float64
+	edge int
+}
+
+// byResist orders edges by resistance, lowest first, then by edge index.
+// It is a total order, so the unstable sort is deterministic.
+func byResist(a, b edgeResist) int {
+	switch {
+	case a.r < b.r:
+		return -1
+	case a.r > b.r:
+		return 1
+	}
+	return cmp.Compare(a.edge, b.edge)
+}
+
 func median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
+	s := slices.Clone(v)
+	slices.Sort(s)
 	return s[len(s)/2]
 }

@@ -13,9 +13,10 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/solver"
@@ -153,18 +154,25 @@ func BisectWithSparsifier(ctx context.Context, g, h *graph.Graph, opts Options) 
 // evaluates the induced bisection of g.
 func SplitByVector(g *graph.Graph, score []float64) *Bisection {
 	n := g.NumNodes()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return score[idx[a]] < score[idx[b]] })
 	b := &Bisection{Side: make([]int, n)}
-	for rank, v := range idx {
+	for rank, v := range byScore(score[:n]) {
 		if rank >= n/2 {
 			b.Side[v] = 1
 		}
 	}
 	return evaluate(g, b)
+}
+
+// byScore returns the node ids ordered by score, lowest first, then by id.
+func byScore(score []float64) []int {
+	idx := make([]int, len(score))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(score[a], score[b]), cmp.Compare(a, b))
+	})
+	return idx
 }
 
 // evaluate fills the cut metrics of b.

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"slices"
+
 	"ingrass/internal/graph"
 	"ingrass/internal/vecmath"
 )
@@ -48,14 +50,22 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 		to   int
 		edge int
 	}
-	// Reused scratch, sized on demand per level.
-	adj := make(map[int][]superArc)
-	assigned := make(map[int]bool)
+	// Scratch indexed by union-find root, reused across levels. supers
+	// lists the roots with a crossing edge this level, in first-touch order;
+	// only their adj and assigned entries are ever non-empty.
+	adj := make([][]superArc, n)
+	assigned := make([]bool, n)
+	hops := make([]int, n)
+	var supers []int
+	queue := make([]int, 0, 64)
 
 	for uf.Count() > targetComponents {
 		// Gather admissible edges that cross current clusters.
-		clear(adj)
-		crossCount := 0
+		for _, s := range supers {
+			adj[s] = adj[s][:0]
+			assigned[s] = false
+		}
+		supers = supers[:0]
 		for ei, e := range g.Edges() {
 			if e.W < threshold {
 				continue
@@ -64,11 +74,16 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 			if ru == rv {
 				continue
 			}
+			if len(adj[ru]) == 0 {
+				supers = append(supers, ru)
+			}
+			if len(adj[rv]) == 0 {
+				supers = append(supers, rv)
+			}
 			adj[ru] = append(adj[ru], superArc{to: rv, edge: ei})
 			adj[rv] = append(adj[rv], superArc{to: ru, edge: ei})
-			crossCount++
 		}
-		if crossCount == 0 {
+		if len(supers) == 0 {
 			if threshold <= 0 {
 				break // only cross-component edges remain impossible
 			}
@@ -82,26 +97,19 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 			continue
 		}
 
-		// Randomized ball growing over the supernode graph.
-		supers := make([]int, 0, len(adj))
-		for s := range adj {
-			supers = append(supers, s)
-		}
-		// Map iteration order is nondeterministic; sort then shuffle with
-		// the seeded RNG for reproducibility.
-		sortInts(supers)
+		// Randomized ball growing over the supernode graph, visiting
+		// centers in a seeded shuffle of the ascending root order.
+		slices.Sort(supers)
 		rng.Shuffle(len(supers), func(i, j int) { supers[i], supers[j] = supers[j], supers[i] })
 
-		clear(assigned)
-		queue := make([]int, 0, 64)
-		hops := make(map[int]int)
 		for _, center := range supers {
 			if assigned[center] {
 				continue
 			}
 			radius := 1 + rng.Intn(2) // shallow balls: 1 or 2 hops
 			assigned[center] = true
-			clear(hops)
+			// hops is read only for nodes placed in this ball, each of
+			// which is written first, so stale entries never leak in.
 			hops[center] = 0
 			queue = append(queue[:0], center)
 			for len(queue) > 0 {
@@ -129,19 +137,4 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 		}
 	}
 	return New(g, treeEdges)
-}
-
-// sortInts is a small insertion/shell sort to avoid importing sort for a
-// hot path slice that is usually tiny at deep levels.
-func sortInts(a []int) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
-	}
 }

@@ -1,7 +1,8 @@
 package tree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ingrass/internal/graph"
 )
@@ -13,15 +14,8 @@ import (
 //
 // Ties are broken by edge index, making the result deterministic.
 func MaxWeight(g *graph.Graph) *SpanningTree {
-	m := g.NumEdges()
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
 	edges := g.Edges()
-	sort.SliceStable(order, func(a, b int) bool {
-		return edges[order[a]].W > edges[order[b]].W
-	})
+	order := heaviestFirst(edges)
 	uf := graph.NewUnionFind(g.NumNodes())
 	keep := make([]int, 0, g.NumNodes()-1)
 	for _, ei := range order {
@@ -34,6 +28,19 @@ func MaxWeight(g *graph.Graph) *SpanningTree {
 		}
 	}
 	return New(g, keep)
+}
+
+// heaviestFirst returns the edge indices ordered by weight, heaviest first,
+// then by index.
+func heaviestFirst(edges []graph.Edge) []int {
+	order := make([]int, len(edges))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(edges[b].W, edges[a].W), cmp.Compare(a, b))
+	})
+	return order
 }
 
 // Prim builds the maximum-weight spanning forest by Prim's algorithm with a

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math"
+	"slices"
 )
 
 // PathOracle answers tree-path effective-resistance queries in O(1) after
@@ -167,29 +168,27 @@ func (o *PathOracle) Resistance(u, v int) float64 {
 	return o.resToRoot[u] + o.resToRoot[v] - 2*o.resToRoot[l]
 }
 
-// PathEdges returns the host-graph edge indices along the tree path from u
-// to v (empty for u == v, nil for different components). It is O(path
-// length) and used when the update phase needs to redistribute the weight
-// of a discarded intra-cluster edge over the path it shorts out.
-func (o *PathOracle) PathEdges(u, v int) []int {
+// AppendPathEdges appends the host-graph edge indices along the tree path
+// from u to v to buf and returns the extended slice. It appends nothing for
+// u == v or for nodes in different components. It is O(path length) and
+// allocation-free once buf has grown to the longest path, which is what the
+// similarity filter needs when it walks one path per candidate edge.
+func (o *PathOracle) AppendPathEdges(buf []int, u, v int) []int {
 	if u == v {
-		return []int{}
+		return buf
 	}
 	l := o.LCA(u, v)
 	if l < 0 {
-		return nil
+		return buf
 	}
-	var out []int
 	for x := u; x != l; x = o.t.Parent[x] {
-		out = append(out, o.t.ParentEdge[x])
+		buf = append(buf, o.t.ParentEdge[x])
 	}
 	// Collect v's side, then reverse it so edges run u -> v.
-	start := len(out)
+	start := len(buf)
 	for x := v; x != l; x = o.t.Parent[x] {
-		out = append(out, o.t.ParentEdge[x])
+		buf = append(buf, o.t.ParentEdge[x])
 	}
-	for i, j := start, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+	slices.Reverse(buf[start:])
+	return buf
 }

@@ -251,11 +251,11 @@ func TestPathEdges(t *testing.T) {
 	g.AddEdge(0, 3, 1)
 	st := New(g, []int{0, 1, 2})
 	o := NewPathOracle(st)
-	p := o.PathEdges(1, 2)
-	if len(p) != 2 || p[0] != e01 || p[1] != e02 {
-		t.Fatalf("path = %v", p)
+	p := o.AppendPathEdges([]int{-1}, 1, 2)
+	if len(p) != 3 || p[0] != -1 || p[1] != e01 || p[2] != e02 {
+		t.Fatalf("path appended to [-1] = %v", p)
 	}
-	if len(o.PathEdges(2, 2)) != 0 {
+	if len(o.AppendPathEdges(nil, 2, 2)) != 0 {
 		t.Fatal("self path must be empty")
 	}
 }
@@ -268,7 +268,7 @@ func TestPathEdgesResistanceConsistency(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		u, v := r.Intn(30), r.Intn(30)
 		var sum float64
-		for _, ei := range o.PathEdges(u, v) {
+		for _, ei := range o.AppendPathEdges(nil, u, v) {
 			sum += 1 / g.Edge(ei).W
 		}
 		if math.Abs(sum-o.Resistance(u, v)) > 1e-9 {
