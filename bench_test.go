@@ -236,8 +236,9 @@ func BenchmarkLowStretch(b *testing.B) {
 	}
 }
 
-// BenchmarkSketchNew measures setup phase 3 alone: indexing H's edges by
-// LRD cluster pair at every level.
+// BenchmarkSketchNew measures setup phase 3 alone: the cluster containment
+// tree and every edge's intra-cluster entry. No pair level is materialized;
+// core builds the filter level's pair index after this.
 func BenchmarkSketchNew(b *testing.B) {
 	g := benchGraph(b, "delaunay_n14")
 	h := benchSparsifier(b, g).H

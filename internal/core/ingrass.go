@@ -60,6 +60,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// filterLevel is the similarity-filtering level c selects on dec: the
+// level for TargetCond, capped by MaxFilterLevel when that is set.
+func (c Config) filterLevel(dec *lrd.Decomposition) int {
+	l := dec.FilterLevel(c.TargetCond)
+	if c.MaxFilterLevel > 0 && l > c.MaxFilterLevel {
+		l = c.MaxFilterLevel
+	}
+	return l
+}
+
 // Action describes what the update phase did with one new edge.
 type Action int
 
@@ -150,10 +160,8 @@ func NewSparsifier(g, h *graph.Graph, cfg Config) (*Sparsifier, error) {
 		return nil, fmt.Errorf("core: setup sketch: %w", err)
 	}
 	s := &Sparsifier{G: g, H: h, cfg: cfg, dec: dec, sk: sk, hBase: h.Snapshot()}
-	s.filterLevel = dec.FilterLevel(cfg.TargetCond)
-	if cfg.MaxFilterLevel > 0 && s.filterLevel > cfg.MaxFilterLevel {
-		s.filterLevel = cfg.MaxFilterLevel
-	}
+	s.filterLevel = cfg.filterLevel(dec)
+	sk.IndexPairs(s.filterLevel)
 	return s, nil
 }
 
@@ -311,7 +319,7 @@ func (s *Sparsifier) applyOne(e graph.Edge, distortion float64) Decision {
 		}
 	}
 
-	// Spectrally unique: include in H and index at every level.
+	// Spectrally unique: include in H and index it in the sketch.
 	ei := s.H.AddEdge(e.U, e.V, e.W)
 	s.sk.Register(ei)
 	dec.Action = Included

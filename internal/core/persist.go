@@ -52,7 +52,8 @@ func (s *Sparsifier) PersistentState() PersistentState {
 // identical inputs, HBase carries the decomposition's input graph with
 // bit-exact weights, and indexing the current H registers its edges in
 // index order — the same order the live engine registered them in (Register
-// is always called immediately after H.AddEdge, and AddEdge appends).
+// is always called immediately after H.AddEdge, AddEdge appends, and
+// Register rejects any other order).
 // A restored sparsifier therefore makes bit-identical filtering decisions
 // on any subsequent update stream, which is what write-ahead-log replay
 // relies on.
@@ -78,14 +79,15 @@ func RestoreSparsifier(st PersistentState) (*Sparsifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore LRD: %w", err)
 	}
-	sk, err := sketch.New(dec, st.H)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore sketch: %w", err)
-	}
 	if st.FilterLevel < 1 || st.FilterLevel >= dec.Levels {
 		return nil, fmt.Errorf("core: restore: filter level %d outside hierarchy [1, %d)",
 			st.FilterLevel, dec.Levels)
 	}
+	sk, err := sketch.New(dec, st.H)
+	if err != nil {
+		return nil, fmt.Errorf("core: restore sketch: %w", err)
+	}
+	sk.IndexPairs(st.FilterLevel)
 	return &Sparsifier{
 		G:           st.G,
 		H:           st.H,

@@ -21,13 +21,17 @@ type SetupBasis struct {
 	hBase *graph.Graph
 	dec   *lrd.Decomposition
 	sk    *sketch.Structure
+	// level is the filtering level the adopter will use; sk's pair index
+	// is materialized there only.
+	level int
 }
 
-// BuildSetup runs the setup phase (lrd.Build + sketch indexing) over the
-// frozen sparsifier snapshot hBase. It mutates nothing and may run
-// concurrently with updates to the live sparsifier the snapshot was taken
-// from. cfg.TargetCond selects the filtering level the adopting sparsifier
-// will use; the other fields must match the adopter's configuration.
+// BuildSetup runs the setup phase (lrd.Build + sketch indexing, including
+// the pair index at the filtering level) over the frozen sparsifier
+// snapshot hBase. It mutates nothing and may run concurrently with updates
+// to the live sparsifier the snapshot was taken from. cfg.TargetCond
+// selects the filtering level the adopting sparsifier will use; the other
+// fields must match the adopter's configuration.
 func BuildSetup(hBase *graph.Graph, cfg Config) (*SetupBasis, error) {
 	if hBase.NumNodes() == 0 {
 		return nil, fmt.Errorf("core: empty setup basis")
@@ -41,7 +45,9 @@ func BuildSetup(hBase *graph.Graph, cfg Config) (*SetupBasis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: basis sketch: %w", err)
 	}
-	return &SetupBasis{cfg: cfg, hBase: hBase, dec: dec, sk: sk}, nil
+	level := cfg.filterLevel(dec)
+	sk.IndexPairs(level)
+	return &SetupBasis{cfg: cfg, hBase: hBase, dec: dec, sk: sk, level: level}, nil
 }
 
 // TargetCond returns the target condition number the basis was built for.
@@ -57,9 +63,11 @@ func (b *SetupBasis) HBase() *graph.Graph { return b.hBase }
 // offline on an earlier snapshot of its own H. The sketch is advanced over
 // the edges H gained since the snapshot (endpoint-only registration, so the
 // result is bit-identical to a fresh setup over the current H — the
-// persist.go invariant), the filtering level is recomputed for the basis's
-// TargetCond, and the basis's snapshot becomes the new persistence anchor
-// (hBase). G, H, and the accumulated counters are untouched.
+// persist.go invariant), the filtering level becomes the one the basis
+// indexed for its TargetCond, and the basis's snapshot becomes the new
+// persistence anchor (hBase). G, H, and the accumulated counters are
+// untouched. The catch-up touches only the basis's materialized pair level,
+// so the swap costs O(|H delta|), never an O(|E_H|) index build.
 //
 // The caller must guarantee b.hBase is a snapshot of this sparsifier's H:
 // the live H must extend it by index (soft deletion never removes edges, so
@@ -81,10 +89,7 @@ func (s *Sparsifier) AdoptSetup(b *SetupBasis) error {
 	s.dec = b.dec
 	s.sk = b.sk
 	s.hBase = b.hBase
-	s.filterLevel = b.dec.FilterLevel(b.cfg.TargetCond)
-	if b.cfg.MaxFilterLevel > 0 && s.filterLevel > b.cfg.MaxFilterLevel {
-		s.filterLevel = b.cfg.MaxFilterLevel
-	}
+	s.filterLevel = b.level
 	b.sk = nil
 	return nil
 }

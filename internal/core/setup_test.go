@@ -10,6 +10,7 @@ import (
 	"ingrass/internal/grass"
 	"ingrass/internal/krylov"
 	"ingrass/internal/lrd"
+	"ingrass/internal/sketch"
 	"ingrass/internal/vecmath"
 )
 
@@ -232,4 +233,62 @@ func TestAdoptBasisMatchesResparsify(t *testing.T) {
 	}
 	decisionsBitEqual(t, "post-resparsify", dA.Additions, dB.Additions)
 	graphsBitEqual(t, "final H", a.H, b.H)
+}
+
+// TestOnlyFilterLevelPairsIndexed pins the update path to the sketch's pair
+// index at the filter level: setup, restore and an offline rebuild each build
+// that one level before any write, and no update, deletion or swap catch-up
+// materializes another. The adopted basis must arrive with its level already
+// built, so the swap under the writer does no O(|E_H|) index build.
+func TestOnlyFilterLevelPairsIndexed(t *testing.T) {
+	_, fresh := setup(t, 10, 10, 0.1, 50)
+	if fresh.dec.Levels < 4 {
+		t.Fatalf("fixture has %d levels; the test needs levels besides the filter level", fresh.dec.Levels)
+	}
+	onlyLevelIndexed(t, "after setup", fresh.sk, fresh.FilterLevel())
+
+	_, s := setup(t, 10, 10, 0.1, 50)
+	n := s.G.NumNodes()
+	applyStream(t, s, streamEdges(n, 96, 1), 8)
+	st := s.PersistentState()
+	onlyLevelIndexed(t, "after setup and a stream", s.sk, s.FilterLevel())
+
+	for _, stream := range []int{0, 48} {
+		restored, err := RestoreSparsifier(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applyStream(t, restored, streamEdges(n, stream, 2), 8)
+		onlyLevelIndexed(t, fmt.Sprintf("after restore and %d edges", stream), restored.sk, restored.FilterLevel())
+	}
+
+	cfg := s.Config()
+	cfg.TargetCond = 20
+	basis, err := BuildSetup(s.H.Snapshot(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if basis.sk.IndexPairs(basis.level) {
+		t.Fatal("BuildSetup left the filter level's pair index to the adopter")
+	}
+	applyStream(t, s, streamEdges(n, 48, 3), 8)
+	if err := s.AdoptSetup(basis); err != nil {
+		t.Fatal(err)
+	}
+	applyStream(t, s, streamEdges(n, 48, 4), 8)
+	onlyLevelIndexed(t, "after a swap and a stream", s.sk, s.FilterLevel())
+}
+
+// onlyLevelIndexed fails unless sk's pair index exists at level l and at no
+// other level. Probing builds the other levels, so it must be sk's last use.
+func onlyLevelIndexed(t *testing.T, tag string, sk *sketch.Structure, l int) {
+	t.Helper()
+	if sk.IndexPairs(l) {
+		t.Fatalf("%s: filter level %d had no pair index", tag, l)
+	}
+	for k := 1; k < sk.Decomposition().Levels; k++ {
+		if k != l && !sk.IndexPairs(k) {
+			t.Fatalf("%s: level %d has a pair index; only the filter level %d should", tag, k, l)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +126,72 @@ func TestRegisterQueryRoundTripProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: materializing a pair level late gives, element for element, the
+// index that keeping it current from the start gives. Three structures see
+// the same registration stream: one with every level built before it, one
+// with every level built after it, and one with level 1 and a random half of
+// the others built midway, between an edge's append and its registration. Every level must hold the same edge lists, in the same order,
+// for every cluster pair, and every cluster the same intra edges.
+func TestLazyPairLevelsEqualEagerProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		g := randomConnected(seed, 40, 50)
+		d, err := lrd.Build(g, lrd.Config{Krylov: krylov.Config{Seed: seed}})
+		if err != nil {
+			return false
+		}
+		var eager, lazy, mid *Structure
+		for _, s := range []**Structure{&eager, &lazy, &mid} {
+			if *s, err = New(d, g); err != nil {
+				return false
+			}
+		}
+		for l := 1; l < d.Levels; l++ {
+			eager.IndexPairs(l)
+		}
+		r := vecmath.NewRNG(seed ^ 0x5)
+		const stream = 60
+		for k := 0; k < stream; k++ {
+			u, v := r.Intn(40), r.Intn(40)
+			if u == v {
+				v = (u + 1) % 40
+			}
+			ei := g.AddEdge(u, v, r.Range(0.5, 2))
+			if k == stream/2 {
+				// Between AddEdge and Register: the build must skip ei.
+				for l := 1; l < d.Levels; l++ {
+					if l == 1 || r.Intn(2) == 0 {
+						mid.IndexPairs(l)
+					}
+				}
+			}
+			for _, s := range []*Structure{eager, lazy, mid} {
+				s.Register(ei)
+			}
+		}
+		for _, s := range []*Structure{lazy, mid} {
+			for l := 1; l < d.Levels; l++ {
+				if s.LevelPairs(l) != eager.LevelPairs(l) {
+					return false
+				}
+				for k, info := range eager.pairs[l] {
+					if !slices.Equal(s.pairs[l][k].Edges, info.Edges) {
+						return false
+					}
+				}
+				for v := 0; v < d.N; v++ {
+					if !slices.Equal(s.IntraClusterEdges(l, v, nil), eager.IntraClusterEdges(l, v, nil)) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

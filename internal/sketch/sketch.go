@@ -7,7 +7,13 @@
 // cluster (discard and redistribute weight).
 //
 // The structure is maintained incrementally: when the update phase admits a
-// new edge into the sparsifier, Register updates every level's indexes.
+// new edge into the sparsifier, Register records it as an intra-cluster
+// edge at the level where its endpoints first share a cluster, and in the
+// pair index of every level below that which is materialized. The update
+// phase reads pairs at one level only (the filter level), so a level's pair
+// index is built on first use, by IndexPairs or a query, from the edges
+// registered so far. Edges are registered in index order, so a level built
+// late holds exactly the lists an eagerly built one would.
 package sketch
 
 import (
@@ -43,22 +49,27 @@ func (p PairInfo) Edge() int { return p.Edges[0] }
 func (p PairInfo) Count() int { return len(p.Edges) }
 
 // Structure is the multilevel cluster-connectivity index for one sparsifier
-// graph against one LRD decomposition.
+// graph against one LRD decomposition. It is not safe for concurrent use:
+// besides Register, a pair query may build its level.
 type Structure struct {
 	d *lrd.Decomposition
 	h *graph.Graph
 
-	// pairs[l] maps cluster-pair key -> PairInfo at level l >= 1.
+	// pairs[l] maps cluster-pair key -> PairInfo at level l >= 1. It is nil
+	// until level l is materialized (see IndexPairs).
 	pairs []map[uint64]PairInfo
-	// intra[l] maps cluster id -> indices of sparsifier edges whose both
-	// endpoints lie in that cluster at level l but NOT at level l-1 (the
-	// level at which the edge becomes internal). Each edge is stored at
-	// exactly one level, keeping memory O(E).
-	intra []map[int32][]int
+	// intra[l][c] lists the sparsifier edges whose both endpoints lie in
+	// cluster c at level l but NOT at level l-1 (the level at which the
+	// edge becomes internal). Each edge is stored at exactly one level,
+	// keeping memory O(E).
+	intra [][][]int
 	// children[l][c] lists the level-(l-1) cluster ids contained in level-l
 	// cluster c, enabling full descent when collecting a cluster's internal
 	// edges.
 	children [][][]int32
+	// registered counts the registered edges: exactly H's edges
+	// [0, registered), in index order.
+	registered int
 }
 
 // New indexes the sparsifier h against decomposition d. h must be the graph
@@ -71,11 +82,10 @@ func New(d *lrd.Decomposition, h *graph.Graph) (*Structure, error) {
 		d:     d,
 		h:     h,
 		pairs: make([]map[uint64]PairInfo, d.Levels),
-		intra: make([]map[int32][]int, d.Levels),
+		intra: make([][][]int, d.Levels),
 	}
 	for l := 1; l < d.Levels; l++ {
-		s.pairs[l] = make(map[uint64]PairInfo)
-		s.intra[l] = make(map[int32][]int)
+		s.intra[l] = make([][]int, d.NumClusters[l])
 	}
 
 	// Build the cluster containment tree. A level-(l-1) cluster's parent is
@@ -114,12 +124,11 @@ func (s *Structure) Advance(h *graph.Graph) error {
 	if h.NumNodes() != s.d.N {
 		return fmt.Errorf("sketch: advance graph has %d nodes, decomposition %d", h.NumNodes(), s.d.N)
 	}
-	old := s.h.NumEdges()
-	if h.NumEdges() < old {
-		return fmt.Errorf("sketch: advance graph has %d edges, structure already indexes %d", h.NumEdges(), old)
+	if h.NumEdges() < s.registered {
+		return fmt.Errorf("sketch: advance graph has %d edges, structure already indexes %d", h.NumEdges(), s.registered)
 	}
 	s.h = h
-	for ei := old; ei < h.NumEdges(); ei++ {
+	for ei := s.registered; ei < h.NumEdges(); ei++ {
 		s.Register(ei)
 	}
 	return nil
@@ -131,11 +140,17 @@ func (s *Structure) Decomposition() *lrd.Decomposition { return s.d }
 // Sparsifier returns the indexed sparsifier graph.
 func (s *Structure) Sparsifier() *graph.Graph { return s.h }
 
-// Register indexes sparsifier edge ei at every level. Call it after
-// appending a new edge to the sparsifier. Registering the same edge twice
-// double-counts it; callers own that discipline.
+// Register indexes sparsifier edge ei: as an intra edge at the level its
+// endpoints first share a cluster, and in every materialized pair index
+// below it. Call it after appending a new edge to the sparsifier. Edges
+// must be registered in index order, each once: Register panics unless ei
+// is the next unregistered index.
 func (s *Structure) Register(ei int) {
+	if ei != s.registered {
+		panic(fmt.Sprintf("sketch: Register(%d) out of order: next unregistered edge is %d", ei, s.registered))
+	}
 	e := s.h.Edge(ei)
+	s.registered++
 	for l := 1; l < s.d.Levels; l++ {
 		cu := s.d.ClusterID(l, e.U)
 		cv := s.d.ClusterID(l, e.V)
@@ -144,11 +159,44 @@ func (s *Structure) Register(ei int) {
 			s.intra[l][cu] = append(s.intra[l][cu], ei)
 			break
 		}
-		k := pairKey(cu, cv)
-		info := s.pairs[l][k]
-		info.Edges = append(info.Edges, ei)
-		s.pairs[l][k] = info
+		if s.pairs[l] != nil {
+			addPair(s.pairs[l], pairKey(cu, cv), ei)
+		}
 	}
+}
+
+func addPair(m map[uint64]PairInfo, k uint64, ei int) {
+	info := m[k]
+	info.Edges = append(info.Edges, ei)
+	m[k] = info
+}
+
+// IndexPairs materializes the pair index of level l from the registered
+// edges, scanned in index order, unless it already exists; Register keeps
+// it current from then on. It reports whether this call built the index.
+// Level 0 (singletons) and levels outside the hierarchy have no pair index.
+// Queries materialize their level on first use; callers that must not pay
+// the O(|E_H|) build on a hot path call IndexPairs ahead of time.
+func (s *Structure) IndexPairs(l int) bool {
+	if l < 1 || l >= s.d.Levels || s.pairs[l] != nil {
+		return false
+	}
+	m := make(map[uint64]PairInfo)
+	for ei, e := range s.h.Edges()[:s.registered] {
+		// Clusters nest, so an edge crossing level l crosses every level
+		// below it: exactly the edges an eager Register put here.
+		if cu, cv := s.d.ClusterID(l, e.U), s.d.ClusterID(l, e.V); cu != cv {
+			addPair(m, pairKey(cu, cv), ei)
+		}
+	}
+	s.pairs[l] = m
+	return true
+}
+
+// levelPairs returns level l's pair index, materializing it on first use.
+func (s *Structure) levelPairs(l int) map[uint64]PairInfo {
+	s.IndexPairs(l)
+	return s.pairs[l]
 }
 
 // ConnectingEdge reports whether some sparsifier edge already connects the
@@ -171,7 +219,7 @@ func (s *Structure) PairEdges(l, p, q int) []int {
 	if cu == cv {
 		return nil
 	}
-	return s.pairs[l][pairKey(cu, cv)].Edges
+	return s.levelPairs(l)[pairKey(cu, cv)].Edges
 }
 
 // PairCount returns how many sparsifier edges connect the clusters of p and
@@ -192,25 +240,28 @@ func (s *Structure) SameCluster(l, p, q int) bool {
 // weight over these edges. Cost is O(size of the cluster subtree), which
 // the filter-level choice bounds by the target condition number.
 func (s *Structure) IntraClusterEdges(l, p int, buf []int) []int {
-	var descend func(level int, c int32)
-	descend = func(level int, c int32) {
-		buf = append(buf, s.intra[level][c]...)
-		if level >= 2 {
-			for _, child := range s.children[level][c] {
-				descend(level-1, child)
-			}
+	return s.appendIntra(l, s.d.ClusterID(l, p), buf)
+}
+
+// appendIntra appends cluster c's intra edges at level, then its children's
+// subtrees in order.
+func (s *Structure) appendIntra(level int, c int32, buf []int) []int {
+	buf = append(buf, s.intra[level][c]...)
+	if level >= 2 {
+		for _, child := range s.children[level][c] {
+			buf = s.appendIntra(level-1, child, buf)
 		}
 	}
-	descend(l, s.d.ClusterID(l, p))
 	return buf
 }
 
 // LevelPairs returns the number of connected cluster pairs recorded at
 // level l (diagnostic).
-func (s *Structure) LevelPairs(l int) int { return len(s.pairs[l]) }
+func (s *Structure) LevelPairs(l int) int { return len(s.levelPairs(l)) }
 
-// MemoryFootprint returns a rough count of stored index entries across all
-// levels (diagnostic; the paper's O(N log N) claim is observable here).
+// MemoryFootprint returns a rough count of stored index entries: every
+// intra entry plus the cluster pairs of the materialized levels only
+// (diagnostic).
 func (s *Structure) MemoryFootprint() int {
 	total := 0
 	for l := 1; l < s.d.Levels; l++ {

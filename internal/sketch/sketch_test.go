@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"testing"
 
 	"ingrass/internal/graph"
@@ -197,5 +198,53 @@ func TestPairKeySymmetry(t *testing.T) {
 	}
 	if pairKey(3, 9) == pairKey(3, 8) {
 		t.Fatal("distinct pairs collide")
+	}
+}
+
+// Register accepts only the next unregistered edge index: a duplicate or a
+// gap would make a pair level built later differ from one kept current.
+func TestRegisterRejectsOutOfOrder(t *testing.T) {
+	g := grid(4, 4)
+	_, s := build(t, g)
+	next := g.NumEdges()
+	g.AddEdge(0, 15, 1)
+	g.AddEdge(3, 12, 1)
+	for _, ei := range []int{next - 1, 0, next + 1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("sketch: Register(%d) out of order: next unregistered edge is %d", ei, next)
+				if msg != want {
+					t.Fatalf("Register(%d): panic %q, want %q", ei, msg, want)
+				}
+			}()
+			s.Register(ei)
+		}()
+	}
+	before := s.MemoryFootprint()
+	s.Register(next)
+	s.Register(next + 1)
+	if got := s.MemoryFootprint(); got != before+2 {
+		t.Fatalf("footprint %d after two in-order registrations, want %d", got, before+2)
+	}
+}
+
+func TestIndexPairsMaterializesOnce(t *testing.T) {
+	g := grid(6, 6)
+	d, s := build(t, g)
+	if s.IndexPairs(0) || s.IndexPairs(d.Levels) {
+		t.Fatal("levels without a pair index must not be built")
+	}
+	if s.MemoryFootprint() != g.NumEdges() {
+		t.Fatalf("fresh footprint %d, want one intra entry per edge (%d)", s.MemoryFootprint(), g.NumEdges())
+	}
+	if !s.IndexPairs(1) || s.IndexPairs(1) {
+		t.Fatal("IndexPairs(1) must build the level once")
+	}
+	if got, want := s.MemoryFootprint(), g.NumEdges()+s.LevelPairs(1); got != want {
+		t.Fatalf("footprint %d, want intra entries plus level-1 pairs %d", got, want)
+	}
+	if d.Levels > 2 && !s.IndexPairs(2) {
+		t.Fatal("IndexPairs(1) must not build level 2")
 	}
 }
