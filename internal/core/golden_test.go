@@ -1,13 +1,18 @@
-//go:build amd64 && !amd64.v3
+//go:build amd64
 
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"math"
+	"os"
+	"os/exec"
+	"regexp"
+	"strings"
 	"testing"
 
 	"ingrass/internal/gen"
@@ -15,7 +20,6 @@ import (
 	"ingrass/internal/grass"
 	"ingrass/internal/krylov"
 	"ingrass/internal/lrd"
-	"ingrass/internal/vecmath"
 )
 
 // TestGoldenSetupDeterminism pins every bit the setup phase produces on two
@@ -33,48 +37,74 @@ import (
 // replay of existing checkpoints and must say so; an optimisation never
 // re-records them.
 //
-// The Krylov embedding's dot products differ in their last bits between the
-// AVX2 kernel bodies and the pure-Go ones, so each dispatch path has its own
-// hashes. The build constraint pins the float semantics they were taken
-// with: amd64 without GOAMD64=v3, where the compiler never fuses x*y+z.
+// The vecmath reductions run in one 4-lane order on every host, so there is
+// one set of hashes: the one AVX2 hosts recorded before the assembly was
+// retired, so their data directories replay unchanged. The numeric kernels
+// write each product float64(x*y), which Go never fuses into a multiply-add.
+// Each graph is checked under both amd64 ISA levels: simd=false is a
+// GOAMD64=v1 build, simd=true a GOAMD64=v3 build, whose instruction set has
+// AVX2 and FMA. The level this binary was not built for runs in a child
+// `go test` with GOAMD64 set. The build constraint keeps the test to amd64,
+// the only architecture the hashes have been checked on.
 func TestGoldenSetupDeterminism(t *testing.T) {
 	cases := []struct {
-		name          string
-		scale         float64
-		simd, generic goldenHashes
+		name  string
+		scale float64
+		want  goldenHashes
 	}{
 		{"delaunay_n14", 0.5, goldenHashes{
 			GrassLowStretch: 0x855dbd593a15201f, GrassMaxWeight: 0x26e92cfa4c05aff0,
 			LRD: 0x63110aa7b024bb77, Embedding: 0xac6fae92974f1878, Stream: 0x7084062600db6833,
-		}, goldenHashes{
-			GrassLowStretch: 0x855dbd593a15201f, GrassMaxWeight: 0x26e92cfa4c05aff0,
-			LRD: 0xbb9d5b1f1d784070, Embedding: 0x8560646ba092241, Stream: 0xd5d107655bba3396,
 		}},
 		{"social_ba", 0.25, goldenHashes{
 			GrassLowStretch: 0x7172f22a7c7e0f9c, GrassMaxWeight: 0xbfbbc7c6c5e82a4,
 			LRD: 0x4feffd7128698f3b, Embedding: 0x893c82e659501d38, Stream: 0x7d977c68f46451d2,
-		}, goldenHashes{
-			GrassLowStretch: 0x7172f22a7c7e0f9c, GrassMaxWeight: 0xbfbbc7c6c5e82a4,
-			LRD: 0x1b5f76c7e5f49fbc, Embedding: 0x6efd3742fbf4f8c0, Stream: 0xae40872b5276be54,
 		}},
 	}
-	prev := vecmath.SIMDActive()
-	defer vecmath.SetSIMD(prev)
 	for _, simd := range []bool{false, true} {
-		if vecmath.SetSIMD(simd) != simd {
-			continue // no AVX2 on this CPU, or a purego build
-		}
 		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/simd=%v", tc.name, simd), func(t *testing.T) {
-				want := tc.generic
-				if simd {
-					want = tc.simd
+			name := fmt.Sprintf("%s/simd=%v", tc.name, simd)
+			t.Run(name, func(t *testing.T) {
+				if simd != builtForV3 {
+					runGoldenChild(t, name, simd)
+					return
 				}
-				if got := setupHashes(t, tc.name, tc.scale); got != want {
-					t.Errorf("setup output changed:\n got  %#v\n want %#v", got, want)
+				if got := setupHashes(t, tc.name, tc.scale); got != tc.want {
+					t.Errorf("setup output changed:\n got  %#v\n want %#v", got, tc.want)
 				}
 			})
 		}
+	}
+}
+
+// builtForV3 reports whether this test binary was built with GOAMD64=v3 or
+// higher; golden_v3_test.go sets it.
+var builtForV3 bool
+
+// runGoldenChild runs the golden subtest name in a `go test` of this package
+// built with GOAMD64=v3 if v3, else v1, and fails unless that subtest passed.
+func runGoldenChild(t *testing.T, name string, v3 bool) {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go command to build the other GOAMD64 level: %v", err)
+	}
+	level := "v1"
+	if v3 {
+		level = "v3"
+	}
+	pattern := "^TestGoldenSetupDeterminism$"
+	for _, part := range strings.Split(name, "/") {
+		pattern += "/^" + regexp.QuoteMeta(part) + "$"
+	}
+	cmd := exec.Command(goBin, "test", "-count=1", "-v", "-run", pattern, ".")
+	cmd.Env = append(os.Environ(), "GOAMD64="+level)
+	out, err := cmd.CombinedOutput()
+	if bytes.Contains(out, []byte("microarchitecture support")) {
+		t.Skipf("this CPU cannot run a GOAMD64=%s binary", level)
+	}
+	if err != nil || !bytes.Contains(out, []byte("--- PASS: TestGoldenSetupDeterminism/"+name+" ")) {
+		t.Errorf("GOAMD64=%s go test -run %s: %v\n%s", level, pattern, err, out)
 	}
 }
 

@@ -75,6 +75,11 @@ func NewCSR(g *Graph) *CSR {
 func (c *CSR) NNZ() int { return len(c.ColIdx) }
 
 // AdjMul computes dst = A x where A is the weighted adjacency matrix.
+//
+// Here and in every SpMV kernel, each product that feeds a sum is written
+// float64(w*x). The conversion rounds the product, so no architecture fuses
+// it into a multiply-add (Go does on arm64) and every host computes the
+// same bits.
 func (c *CSR) AdjMul(dst, x []float64) {
 	if len(x) != c.N || len(dst) != c.N {
 		panic(fmt.Sprintf("graph: AdjMul dims %d/%d vs N=%d", len(dst), len(x), c.N))
@@ -82,7 +87,7 @@ func (c *CSR) AdjMul(dst, x []float64) {
 	for u := 0; u < c.N; u++ {
 		var s float64
 		for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
-			s += c.Weights[k] * x[c.ColIdx[k]]
+			s += float64(c.Weights[k] * x[c.ColIdx[k]])
 		}
 		dst[u] = s
 	}
@@ -96,7 +101,7 @@ func (c *CSR) LapMul(dst, x []float64) {
 	for u := 0; u < c.N; u++ {
 		s := c.Degree[u] * x[u]
 		for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
-			s -= c.Weights[k] * x[c.ColIdx[k]]
+			s -= float64(c.Weights[k] * x[c.ColIdx[k]])
 		}
 		dst[u] = s
 	}
@@ -173,7 +178,7 @@ func (c *CSR) lapMulRange(dst, x []float64, lo, hi int) {
 	for u := lo; u < hi; u++ {
 		s := c.Degree[u] * x[u]
 		for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
-			s -= c.Weights[k] * x[c.ColIdx[k]]
+			s -= float64(c.Weights[k] * x[c.ColIdx[k]])
 		}
 		dst[u] = s
 	}
@@ -188,8 +193,8 @@ func (c *CSR) lapMulMulti2(d0, d1, x0, x1 []float64, lo, hi int) {
 		s1 := deg * x1[u]
 		for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
 			w, ci := c.Weights[k], c.ColIdx[k]
-			s0 -= w * x0[ci]
-			s1 -= w * x1[ci]
+			s0 -= float64(w * x0[ci])
+			s1 -= float64(w * x1[ci])
 		}
 		d0[u] = s0
 		d1[u] = s1
@@ -207,10 +212,10 @@ func (c *CSR) lapMulMulti4(d0, d1, d2, d3, x0, x1, x2, x3 []float64, lo, hi int)
 		s3 := deg * x3[u]
 		for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
 			w, ci := c.Weights[k], c.ColIdx[k]
-			s0 -= w * x0[ci]
-			s1 -= w * x1[ci]
-			s2 -= w * x2[ci]
-			s3 -= w * x3[ci]
+			s0 -= float64(w * x0[ci])
+			s1 -= float64(w * x1[ci])
+			s2 -= float64(w * x2[ci])
+			s3 -= float64(w * x3[ci])
 		}
 		d0[u] = s0
 		d1[u] = s1

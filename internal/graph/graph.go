@@ -278,7 +278,7 @@ func (g *Graph) QuadraticForm(x []float64) float64 {
 	var s float64
 	for _, e := range g.edges {
 		d := x[e.U] - x[e.V]
-		s += e.W * d * d
+		s += float64(e.W * d * d)
 	}
 	return s
 }

@@ -268,7 +268,7 @@ func (s *SELL) AdjMul(dst, x []float64) {
 func (s *SELL) lapTail(acc float64, x []float64, base, from, to, lane int) float64 {
 	for k := from; k < to; k++ {
 		idx := base + k*SellC + lane
-		acc -= s.Vals[idx] * x[s.Cols[idx]]
+		acc -= float64(s.Vals[idx] * x[s.Cols[idx]])
 	}
 	return acc
 }
@@ -276,7 +276,7 @@ func (s *SELL) lapTail(acc float64, x []float64, base, from, to, lane int) float
 func (s *SELL) adjTail(acc float64, x []float64, base, from, to, lane int) float64 {
 	for k := from; k < to; k++ {
 		idx := base + k*SellC + lane
-		acc += s.Vals[idx] * x[s.Cols[idx]]
+		acc += float64(s.Vals[idx] * x[s.Cols[idx]])
 	}
 	return acc
 }
@@ -299,10 +299,10 @@ func (s *SELL) LapMulChunks(dst, x []float64, c0, c1 int) {
 			m := int(s.ChunkMin[ch])
 			off := base
 			for k := 0; k < m; k++ {
-				a0 -= s.Vals[off] * x[s.Cols[off]]
-				a1 -= s.Vals[off+1] * x[s.Cols[off+1]]
-				a2 -= s.Vals[off+2] * x[s.Cols[off+2]]
-				a3 -= s.Vals[off+3] * x[s.Cols[off+3]]
+				a0 -= float64(s.Vals[off] * x[s.Cols[off]])
+				a1 -= float64(s.Vals[off+1] * x[s.Cols[off+1]])
+				a2 -= float64(s.Vals[off+2] * x[s.Cols[off+2]])
+				a3 -= float64(s.Vals[off+3] * x[s.Cols[off+3]])
 				off += SellC
 			}
 			if int(s.ChunkLen[ch]) > m {
@@ -337,10 +337,10 @@ func (s *SELL) AdjMulChunks(dst, x []float64, c0, c1 int) {
 			m := int(s.ChunkMin[ch])
 			off := base
 			for k := 0; k < m; k++ {
-				a0 += s.Vals[off] * x[s.Cols[off]]
-				a1 += s.Vals[off+1] * x[s.Cols[off+1]]
-				a2 += s.Vals[off+2] * x[s.Cols[off+2]]
-				a3 += s.Vals[off+3] * x[s.Cols[off+3]]
+				a0 += float64(s.Vals[off] * x[s.Cols[off]])
+				a1 += float64(s.Vals[off+1] * x[s.Cols[off+1]])
+				a2 += float64(s.Vals[off+2] * x[s.Cols[off+2]])
+				a3 += float64(s.Vals[off+3] * x[s.Cols[off+3]])
 				off += SellC
 			}
 			if int(s.ChunkLen[ch]) > m {
@@ -387,14 +387,14 @@ func (s *SELL) lapMulChunk2(ch int, d0, d1, x0, x1 []float64) {
 			w1, c1 := s.Vals[off+1], s.Cols[off+1]
 			w2, c2 := s.Vals[off+2], s.Cols[off+2]
 			w3, c3 := s.Vals[off+3], s.Cols[off+3]
-			p0 -= w0 * x0[c0]
-			q0 -= w0 * x1[c0]
-			p1 -= w1 * x0[c1]
-			q1 -= w1 * x1[c1]
-			p2 -= w2 * x0[c2]
-			q2 -= w2 * x1[c2]
-			p3 -= w3 * x0[c3]
-			q3 -= w3 * x1[c3]
+			p0 -= float64(w0 * x0[c0])
+			q0 -= float64(w0 * x1[c0])
+			p1 -= float64(w1 * x0[c1])
+			q1 -= float64(w1 * x1[c1])
+			p2 -= float64(w2 * x0[c2])
+			q2 -= float64(w2 * x1[c2])
+			p3 -= float64(w3 * x0[c3])
+			q3 -= float64(w3 * x1[c3])
 			off += SellC
 		}
 		if int(s.ChunkLen[ch]) > m {

@@ -26,15 +26,16 @@ const (
 // --- SpMV ------------------------------------------------------------------
 
 // lapMulShare computes worker w's rows of dst = (D - A) x over the
-// nnz-balanced row partition in the job. Row accumulation order matches
-// graph.CSR.LapMul exactly, so pooled and serial products are bit-identical.
+// nnz-balanced row partition in the job. Row accumulation order and the
+// rounded float64(w*x) products match graph.CSR.LapMul exactly, so pooled
+// and serial products are bit-identical.
 func lapMulShare(p *Pool, w int) {
 	j := &p.job
 	c, x, dst := j.csr, j.x, j.dst
 	for u := j.part[w]; u < j.part[w+1]; u++ {
 		s := c.Degree[u] * x[u]
 		for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
-			s -= c.Weights[k] * x[c.ColIdx[k]]
+			s -= float64(c.Weights[k] * x[c.ColIdx[k]])
 		}
 		dst[u] = s
 	}
@@ -47,7 +48,7 @@ func adjMulShare(p *Pool, w int) {
 	for u := j.part[w]; u < j.part[w+1]; u++ {
 		var s float64
 		for k := c.RowPtr[u]; k < c.RowPtr[u+1]; k++ {
-			s += c.Weights[k] * x[c.ColIdx[k]]
+			s += float64(c.Weights[k] * x[c.ColIdx[k]])
 		}
 		dst[u] = s
 	}
@@ -117,15 +118,14 @@ func (p *Pool) AdjMul(c *graph.CSR, part []int, dst, x []float64) {
 // --- Fused vector kernels --------------------------------------------------
 //
 // Parallel reductions accumulate one padded partial per worker and sum the
-// partials in worker order: deterministic for a fixed pool width (and fixed
-// vecmath dispatch state), though not bit-identical to the serial
-// left-to-right order (callers tolerate reduction rounding by construction
-// — CG convergence checks, Rayleigh quotients). The element-wise kernels
-// are bit-identical to their serial counterparts.
+// partials in worker order: deterministic for a fixed pool width, though
+// not bit-identical to the serial lane order (callers tolerate reduction
+// rounding by construction — CG convergence checks, Rayleigh quotients).
+// The element-wise kernels are bit-identical to their serial counterparts.
 //
 // Each share delegates its span to the corresponding vecmath kernel on
-// subslices, so the AVX2 bodies (when active) run inside worker spans too —
-// the pooled and serial paths always use the same innermost loops.
+// subslices, so the pooled and serial paths always use the same innermost
+// loops.
 
 func dotShare(p *Pool, w int) {
 	j := &p.job

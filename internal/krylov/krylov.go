@@ -92,7 +92,7 @@ func (e *Embedding) Resistance(p, q int) float64 {
 	var s float64
 	for i, a := range cp {
 		d := a - cq[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -171,7 +171,7 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 	apply := func(dst, x []float64) {
 		kern.AdjMul(csr, part, dst, x)
 		for i := range dst {
-			dst[i] = 0.5 * (x[i] + dst[i]*invDeg[i])
+			dst[i] = 0.5 * (x[i] + float64(dst[i]*invDeg[i]))
 		}
 	}
 
@@ -255,7 +255,8 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 	// Ritz values at numerical zero are null-space remnants and are skipped.
 	// Each column accumulates contiguously, in j order, then scatters once:
 	// the sums are the ones a strided accumulation would form, bit for bit.
-	// The scalar c*q + col stays plain Go (no SIMD AXPY) for the same reason.
+	// Writing each product float64(c*q) rounds it before the add, so no
+	// architecture fuses the two into one multiply-add with other bits.
 	coords := make([]float64, n*m)
 	col := make([]float64, n)
 	for i := 0; i < m; i++ {
@@ -273,7 +274,7 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 			qj := basis[j]
 			c := yji * scale
 			for v, q := range qj {
-				col[v] += c * q
+				col[v] += float64(c * q)
 			}
 		}
 		for v, x := range col {

@@ -129,7 +129,7 @@ func absorb(adj [][]nbr, buf []nbr, u, v int32, su float64, sn []nbr) []nbr {
 			}
 		}
 		if j < len(sn) && sn[j].to == x.to {
-			x.w += su * sn[j].w
+			x.w += float64(su * sn[j].w)
 			j++
 		}
 		out = append(out, x)
@@ -166,13 +166,16 @@ func (f *ldl) nnz() int { return len(f.rows) + len(f.piv) }
 // (to which the zeroed ground entries contribute nothing). Each column
 // sees the same operations in the same order whatever the block width, so
 // column j of a block equals a width-1 solve.
+//
+// Products are written float64(c*x) so that no architecture fuses them into
+// a multiply-add: the sweeps give the same bits on every host.
 func (f *ldl) solve(xs [][]float64) {
 	for k, v := range f.order {
 		rows, coef := f.rows[f.colPtr[k]:f.colPtr[k+1]], f.coef[f.colPtr[k]:f.colPtr[k+1]]
 		for _, x := range xs {
 			xv := x[v]
 			for p, u := range rows {
-				x[u] += coef[p] * xv
+				x[u] += float64(coef[p] * xv)
 			}
 			x[v] = xv / f.piv[k]
 		}
@@ -188,7 +191,7 @@ func (f *ldl) solve(xs [][]float64) {
 		for _, x := range xs {
 			s := x[v]
 			for p, u := range rows {
-				s += coef[p] * x[u]
+				s += float64(coef[p] * x[u])
 			}
 			x[v] = s
 		}

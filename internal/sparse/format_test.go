@@ -17,18 +17,6 @@ func withMaxProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// withSIMDState pins the vecmath dispatch state for the test and restores it
-// afterwards. Asking for SIMD on a machine without it skips the test.
-func withSIMDState(t *testing.T, on bool) {
-	t.Helper()
-	if on && !vecmath.SIMDSupported() {
-		t.Skip("SIMD not supported on this machine")
-	}
-	prev := vecmath.SIMDActive()
-	vecmath.SetSIMD(on)
-	t.Cleanup(func() { vecmath.SetSIMD(prev) })
-}
-
 func frozenOp(g *graph.Graph, f solver.Format, workers int) *LapOperator {
 	op := NewLapOperator(g)
 	op.SetWorkers(workers)
@@ -46,7 +34,7 @@ func firstBitsDiff(a, b []float64) int {
 }
 
 // The tentpole's central property: every frozen configuration — {CSR, SELL}
-// layout × {serial, pooled} execution × {generic, SIMD} vecmath dispatch —
+// layout × {serial, pooled} execution —
 // produces Apply and ApplyBlock results bit-identical to the plain serial
 // CSR product, per column, at sizes spanning the pool cutover and chunk
 // boundary edge cases (4095 leaves a partial tail chunk, 4096 does not).
@@ -78,42 +66,34 @@ func TestLapOperatorCrossFormatBitIdentical(t *testing.T) {
 
 		for _, format := range []solver.Format{solver.FormatCSR, solver.FormatSELL} {
 			for _, workers := range []int{0, 3} {
-				for _, simd := range []bool{false, true} {
-					if simd && !vecmath.SIMDSupported() {
-						continue
-					}
-					prev := vecmath.SIMDActive()
-					vecmath.SetSIMD(simd)
-					op := frozenOp(g, format, workers)
-					if op.Format() != format {
-						t.Fatalf("n=%d: forced %v froze as %v", n, format, op.Format())
-					}
+				op := frozenOp(g, format, workers)
+				if op.Format() != format {
+					t.Fatalf("n=%d: forced %v froze as %v", n, format, op.Format())
+				}
 
-					op.Apply(got, x[0])
-					if i := firstBitsDiff(want[0], got); i >= 0 {
-						t.Errorf("n=%d fmt=%v workers=%d simd=%v: Apply differs from serial CSR at %d",
-							n, format, workers, simd, i)
-					}
-					for _, w := range widths {
-						op.ApplyBlock(dst[:w], x[:w])
-						for j := 0; j < w; j++ {
-							if i := firstBitsDiff(want[j], dst[j]); i >= 0 {
-								t.Errorf("n=%d fmt=%v workers=%d simd=%v width=%d col=%d: ApplyBlock differs at %d",
-									n, format, workers, simd, w, j, i)
-							}
+				op.Apply(got, x[0])
+				if i := firstBitsDiff(want[0], got); i >= 0 {
+					t.Errorf("n=%d fmt=%v workers=%d: Apply differs from serial CSR at %d",
+						n, format, workers, i)
+				}
+				for _, w := range widths {
+					op.ApplyBlock(dst[:w], x[:w])
+					for j := 0; j < w; j++ {
+						if i := firstBitsDiff(want[j], dst[j]); i >= 0 {
+							t.Errorf("n=%d fmt=%v workers=%d width=%d col=%d: ApplyBlock differs at %d",
+								n, format, workers, w, j, i)
 						}
 					}
-					vecmath.SetSIMD(prev)
 				}
 			}
 		}
 	}
 }
 
-// With the vecmath dispatch state fixed, a full preconditioned solve is a
-// deterministic composition of bit-identical SpMVs and vector kernels — so
-// the CSR- and SELL-frozen solvers must walk the exact same iterate sequence
-// and land on bit-identical solutions.
+// A full preconditioned solve is a deterministic composition of
+// bit-identical SpMVs and vector kernels — so the CSR- and SELL-frozen
+// solvers must walk the exact same iterate sequence and land on
+// bit-identical solutions.
 func TestSolveBitIdenticalAcrossFormats(t *testing.T) {
 	withMaxProcs(t, 4)
 	n := 2048

@@ -50,7 +50,7 @@ func (m *Dense) MulVec(dst, x []float64) {
 		row := m.Row(i)
 		var s float64
 		for j, rv := range row {
-			s += rv * x[j]
+			s += float64(rv * x[j])
 		}
 		dst[i] = s
 	}
@@ -79,7 +79,9 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 // Jacobi is O(n^3) per sweep and unconditionally stable; it is intended for
 // the n <= ~1000 regime where it serves as the exact oracle against which
 // the iterative estimators (Krylov resistance, pencil power iteration) are
-// validated in tests.
+// validated in tests. It also runs in the Krylov embedding's Rayleigh-Ritz
+// step, so its products are written float64(x*y) like the kernels'
+// (generic.go): the setup phase's bits must not depend on the architecture.
 func SymEig(m *Dense) (eigenvalues []float64, eigenvectors *Dense, err error) {
 	if m.Rows != m.Cols {
 		return nil, nil, fmt.Errorf("vecmath: SymEig on non-square %dx%d matrix", m.Rows, m.Cols)
@@ -95,7 +97,7 @@ func SymEig(m *Dense) (eigenvalues []float64, eigenvectors *Dense, err error) {
 		var s float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				s += a.At(i, j) * a.At(i, j)
+				s += float64(a.At(i, j) * a.At(i, j))
 			}
 		}
 		return s
@@ -119,30 +121,30 @@ func SymEig(m *Dense) (eigenvalues []float64, eigenvectors *Dense, err error) {
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 
 				for k := 0; k < n; k++ {
 					akp := a.At(k, p)
 					akq := a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
+					a.Set(k, p, float64(c*akp)-float64(s*akq))
+					a.Set(k, q, float64(s*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk := a.At(p, k)
 					aqk := a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
+					a.Set(p, k, float64(c*apk)-float64(s*aqk))
+					a.Set(q, k, float64(s*apk)+float64(c*aqk))
 				}
 				for k := 0; k < n; k++ {
 					vkp := v.At(k, p)
 					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(s*vkq))
+					v.Set(k, q, float64(s*vkp)+float64(c*vkq))
 				}
 			}
 		}
@@ -189,7 +191,7 @@ func SolveSPD(m *Dense, b []float64) ([]float64, error) {
 	for j := 0; j < n; j++ {
 		d := l.At(j, j)
 		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+			d -= float64(l.At(j, k) * l.At(j, k))
 		}
 		if d <= 0 {
 			return nil, fmt.Errorf("vecmath: SolveSPD matrix not positive definite at pivot %d (d=%g)", j, d)
@@ -199,7 +201,7 @@ func SolveSPD(m *Dense, b []float64) ([]float64, error) {
 		for i := j + 1; i < n; i++ {
 			s := l.At(i, j)
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= float64(l.At(i, k) * l.At(j, k))
 			}
 			l.Set(i, j, s/d)
 		}
@@ -209,7 +211,7 @@ func SolveSPD(m *Dense, b []float64) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
+			s -= float64(l.At(i, k) * y[k])
 		}
 		y[i] = s / l.At(i, i)
 	}
@@ -218,7 +220,7 @@ func SolveSPD(m *Dense, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= float64(l.At(k, i) * x[k])
 		}
 		x[i] = s / l.At(i, i)
 	}

@@ -9,13 +9,12 @@ import "fmt"
 // consumes it roughly halves the memory passes per iteration. Element-wise
 // results match the unfused compositions exactly, so swapping a fused
 // kernel in is bit-for-bit neutral on the vectors it writes; the property
-// tests in fused_test.go pin that equivalence. Reduction order is
-// dispatch-dependent: the pure-Go path folds left with one accumulator
-// (matching the unfused composition), while the AVX2 path uses the 4-lane
-// order documented in generic.go — deterministic in both cases.
+// tests in fused_test.go pin that equivalence. Every reduction runs in the
+// one 4-lane order documented in generic.go, the same order as Dot, so a
+// fused reduction equals Dot over the updated vector bit for bit.
 //
-// Each exported kernel validates lengths, then delegates to a *Body
-// function that simd_amd64.go / simd_fallback.go resolve per build and CPU.
+// Each exported kernel validates lengths, then calls its one body in
+// generic.go.
 
 // AXPYDot computes dst += alpha*x and returns Dot(dst, y) over the updated
 // dst, in one pass. With y = dst it yields the squared norm of the update —
@@ -26,7 +25,7 @@ func AXPYDot(dst []float64, alpha float64, x, y []float64) float64 {
 	if len(dst) != len(x) || len(dst) != len(y) {
 		panic(fmt.Sprintf("vecmath: AXPYDot length mismatch %d/%d/%d", len(dst), len(x), len(y)))
 	}
-	return axpyDotBody(dst, alpha, x, y)
+	return axpyDot(dst, alpha, x, y)
 }
 
 // AXPY2 performs the paired CG iterate/residual update
@@ -39,7 +38,7 @@ func AXPY2(x, r []float64, alpha float64, p, ap []float64) float64 {
 	if len(x) != len(r) || len(x) != len(p) || len(x) != len(ap) {
 		panic(fmt.Sprintf("vecmath: AXPY2 length mismatch %d/%d/%d/%d", len(x), len(r), len(p), len(ap)))
 	}
-	return axpy2Body(x, r, alpha, p, ap)
+	return axpy2(x, r, alpha, p, ap)
 }
 
 // AXPYPair computes dst += alpha*x + beta*y in one pass (the Lanczos
@@ -48,7 +47,7 @@ func AXPYPair(dst []float64, alpha float64, x []float64, beta float64, y []float
 	if len(dst) != len(x) || len(dst) != len(y) {
 		panic(fmt.Sprintf("vecmath: AXPYPair length mismatch %d/%d/%d", len(dst), len(x), len(y)))
 	}
-	axpyPairBody(dst, alpha, x, beta, y)
+	axpyPair(dst, alpha, x, beta, y)
 }
 
 // XPBYInto computes dst = x + beta*dst element-wise — the CG search-
@@ -58,7 +57,7 @@ func XPBYInto(dst, x []float64, beta float64) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("vecmath: XPBYInto length mismatch %d != %d", len(dst), len(x)))
 	}
-	xpbyIntoBody(dst, x, beta)
+	xpbyInto(dst, x, beta)
 }
 
 // Dot2 returns (a·x, a·y) in one pass over the three vectors.
@@ -66,7 +65,7 @@ func Dot2(a, x, y []float64) (ax, ay float64) {
 	if len(a) != len(x) || len(a) != len(y) {
 		panic(fmt.Sprintf("vecmath: Dot2 length mismatch %d/%d/%d", len(a), len(x), len(y)))
 	}
-	return dot2Body(a, x, y)
+	return dot2(a, x, y)
 }
 
 // DotNorm returns (a·b, b·b) in one pass: the preconditioned-residual inner
@@ -76,5 +75,5 @@ func DotNorm(a, b []float64) (ab, bb float64) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: DotNorm length mismatch %d != %d", len(a), len(b)))
 	}
-	return dotNormBody(a, b)
+	return dotNorm(a, b)
 }

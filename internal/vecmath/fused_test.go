@@ -7,7 +7,7 @@ import (
 
 // The fused kernels promise bit-for-bit agreement with the unfused
 // compositions they replace: element-wise expressions are identical and
-// reductions accumulate in the same ascending order. These fuzz-style
+// reductions accumulate in the same lane order as Dot. These fuzz-style
 // property tests pin that across random lengths and contents (including
 // zeros, denormal-ish magnitudes, and sign mixes from the generator).
 
@@ -98,7 +98,7 @@ func TestAXPYPairMatchesUnfused(t *testing.T) {
 		// the same rounding as two sequential AXPYs; compare against the
 		// matching single-pass composition.
 		for i := range fused {
-			want := dst0[i] + (alpha*x[i] + beta*y[i])
+			want := dst0[i] + (float64(alpha*x[i]) + float64(beta*y[i]))
 			if fused[i] != want && !(fused[i] != fused[i] && want != want) {
 				return false
 			}
@@ -119,7 +119,7 @@ func TestXPBYIntoMatchesInlineLoop(t *testing.T) {
 		fused := append([]float64(nil), dst0...)
 		XPBYInto(fused, x, beta)
 		for i := range fused {
-			want := x[i] + beta*dst0[i] // the loop cg.go used to inline
+			want := x[i] + float64(beta*dst0[i]) // the loop cg.go used to inline
 			if fused[i] != want && !(fused[i] != fused[i] && want != want) {
 				return false
 			}

@@ -1,79 +1,158 @@
 package vecmath
 
-// Pure-Go kernel bodies. These are the reference implementations behind the
-// exported kernels in vector.go and fused.go: on amd64 builds without the
-// purego tag, dispatch (simd_amd64.go) may route to the AVX2 assembly
-// bodies instead; everywhere else these ARE the implementation.
+// Kernel bodies. Each exported kernel in vector.go and fused.go validates
+// its lengths and calls exactly one of these; there is no other
+// implementation on any architecture, so every host computes the same bits.
 //
-// Contract with the assembly bodies:
+// The contract, pinned bit for bit by the lane oracle in lane_test.go:
 //
-//   - Element-wise outputs (the vector updates of AXPY2, AXPYDot, AXPYPair,
-//     XPBYInto) are bit-identical between generic and SIMD: Go never fuses
-//     float64 multiply-add on amd64, the assembly uses separate VMULPD /
-//     VADDPD (never FMA), so both perform the same two roundings per
-//     element.
-//   - Reduction VALUES differ in accumulation order: generic folds left
-//     with one accumulator; SIMD folds into 4 lanes (element i → lane i%4
-//     over the first len&^3 elements), reduces (l0+l2)+(l1+l3), then
-//     appends the scalar tail left-to-right. Both orders are deterministic
-//     and fixed; the SIMD order is pinned bit-for-bit by the lane oracles
-//     in simd_test.go. This mirrors the kernel.Pool contract, where pooled
-//     reductions are deterministic per width but not bit-identical to
-//     serial.
-func dotGeneric(a, b []float64) float64 {
-	var s float64
-	for i, av := range a {
-		s += av * b[i]
+//   - Reductions run in a fixed 4-lane order: element i feeds accumulator
+//     i%4 over the first len&^3 elements, the accumulators combine as
+//     (l0+l2)+(l1+l3), and the tail of up to three elements is then added
+//     left to right. This is the order of a 4-wide vector register, and it
+//     keeps four independent dependency chains in flight. Like the
+//     kernel.Pool reductions, it is deterministic but not the serial left
+//     fold.
+//   - Every product is written float64(x*y). The Go spec lets a compiler
+//     fuse x*y+z into one multiply-add with a single rounding (Go does on
+//     arm64, not on amd64); an explicit conversion forces the product to be
+//     rounded first, so each element sees the same two roundings on every
+//     architecture.
+//   - Element-wise outputs (the vector updates of AXPYDot, AXPY2, AXPYPair,
+//     XPBYInto) equal the plain one-statement-per-element loops exactly.
+//
+// The accumulators are scalar locals rather than a [4]float64: the array
+// form measured 30–40% slower, because the compiler keeps it in memory.
+
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	var l0, l1, l2, l3 float64
+	v := len(a) &^ 3
+	for i := 0; i < v; i += 4 {
+		a, b := a[i:i+4:i+4], b[i:i+4:i+4]
+		l0 += float64(a[0] * b[0])
+		l1 += float64(a[1] * b[1])
+		l2 += float64(a[2] * b[2])
+		l3 += float64(a[3] * b[3])
+	}
+	s := (l0 + l2) + (l1 + l3)
+	for i := v; i < len(a); i++ {
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
 
-func axpyDotGeneric(dst []float64, alpha float64, x, y []float64) float64 {
-	var s float64
-	for i, xv := range x {
-		d := dst[i] + alpha*xv
+func axpyDot(dst []float64, alpha float64, x, y []float64) float64 {
+	x, y = x[:len(dst)], y[:len(dst)]
+	var l0, l1, l2, l3 float64
+	v := len(dst) &^ 3
+	for i := 0; i < v; i += 4 {
+		d, x, y := dst[i:i+4:i+4], x[i:i+4:i+4], y[i:i+4:i+4]
+		d0 := d[0] + float64(alpha*x[0])
+		d1 := d[1] + float64(alpha*x[1])
+		d2 := d[2] + float64(alpha*x[2])
+		d3 := d[3] + float64(alpha*x[3])
+		d[0], d[1], d[2], d[3] = d0, d1, d2, d3
+		l0 += float64(d0 * y[0])
+		l1 += float64(d1 * y[1])
+		l2 += float64(d2 * y[2])
+		l3 += float64(d3 * y[3])
+	}
+	s := (l0 + l2) + (l1 + l3)
+	for i := v; i < len(dst); i++ {
+		d := dst[i] + float64(alpha*x[i])
 		dst[i] = d
-		s += d * y[i]
+		s += float64(d * y[i])
 	}
 	return s
 }
 
-func axpy2Generic(x, r []float64, alpha float64, p, ap []float64) float64 {
-	var s float64
-	for i := range x {
-		x[i] += alpha * p[i]
-		ri := r[i] - alpha*ap[i]
+func axpy2(x, r []float64, alpha float64, p, ap []float64) float64 {
+	r, p, ap = r[:len(x)], p[:len(x)], ap[:len(x)]
+	var l0, l1, l2, l3 float64
+	v := len(x) &^ 3
+	for i := 0; i < v; i += 4 {
+		x, r, p, ap := x[i:i+4:i+4], r[i:i+4:i+4], p[i:i+4:i+4], ap[i:i+4:i+4]
+		x[0] += float64(alpha * p[0])
+		x[1] += float64(alpha * p[1])
+		x[2] += float64(alpha * p[2])
+		x[3] += float64(alpha * p[3])
+		r0 := r[0] - float64(alpha*ap[0])
+		r1 := r[1] - float64(alpha*ap[1])
+		r2 := r[2] - float64(alpha*ap[2])
+		r3 := r[3] - float64(alpha*ap[3])
+		r[0], r[1], r[2], r[3] = r0, r1, r2, r3
+		l0 += float64(r0 * r0)
+		l1 += float64(r1 * r1)
+		l2 += float64(r2 * r2)
+		l3 += float64(r3 * r3)
+	}
+	s := (l0 + l2) + (l1 + l3)
+	for i := v; i < len(x); i++ {
+		x[i] += float64(alpha * p[i])
+		ri := r[i] - float64(alpha*ap[i])
 		r[i] = ri
-		s += ri * ri
+		s += float64(ri * ri)
 	}
 	return s
 }
 
-func axpyPairGeneric(dst []float64, alpha float64, x []float64, beta float64, y []float64) {
+func axpyPair(dst []float64, alpha float64, x []float64, beta float64, y []float64) {
+	x, y = x[:len(dst)], y[:len(dst)]
 	for i := range dst {
-		dst[i] += alpha*x[i] + beta*y[i]
+		dst[i] += float64(alpha*x[i]) + float64(beta*y[i])
 	}
 }
 
-func xpbyIntoGeneric(dst, x []float64, beta float64) {
+func xpbyInto(dst, x []float64, beta float64) {
+	x = x[:len(dst)]
 	for i := range dst {
-		dst[i] = x[i] + beta*dst[i]
+		dst[i] = x[i] + float64(beta*dst[i])
 	}
 }
 
-func dot2Generic(a, x, y []float64) (ax, ay float64) {
-	for i, av := range a {
-		ax += av * x[i]
-		ay += av * y[i]
+func dot2(a, x, y []float64) (ax, ay float64) {
+	x, y = x[:len(a)], y[:len(a)]
+	var p0, p1, p2, p3, q0, q1, q2, q3 float64
+	v := len(a) &^ 3
+	for i := 0; i < v; i += 4 {
+		a, x, y := a[i:i+4:i+4], x[i:i+4:i+4], y[i:i+4:i+4]
+		p0 += float64(a[0] * x[0])
+		p1 += float64(a[1] * x[1])
+		p2 += float64(a[2] * x[2])
+		p3 += float64(a[3] * x[3])
+		q0 += float64(a[0] * y[0])
+		q1 += float64(a[1] * y[1])
+		q2 += float64(a[2] * y[2])
+		q3 += float64(a[3] * y[3])
+	}
+	ax, ay = (p0+p2)+(p1+p3), (q0+q2)+(q1+q3)
+	for i := v; i < len(a); i++ {
+		ax += float64(a[i] * x[i])
+		ay += float64(a[i] * y[i])
 	}
 	return ax, ay
 }
 
-func dotNormGeneric(a, b []float64) (ab, bb float64) {
-	for i, av := range a {
-		bv := b[i]
-		ab += av * bv
-		bb += bv * bv
+func dotNorm(a, b []float64) (ab, bb float64) {
+	b = b[:len(a)]
+	var p0, p1, p2, p3, q0, q1, q2, q3 float64
+	v := len(a) &^ 3
+	for i := 0; i < v; i += 4 {
+		a, b := a[i:i+4:i+4], b[i:i+4:i+4]
+		p0 += float64(a[0] * b[0])
+		p1 += float64(a[1] * b[1])
+		p2 += float64(a[2] * b[2])
+		p3 += float64(a[3] * b[3])
+		q0 += float64(b[0] * b[0])
+		q1 += float64(b[1] * b[1])
+		q2 += float64(b[2] * b[2])
+		q3 += float64(b[3] * b[3])
+	}
+	ab, bb = (p0+p2)+(p1+p3), (q0+q2)+(q1+q3)
+	for i := v; i < len(a); i++ {
+		ab += float64(a[i] * b[i])
+		bb += float64(b[i] * b[i])
 	}
 	return ab, bb
 }

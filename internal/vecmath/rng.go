@@ -59,7 +59,7 @@ func (r *RNG) Intn(n int) int {
 
 // Range returns a uniform draw from [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // NormFloat64 returns a standard normal draw using the Box-Muller transform.

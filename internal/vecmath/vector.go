@@ -13,15 +13,21 @@ import (
 	"math"
 )
 
+// SIMDActive reports false: the kernels have one pure-Go body on every
+// architecture.
+//
+// Deprecated: there is no assembly path to report on. Kept so existing
+// callers that record it keep compiling.
+func SIMDActive() bool { return false }
+
 // Dot returns the inner product of a and b. The slices must have equal
-// length. The accumulation order depends on the active dispatch path (see
-// generic.go): deterministic either way, but SIMD and generic values can
-// differ in low bits.
+// length. The sum runs in the fixed 4-lane order documented in generic.go,
+// so the result is the same bits on every host.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: Dot length mismatch %d != %d", len(a), len(b)))
 	}
-	return dotBody(a, b)
+	return dot(a, b)
 }
 
 // Norm2 returns the Euclidean norm of v.
@@ -53,7 +59,7 @@ func AXPY(dst []float64, alpha float64, x []float64) {
 		panic(fmt.Sprintf("vecmath: AXPY length mismatch %d != %d", len(dst), len(x)))
 	}
 	for i, xv := range x {
-		dst[i] += alpha * xv
+		dst[i] += float64(alpha * xv)
 	}
 }
 
