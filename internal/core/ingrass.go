@@ -136,8 +136,6 @@ type Sparsifier struct {
 	// from hBase and re-registering H's later edges in index order
 	// reconstructs dec/sk exactly (see persist.go).
 	hBase *graph.Graph
-
-	scratchIntra []int
 }
 
 // NewSparsifier runs the setup phase over the initial sparsifier h of g.
@@ -162,6 +160,7 @@ func NewSparsifier(g, h *graph.Graph, cfg Config) (*Sparsifier, error) {
 	s := &Sparsifier{G: g, H: h, cfg: cfg, dec: dec, sk: sk, hBase: h.Snapshot()}
 	s.filterLevel = cfg.filterLevel(dec)
 	sk.IndexPairs(s.filterLevel)
+	sk.IndexIntra(s.filterLevel)
 	return s, nil
 }
 
@@ -267,9 +266,10 @@ func (s *Sparsifier) applyOne(e graph.Edge, distortion float64) Decision {
 	case s.sk.SameCluster(L, e.U, e.V):
 		// Intra-cluster: the sparsifier already connects these nodes well
 		// (resistance bounded by the cluster diameter). Spread the new
-		// conductance proportionally over the cluster's internal edges.
-		s.scratchIntra = s.sk.IntraClusterEdges(L, e.U, s.scratchIntra[:0])
-		if len(s.scratchIntra) == 0 {
+		// conductance proportionally over the cluster's internal edges,
+		// read in place from the sketch's span for the cluster.
+		intra := s.sk.IntraClusterEdges(L, e.U)
+		if len(intra) == 0 {
 			// Defensive: a multi-node cluster always has internal sparsifier
 			// edges (it was formed by contracting them), but if the
 			// hierarchy was built from a different H, fall back to include.
@@ -277,15 +277,15 @@ func (s *Sparsifier) applyOne(e graph.Edge, distortion float64) Decision {
 		}
 		if !s.cfg.DisableWeightTransfer {
 			var total float64
-			for _, ei := range s.scratchIntra {
-				total += s.H.Edge(ei).W
+			for _, ei := range intra {
+				total += s.H.Edge(int(ei)).W
 			}
 			if total <= 0 {
 				break
 			}
 			factor := 1 + e.W/total
-			for _, ei := range s.scratchIntra {
-				s.H.ScaleWeight(ei, factor)
+			for _, ei := range intra {
+				s.H.ScaleWeight(int(ei), factor)
 			}
 		}
 		dec.Action = Redistributed

@@ -88,6 +88,7 @@ func RestoreSparsifier(st PersistentState) (*Sparsifier, error) {
 		return nil, fmt.Errorf("core: restore sketch: %w", err)
 	}
 	sk.IndexPairs(st.FilterLevel)
+	sk.IndexIntra(st.FilterLevel)
 	return &Sparsifier{
 		G:           st.G,
 		H:           st.H,

@@ -21,13 +21,13 @@ type SetupBasis struct {
 	hBase *graph.Graph
 	dec   *lrd.Decomposition
 	sk    *sketch.Structure
-	// level is the filtering level the adopter will use; sk's pair index
-	// is materialized there only.
+	// level is the filtering level the adopter will use; sk's pair and
+	// span indexes are materialized there only.
 	level int
 }
 
 // BuildSetup runs the setup phase (lrd.Build + sketch indexing, including
-// the pair index at the filtering level) over the frozen sparsifier
+// the pair and span indexes at the filtering level) over the frozen sparsifier
 // snapshot hBase. It mutates nothing and may run concurrently with updates
 // to the live sparsifier the snapshot was taken from. cfg.TargetCond
 // selects the filtering level the adopting sparsifier will use; the other
@@ -47,6 +47,7 @@ func BuildSetup(hBase *graph.Graph, cfg Config) (*SetupBasis, error) {
 	}
 	level := cfg.filterLevel(dec)
 	sk.IndexPairs(level)
+	sk.IndexIntra(level)
 	return &SetupBasis{cfg: cfg, hBase: hBase, dec: dec, sk: sk, level: level}, nil
 }
 
@@ -67,7 +68,9 @@ func (b *SetupBasis) HBase() *graph.Graph { return b.hBase }
 // indexed for its TargetCond, and the basis's snapshot becomes the new
 // persistence anchor (hBase). G, H, and the accumulated counters are
 // untouched. The catch-up touches only the basis's materialized pair level,
-// so the swap costs O(|H delta|), never an O(|E_H|) index build.
+// so the swap costs O(|H delta|), never an O(|E_H|) index build. A
+// caught-up edge internal at or below the filtering level drops that
+// level's span index; the first redistribution after the swap rebuilds it.
 //
 // The caller must guarantee b.hBase is a snapshot of this sparsifier's H:
 // the live H must extend it by index (soft deletion never removes edges, so

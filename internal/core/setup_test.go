@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ingrass/internal/graph"
@@ -289,6 +290,105 @@ func onlyLevelIndexed(t *testing.T, tag string, sk *sketch.Structure, l int) {
 	for k := 1; k < sk.Decomposition().Levels; k++ {
 		if k != l && !sk.IndexPairs(k) {
 			t.Fatalf("%s: level %d has a pair index; only the filter level %d should", tag, k, l)
+		}
+	}
+}
+
+// TestOnlyFilterLevelSpansIndexed pins redistribution to the sketch's
+// intra-span index at the filter level: setup, restore and an offline
+// rebuild each build that one level before any write, nothing builds
+// another, and after promotions, streams and a swap catch-up the level's
+// spans equal the recursive descent of a structure freshly built over the
+// same H.
+func TestOnlyFilterLevelSpansIndexed(t *testing.T) {
+	_, fresh := setup(t, 10, 10, 0.1, 50)
+	onlySpansAt(t, "after setup", fresh, true)
+
+	// A spanning-tree H: every deleted H edge is a bridge and promotes a
+	// replacement, some of them internal at or below the filter level.
+	g := grid(10, 10)
+	init, err := grass.Sparsify(g, grass.Config{TargetDensity: 0, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSparsifier(g, init.H, Config{TargetCond: 100, LRD: lrd.Config{Krylov: krylov.Config{Seed: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	below := 0
+	for i := 0; i < 20; i++ {
+		he := s.H.Edge(3 * i)
+		res, err := s.DeleteEdges([]graph.Edge{{U: he.U, V: he.V}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res[0].Replacement; r >= 0 {
+			e := s.H.Edge(r)
+			if l := s.dec.SharedLevel(e.U, e.V); l > 0 && l <= s.FilterLevel() {
+				below++
+			}
+		}
+	}
+	if below == 0 {
+		t.Fatal("fixture promoted no edge internal at or below the filter level")
+	}
+	onlySpansAt(t, "after promotions", s, false)
+
+	for _, stream := range []int{0, 48} {
+		_, s := setup(t, 10, 10, 0.1, 50)
+		n := s.G.NumNodes()
+		applyStream(t, s, streamEdges(n, 96, 1), 8)
+		restored, err := RestoreSparsifier(s.PersistentState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		applyStream(t, restored, streamEdges(n, stream, 2), 8)
+		onlySpansAt(t, fmt.Sprintf("after restore and %d edges", stream), restored, stream == 0)
+
+		cfg := s.Config()
+		cfg.TargetCond = 20
+		basis, err := BuildSetup(s.H.Snapshot(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if basis.sk.IndexIntra(basis.level) {
+			t.Fatal("BuildSetup left the filter level's span index to the adopter")
+		}
+		applyStream(t, s, streamEdges(n, 48, 3), 8)
+		if err := s.AdoptSetup(basis); err != nil {
+			t.Fatal(err)
+		}
+		applyStream(t, s, streamEdges(n, stream, 4), 8)
+		onlySpansAt(t, fmt.Sprintf("after a swap and %d edges", stream), s, false)
+	}
+}
+
+// onlySpansAt fails unless s's sketch has a span index at no level but the
+// filter level, and that level's span for every node's cluster equals the
+// one a structure freshly built over the same decomposition and H derives
+// by recursive descent. built demands the filter level was already
+// materialized; registrations internal at or below it may have dropped it,
+// in which case the comparison rebuilds it. Probing builds the other
+// levels, so it must be the sparsifier's last use.
+func onlySpansAt(t *testing.T, tag string, s *Sparsifier, built bool) {
+	t.Helper()
+	L := s.FilterLevel()
+	if built && s.sk.IndexIntra(L) {
+		t.Fatalf("%s: filter level %d had no span index", tag, L)
+	}
+	ref, err := sketch.New(s.dec, s.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < s.H.NumNodes(); v++ {
+		got, want := s.sk.IntraClusterEdges(L, v), ref.IntraClusterEdges(L, v)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: node %d's span at level %d is %v, descent gives %v", tag, v, L, got, want)
+		}
+	}
+	for k := 1; k < s.dec.Levels; k++ {
+		if k != L && !s.sk.IndexIntra(k) {
+			t.Fatalf("%s: level %d has a span index; only the filter level %d should", tag, k, L)
 		}
 	}
 }

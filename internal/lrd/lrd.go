@@ -220,19 +220,21 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			merged = true
 		}
 
-		// Dense-renumber the new clusters.
-		repTo := make(map[int]int32, cur.NumNodes())
+		// Dense-renumber the new clusters in first-seen node order. rootID
+		// is indexed by union-find root; -1 marks a root not yet seen.
+		rootID := make([]int32, cur.NumNodes())
+		for i := range rootID {
+			rootID[i] = -1
+		}
 		newID := make([]int32, cur.NumNodes())
 		var count int32
 		for v := 0; v < cur.NumNodes(); v++ {
 			r := uf.Find(v)
-			id, ok := repTo[r]
-			if !ok {
-				id = count
+			if rootID[r] < 0 {
+				rootID[r] = count
 				count++
-				repTo[r] = id
 			}
-			newID[v] = id
+			newID[v] = rootID[r]
 		}
 
 		// Cluster diameters, sizes in the dense numbering.

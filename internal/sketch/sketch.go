@@ -10,14 +10,27 @@
 // new edge into the sparsifier, Register records it as an intra-cluster
 // edge at the level where its endpoints first share a cluster, and in the
 // pair index of every level below that which is materialized. The update
-// phase reads pairs at one level only (the filter level), so a level's pair
-// index is built on first use, by IndexPairs or a query, from the edges
-// registered so far. Edges are registered in index order, so a level built
-// late holds exactly the lists an eagerly built one would.
+// phase reads one level only (the filter level), so a level's two query
+// indexes are built on first use, by IndexPairs/IndexIntra or a query, from
+// the edges registered so far:
+//
+//   - the pair index maps each connected cluster pair to its edges;
+//   - the intra-span index lays every cluster's internal edges (its own,
+//     then each child cluster's subtree, in containment-tree order) out as
+//     one contiguous span of a flat array, so a query is a slice, not a
+//     walk of the cluster tree.
+//
+// Edges are registered in index order, so a level built late holds exactly
+// the lists an eagerly built one would. An edge that becomes internal at
+// level l changes the spans of every level >= l, so Register drops those
+// levels' span indexes and the next query rebuilds them; an edge the update
+// phase includes crosses the filter level's clusters and leaves its spans
+// intact.
 package sketch
 
 import (
 	"fmt"
+	"math"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/lrd"
@@ -62,14 +75,26 @@ type Structure struct {
 	// cluster c at level l but NOT at level l-1 (the level at which the
 	// edge becomes internal). Each edge is stored at exactly one level,
 	// keeping memory O(E).
-	intra [][][]int
+	intra [][][]int32
 	// children[l][c] lists the level-(l-1) cluster ids contained in level-l
 	// cluster c, enabling full descent when collecting a cluster's internal
 	// edges.
 	children [][][]int32
+	// spans[l] is level l's intra-span index. Its off is nil until level l
+	// is materialized (see IndexIntra) and again after Register adds an
+	// edge internal at level l or below.
+	spans []intraSpans
 	// registered counts the registered edges: exactly H's edges
 	// [0, registered), in index order.
 	registered int
+}
+
+// intraSpans is one level's flattened intra-cluster index: cluster c's
+// internal edges, in descent order (see appendIntra), are
+// edges[off[c]:off[c+1]].
+type intraSpans struct {
+	off   []int32
+	edges []int32
 }
 
 // New indexes the sparsifier h against decomposition d. h must be the graph
@@ -82,10 +107,11 @@ func New(d *lrd.Decomposition, h *graph.Graph) (*Structure, error) {
 		d:     d,
 		h:     h,
 		pairs: make([]map[uint64]PairInfo, d.Levels),
-		intra: make([][][]int, d.Levels),
+		intra: make([][][]int32, d.Levels),
+		spans: make([]intraSpans, d.Levels),
 	}
 	for l := 1; l < d.Levels; l++ {
-		s.intra[l] = make([][]int, d.NumClusters[l])
+		s.intra[l] = make([][]int32, d.NumClusters[l])
 	}
 
 	// Build the cluster containment tree. A level-(l-1) cluster's parent is
@@ -142,12 +168,17 @@ func (s *Structure) Sparsifier() *graph.Graph { return s.h }
 
 // Register indexes sparsifier edge ei: as an intra edge at the level its
 // endpoints first share a cluster, and in every materialized pair index
-// below it. Call it after appending a new edge to the sparsifier. Edges
-// must be registered in index order, each once: Register panics unless ei
-// is the next unregistered index.
+// below it. The span indexes of that level and above no longer hold all of
+// their clusters' internal edges, so Register drops them. Call it after
+// appending a new edge to the sparsifier. Edges must be registered in index
+// order, each once: Register panics unless ei is the next unregistered
+// index, or if ei does not fit the int32 span entries.
 func (s *Structure) Register(ei int) {
 	if ei != s.registered {
 		panic(fmt.Sprintf("sketch: Register(%d) out of order: next unregistered edge is %d", ei, s.registered))
+	}
+	if ei > math.MaxInt32 {
+		panic(fmt.Sprintf("sketch: Register(%d): edge index exceeds the int32 index range", ei))
 	}
 	e := s.h.Edge(ei)
 	s.registered++
@@ -156,7 +187,10 @@ func (s *Structure) Register(ei int) {
 		cv := s.d.ClusterID(l, e.V)
 		if cu == cv {
 			// The edge becomes internal at this level; record it here only.
-			s.intra[l][cu] = append(s.intra[l][cu], ei)
+			s.intra[l][cu] = append(s.intra[l][cu], int32(ei))
+			for k := l; k < s.d.Levels; k++ {
+				s.spans[k] = intraSpans{}
+			}
 			break
 		}
 		if s.pairs[l] != nil {
@@ -233,19 +267,53 @@ func (s *Structure) SameCluster(l, p, q int) bool {
 	return s.d.ClusterID(l, p) == s.d.ClusterID(l, q)
 }
 
-// IntraClusterEdges appends to buf every sparsifier edge internal to the
-// cluster of node p at level l (edges whose endpoints became co-clustered
-// at any level <= l within this cluster's subtree), and returns the
-// extended buffer. The update phase redistributes discarded intra-cluster
-// weight over these edges. Cost is O(size of the cluster subtree), which
-// the filter-level choice bounds by the target condition number.
-func (s *Structure) IntraClusterEdges(l, p int, buf []int) []int {
-	return s.appendIntra(l, s.d.ClusterID(l, p), buf)
+// IndexIntra materializes the intra-span index of level l from the
+// registered edges unless it already exists, and reports whether this call
+// built it. Level 0 (singletons) and levels outside the hierarchy have no
+// span index. The build walks each cluster's containment subtree once,
+// O(registered edges + clusters at levels <= l); queries build their level
+// on first use, and callers that must not pay that on a hot path call
+// IndexIntra ahead of time.
+func (s *Structure) IndexIntra(l int) bool {
+	if l < 1 || l >= s.d.Levels || s.spans[l].off != nil {
+		return false
+	}
+	total := 0
+	for k := 1; k <= l; k++ {
+		for _, es := range s.intra[k] {
+			total += len(es)
+		}
+	}
+	nc := s.d.NumClusters[l]
+	off := make([]int32, nc+1)
+	edges := make([]int32, 0, total)
+	for c := range nc {
+		edges = s.appendIntra(l, int32(c), edges)
+		off[c+1] = int32(len(edges))
+	}
+	s.spans[l] = intraSpans{off: off, edges: edges}
+	return true
+}
+
+// IntraClusterEdges returns every sparsifier edge internal to the cluster
+// of node p at level l >= 1 (edges whose endpoints became co-clustered at
+// any level <= l within this cluster's subtree): the cluster's own intra
+// edges, then each child cluster's, depth first. The update phase
+// redistributes discarded intra-cluster weight over these edges. The
+// result is a view of one contiguous span of the level's index, built on
+// first use (see IndexIntra); it is valid until the next Register and
+// callers must not modify it.
+func (s *Structure) IntraClusterEdges(l, p int) []int32 {
+	s.IndexIntra(l)
+	sp := &s.spans[l]
+	c := s.d.ClusterID(l, p)
+	lo, hi := sp.off[c], sp.off[c+1]
+	return sp.edges[lo:hi:hi]
 }
 
 // appendIntra appends cluster c's intra edges at level, then its children's
-// subtrees in order.
-func (s *Structure) appendIntra(level int, c int32, buf []int) []int {
+// subtrees in order. It is the build step of IndexIntra.
+func (s *Structure) appendIntra(level int, c int32, buf []int32) []int32 {
 	buf = append(buf, s.intra[level][c]...)
 	if level >= 2 {
 		for _, child := range s.children[level][c] {
@@ -260,12 +328,12 @@ func (s *Structure) appendIntra(level int, c int32, buf []int) []int {
 func (s *Structure) LevelPairs(l int) int { return len(s.levelPairs(l)) }
 
 // MemoryFootprint returns a rough count of stored index entries: every
-// intra entry plus the cluster pairs of the materialized levels only
-// (diagnostic).
+// intra entry plus the cluster pairs and span entries of the materialized
+// levels only (diagnostic).
 func (s *Structure) MemoryFootprint() int {
 	total := 0
 	for l := 1; l < s.d.Levels; l++ {
-		total += len(s.pairs[l])
+		total += len(s.pairs[l]) + len(s.spans[l].edges)
 		for _, v := range s.intra[l] {
 			total += len(v)
 		}

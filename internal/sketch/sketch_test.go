@@ -114,8 +114,8 @@ func TestIntraClusterEdgesTopLevel(t *testing.T) {
 	if d.NumClusters[top] != 1 {
 		t.Skip("grid did not contract to one cluster")
 	}
-	all := s.IntraClusterEdges(top, 0, nil)
-	seen := map[int]bool{}
+	all := s.IntraClusterEdges(top, 0)
+	seen := map[int32]bool{}
 	for _, ei := range all {
 		if seen[ei] {
 			t.Fatalf("edge %d returned twice", ei)
@@ -134,8 +134,8 @@ func TestIntraClusterEdgesMembership(t *testing.T) {
 	for l := 1; l < d.Levels; l++ {
 		for v := 0; v < d.N; v += 5 {
 			target := d.ClusterID(l, v)
-			for _, ei := range s.IntraClusterEdges(l, v, nil) {
-				e := g.Edge(ei)
+			for _, ei := range s.IntraClusterEdges(l, v) {
+				e := g.Edge(int(ei))
 				if d.ClusterID(l, e.U) != target || d.ClusterID(l, e.V) != target {
 					t.Fatalf("level %d: edge %d leaks outside cluster %d", l, ei, target)
 				}
@@ -171,8 +171,8 @@ func TestRegisterNewEdge(t *testing.T) {
 	}
 	// At the shared level it must appear as an intra edge.
 	found := false
-	for _, x := range s.IntraClusterEdges(lShared, p, nil) {
-		if x == ei {
+	for _, x := range s.IntraClusterEdges(lShared, p) {
+		if int(x) == ei {
 			found = true
 		}
 	}
@@ -246,5 +246,52 @@ func TestIndexPairsMaterializesOnce(t *testing.T) {
 	}
 	if d.Levels > 2 && !s.IndexPairs(2) {
 		t.Fatal("IndexPairs(1) must not build level 2")
+	}
+}
+
+// A span level is built once, counted in the footprint, dropped by an edge
+// that becomes internal at or below it, and kept by an edge that crosses
+// its clusters.
+func TestIndexIntraMaterializesOnce(t *testing.T) {
+	g := grid(6, 6)
+	d, s := build(t, g)
+	if d.Levels < 3 {
+		t.Skip("grid hierarchy too shallow")
+	}
+	if s.IndexIntra(0) || s.IndexIntra(d.Levels) {
+		t.Fatal("levels without a span index must not be built")
+	}
+	before := s.MemoryFootprint()
+	if !s.IndexIntra(1) || s.IndexIntra(1) {
+		t.Fatal("IndexIntra(1) must build the level once")
+	}
+	if got, want := s.MemoryFootprint(), before+len(s.spans[1].edges); got != want || got == before {
+		t.Fatalf("footprint %d, want intra entries plus level-1 span entries %d", got, want)
+	}
+	// Two nodes in different level-1 clusters: the edge crosses level 1.
+	p, q := -1, -1
+	for u := 0; u < d.N && p < 0; u++ {
+		for v := u + 1; v < d.N; v++ {
+			if l := d.SharedLevel(u, v); l >= 2 {
+				p, q = u, v
+				break
+			}
+		}
+	}
+	if p < 0 {
+		t.Skip("no node pair separated at level 1")
+	}
+	s.Register(g.AddEdge(p, q, 1))
+	if s.IndexIntra(1) {
+		t.Fatal("an edge crossing level 1 dropped its spans")
+	}
+	lShared := d.SharedLevel(p, q)
+	s.IndexIntra(lShared)
+	s.Register(g.AddEdge(p, q, 1))
+	if !s.IndexIntra(lShared) {
+		t.Fatal("an edge internal at the span level must drop its spans")
+	}
+	if s.IndexIntra(1) {
+		t.Fatal("an edge internal above level 1 dropped level 1's spans")
 	}
 }

@@ -273,6 +273,48 @@ func TestOrthonormalizeMGSDropsDependent(t *testing.T) {
 	}
 }
 
+// The fused projection chain must reproduce the unfused two-round
+// ProjectOut composition bit for bit, dependent vectors included.
+func TestOrthonormalizeMGSMatchesUnfused(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 7, 33} {
+		r := NewRNG(uint64(n))
+		vs := make([][]float64, 6)
+		for i := range vs {
+			vs[i] = make([]float64, n)
+			r.FillNormal(vs[i])
+		}
+		copy(vs[3], vs[1]) // dependent on an earlier vector
+		ref := make([][]float64, len(vs))
+		for i, v := range vs {
+			ref[i] = append([]float64(nil), v...)
+		}
+		want := ref[:0]
+		for _, v := range ref {
+			for round := 0; round < 2; round++ {
+				for _, u := range want {
+					ProjectOut(v, u)
+				}
+			}
+			if Norm2(v) <= 1e-10 {
+				continue
+			}
+			Normalize(v)
+			want = append(want, v)
+		}
+		got := OrthonormalizeMGS(vs, 1e-10)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: kept %d vectors, want %d", n, len(got), len(want))
+		}
+		for i := range got {
+			for j := range got[i] {
+				if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("n=%d: vector %d entry %d = %v, want %v", n, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
+
 func TestProjectOut(t *testing.T) {
 	u := []float64{1, 0}
 	v := []float64{3, 4}

@@ -1,5 +1,7 @@
 package vecmath
 
+import "math"
+
 // OrthonormalizeMGS performs modified Gram-Schmidt on the given set of
 // vectors in place, producing an orthonormal set spanning the same subspace.
 // Vectors that become (numerically) linearly dependent are dropped; the
@@ -10,18 +12,31 @@ package vecmath
 func OrthonormalizeMGS(vectors [][]float64, dropTol float64) [][]float64 {
 	kept := vectors[:0]
 	for _, v := range vectors {
-		for _, u := range kept {
-			ProjectOut(v, u)
+		// Two projection rounds ("twice is enough": the second restores
+		// orthogonality lost to cancellation on ill-conditioned inputs).
+		// Each projection's AXPY is folded into the next dot product
+		// (AXPYDot), across the round boundary too, and the last one into
+		// the squared norm of the result. Products commute exactly and every
+		// reduction keeps the lane order, so this equals ProjectOut twice per
+		// kept vector followed by Norm2 bit for bit, in 2k+1 passes where
+		// that took 4k+1 and Normalize took the norm once more.
+		var n2 float64
+		if k := len(kept); k == 0 {
+			n2 = Dot(v, v)
+		} else {
+			c := Dot(kept[0], v)
+			for i := 1; i < 2*k; i++ {
+				c = AXPYDot(v, -c, kept[(i-1)%k], kept[i%k])
+			}
+			n2 = AXPYDot(v, -c, kept[k-1], v)
 		}
-		// A second projection pass ("twice is enough") restores
-		// orthogonality lost to cancellation on ill-conditioned inputs.
-		for _, u := range kept {
-			ProjectOut(v, u)
-		}
-		if Norm2(v) <= dropTol {
+		n := math.Sqrt(n2)
+		if n <= dropTol {
 			continue
 		}
-		Normalize(v)
+		if n != 0 {
+			Scale(v, 1/n)
+		}
 		kept = append(kept, v)
 	}
 	return kept
