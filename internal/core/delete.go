@@ -142,11 +142,11 @@ func (s *Sparsifier) liveReachable(start int) []bool {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, a := range s.H.Adj(x) {
-			if seen[a.To] || s.H.Edge(a.Edge).W <= tomb {
+			if seen[a.To] || s.H.Edge(int(a.Edge)).W <= tomb {
 				continue
 			}
 			seen[a.To] = true
-			stack = append(stack, a.To)
+			stack = append(stack, int(a.To))
 		}
 	}
 	return seen

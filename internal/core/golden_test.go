@@ -25,8 +25,10 @@ import (
 // TestGoldenSetupDeterminism pins every bit the setup phase produces on two
 // fixed graphs: the GRASS H(0) (low-stretch and max-weight backbones), every
 // LRD level's cluster ids, diameters and budgets, the level-1 Krylov
-// resistance estimates, and the decisions and final H of a seeded 10-batch
-// update stream.
+// resistance estimates, and the decisions and final H of two seeded 10-batch
+// update streams: long-range chords (Stream) and short local wires
+// (LocalStream). Local wires land inside filter-level clusters, so only the
+// second pins the order of the redistribution weight sums.
 //
 // Why exact bits: a checkpoint stores only hBase, and recovery, WAL replay
 // of maintenance records and every replica rebuild the LRD hierarchy and the
@@ -55,10 +57,12 @@ func TestGoldenSetupDeterminism(t *testing.T) {
 		{"delaunay_n14", 0.5, goldenHashes{
 			GrassLowStretch: 0x855dbd593a15201f, GrassMaxWeight: 0x26e92cfa4c05aff0,
 			LRD: 0x63110aa7b024bb77, Embedding: 0xac6fae92974f1878, Stream: 0x7084062600db6833,
+			LocalStream: 0x3c8238e7e7491487,
 		}},
 		{"social_ba", 0.25, goldenHashes{
 			GrassLowStretch: 0x7172f22a7c7e0f9c, GrassMaxWeight: 0xbfbbc7c6c5e82a4,
 			LRD: 0x4feffd7128698f3b, Embedding: 0x893c82e659501d38, Stream: 0x7d977c68f46451d2,
+			LocalStream: 0xaccc984c6c08632e,
 		}},
 	}
 	for _, simd := range []bool{false, true} {
@@ -109,7 +113,7 @@ func runGoldenChild(t *testing.T, name string, v3 bool) {
 }
 
 type goldenHashes struct {
-	GrassLowStretch, GrassMaxWeight, LRD, Embedding, Stream uint64
+	GrassLowStretch, GrassMaxWeight, LRD, Embedding, Stream, LocalStream uint64
 }
 
 func setupHashes(t *testing.T, name string, scale float64) goldenHashes {
@@ -124,6 +128,12 @@ func setupHashes(t *testing.T, name string, scale float64) goldenHashes {
 	}
 	stream, err := gen.Stream(g, gen.StreamConfig{
 		Kind: gen.StreamUniform, Count: g.NumEdges() / 10, Batches: 10, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := gen.Stream(g, gen.StreamConfig{
+		Kind: gen.StreamLocal, HopRadius: 10, Count: g.NumEdges() / 10, Batches: 10, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,11 +184,23 @@ func setupHashes(t *testing.T, name string, scale float64) goldenHashes {
 	}
 	out.Embedding = hs.Sum64()
 
+	// NewSparsifier updates the graphs it is given, so the local stream
+	// starts from copies taken before the first one runs.
+	gl, hl := g.Clone(), h.Clone()
+	out.Stream = streamHash(t, g, h, cfg, stream)
+	out.LocalStream = streamHash(t, gl, hl, cfg, local)
+	return out
+}
+
+// streamHash runs stream through a sparsifier of (g, h) and hashes every
+// decision and the final H.
+func streamHash(t *testing.T, g, h *graph.Graph, cfg Config, stream [][]graph.Edge) uint64 {
+	t.Helper()
 	s, err := NewSparsifier(g, h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs = fnv.New64a()
+	hs := fnv.New64a()
 	for _, batch := range stream {
 		decs, err := s.UpdateBatch(batch)
 		if err != nil {
@@ -194,8 +216,7 @@ func setupHashes(t *testing.T, name string, scale float64) goldenHashes {
 	for _, e := range s.H.Edges() {
 		putEdge(hs, e)
 	}
-	out.Stream = hs.Sum64()
-	return out
+	return hs.Sum64()
 }
 
 func hashGrass(r *grass.Result) uint64 {

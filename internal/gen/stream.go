@@ -80,7 +80,7 @@ func Stream(g *graph.Graph, cfg StreamConfig) ([][]graph.Edge, error) {
 			if len(adj) == 0 {
 				return 0, 0, false
 			}
-			v = adj[r.Intn(len(adj))].To
+			v = int(adj[r.Intn(len(adj))].To)
 		}
 		return u, v, u != v
 	}

@@ -72,7 +72,10 @@ func WriteBinary(w io.Writer, g *Graph) error {
 
 // ReadBinary decodes a graph written by WriteBinary. The decoded graph is
 // bit-identical to the encoded one: edge order, weight bits, and the cached
-// total-weight accumulator all round-trip exactly.
+// total-weight accumulator all round-trip exactly. A header claiming more
+// than math.MaxInt32 nodes or edges is an error. The header's edge count is
+// not trusted for allocation: edges grow as they are read, and the
+// adjacency arena is built after the last one.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -97,16 +100,18 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: binary edge count: %w", err)
 	}
-	const maxDim = 1 << 34 // sanity bound against corrupt headers
-	if n64 > maxDim || m64 > maxDim {
-		return nil, fmt.Errorf("graph: binary header claims %d nodes, %d edges", n64, m64)
+	if n64 > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: binary header claims %d nodes, limit %d", n64, math.MaxInt32)
+	}
+	if m64 > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: binary header claims %d edges, limit %d", m64, math.MaxInt32)
 	}
 	twBits, err := readU64()
 	if err != nil {
 		return nil, fmt.Errorf("graph: binary total weight: %w", err)
 	}
 	n, m := int(n64), int(m64)
-	g := New(n, m)
+	g := &Graph{n: n}
 	for i := 0; i < m; i++ {
 		u64, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -120,10 +125,10 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: binary edge %d: %w", i, err)
 		}
-		u, v, w := int(u64), int(v64), math.Float64frombits(wBits)
-		if u >= n || v >= n || u == v {
-			return nil, fmt.Errorf("graph: binary edge %d endpoints (%d, %d) invalid for %d nodes", i, u, v, n)
+		if u64 >= n64 || v64 >= n64 || u64 == v64 {
+			return nil, fmt.Errorf("graph: binary edge %d endpoints (%d, %d) invalid for %d nodes", i, u64, v64, n)
 		}
+		u, v, w := int(u64), int(v64), math.Float64frombits(wBits)
 		if !(w > 0) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("graph: binary edge %d weight %v not positive finite", i, w)
 		}
@@ -131,10 +136,17 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		// must come from the file, not from re-accumulation, so that graphs
 		// whose accumulator drifted through a long SetWeight history still
 		// round-trip bit-exactly.
-		idx := len(g.edges)
 		g.edges = append(g.edges, Edge{U: u, V: v, W: w})
-		g.adj[u] = append(g.adj[u], Arc{To: v, Edge: idx})
-		g.adj[v] = append(g.adj[v], Arc{To: u, Edge: idx})
+	}
+	deg := make([]int32, n)
+	for _, e := range g.edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	g.adj = carveAdj(n, func(u int) int { return int(deg[u]) })
+	for i, e := range g.edges {
+		g.adj[e.U] = append(g.adj[e.U], Arc{To: int32(e.V), Edge: int32(i)})
+		g.adj[e.V] = append(g.adj[e.V], Arc{To: int32(e.U), Edge: int32(i)})
 	}
 	g.totalWeight = math.Float64frombits(twBits)
 	return g, nil

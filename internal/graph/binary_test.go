@@ -2,7 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -47,9 +51,14 @@ func TestBinaryRoundTripExact(t *testing.T) {
 		// stays inside.
 		t.Fatalf("decoded graph invalid: %v", err)
 	}
-	// Adjacency must be fully rebuilt: FindEdge works on the decoded graph.
+	// Adjacency must be fully rebuilt, each list in edge-index order.
 	if idx, ok := got.FindEdge(3, 2); !ok || idx != 2 {
 		t.Fatalf("FindEdge(3,2) = %d, %v", idx, ok)
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		if !slices.Equal(got.Adj(u), g.Adj(u)) {
+			t.Fatalf("node %d adjacency %v, want %v", u, got.Adj(u), g.Adj(u))
+		}
 	}
 	// Re-encoding the decoded graph must be byte-identical.
 	var buf2 bytes.Buffer
@@ -85,9 +94,58 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 			}
 		}
 	})
+	t.Run("endpoint past int64", func(t *testing.T) {
+		b := binaryHeader(3, 1)
+		b = binary.AppendUvarint(b, 1<<63)
+		b = binary.AppendUvarint(b, 1)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
+			t.Fatal("want error on an endpoint past the node count")
+		}
+	})
 	t.Run("empty", func(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
 			t.Fatal("want error on empty input")
 		}
 	})
+}
+
+// binaryHeader encodes a header claiming n nodes and m edges, with no edges.
+func binaryHeader(n, m uint64) []byte {
+	b := append([]byte(nil), binaryMagic[:]...)
+	b = binary.AppendUvarint(b, n)
+	b = binary.AppendUvarint(b, m)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+}
+
+func TestBinaryHeaderBounds(t *testing.T) {
+	for _, tc := range []struct {
+		n, m uint64
+		want string
+	}{
+		{1 << 31, 0, "2147483648 nodes"},
+		{4, 1 << 31, "2147483648 edges"},
+		{1 << 40, 1 << 40, "nodes"},
+	} {
+		_, err := ReadBinary(bytes.NewReader(binaryHeader(tc.n, tc.m)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("header (%d nodes, %d edges): error %v, want one naming %q", tc.n, tc.m, err, tc.want)
+		}
+	}
+}
+
+// TestBinaryHeaderEdgeCountNotTrusted checks that a few bytes claiming 2³⁰
+// edges cannot make the reader allocate for them before any edge arrives.
+func TestBinaryHeaderEdgeCountNotTrusted(t *testing.T) {
+	b := binaryHeader(4, 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "edge 0") {
+		t.Fatalf("error %v, want one at edge 0", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("reading a bare header allocated %d bytes, want under 1 MiB", d)
+	}
 }

@@ -54,7 +54,7 @@ func NewCSR(g *Graph) *CSR {
 	for u := 0; u < n; u++ {
 		base := c.RowPtr[u]
 		for _, a := range g.Adj(u) {
-			w := g.Edge(a.Edge).W
+			w := g.edges[a.Edge].W
 			if stamp[a.To] == u+1 {
 				c.Weights[slot[a.To]] += w
 			} else {
@@ -62,7 +62,7 @@ func NewCSR(g *Graph) *CSR {
 				pos := base + fill[u]
 				fill[u]++
 				slot[a.To] = pos
-				c.ColIdx[pos] = a.To
+				c.ColIdx[pos] = int(a.To)
 				c.Weights[pos] = w
 			}
 			c.Degree[u] += w

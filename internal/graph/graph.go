@@ -7,7 +7,15 @@
 // Node identifiers are dense integers 0..N-1. Parallel edges are permitted
 // in the mutable representation (the Laplacian treats them as conductances
 // in parallel, i.e. weights add); self-loops are rejected because they do
-// not affect Laplacian quadratic forms.
+// not affect Laplacian quadratic forms. A graph holds at most math.MaxInt32
+// nodes and math.MaxInt32 edges, so an adjacency Arc fits in 8 bytes.
+//
+// Each node's adjacency list holds its arcs in edge-index order. A copy of a
+// graph (Clone, the copy-on-write copy after a Snapshot, ReadBinary) carves
+// every list from one arena as a three-index slice with headroom of
+// len/adjHeadroom+1 arcs, so a copy costs a constant number of allocations
+// and the first appends after it land in place. A list that outgrows its
+// headroom is reallocated on its own by append.
 package graph
 
 import (
@@ -53,7 +61,8 @@ func KeyOf(u, v int) uint64 {
 type Graph struct {
 	n     int
 	edges []Edge
-	// adj[u] lists (neighbor, edge index) pairs. Kept in sync by AddEdge.
+	// adj[u] lists (neighbor, edge index) pairs in edge-index order. Kept
+	// in sync by AddEdge.
 	adj [][]Arc
 	// totalWeight caches the sum of all edge weights.
 	totalWeight float64
@@ -65,14 +74,50 @@ type Graph struct {
 // Arc is one directed half of an undirected edge as seen from a node's
 // adjacency list.
 type Arc struct {
-	To   int // neighbor node
-	Edge int // index into Edges()
+	To   int32 // neighbor node
+	Edge int32 // index into Edges()
+}
+
+// adjHeadroom sets the spare capacity of a copied adjacency list: a list of
+// d arcs gets room for d/adjHeadroom+1 more before append reallocates it.
+const adjHeadroom = 4
+
+// carveAdj returns n empty adjacency lists carved from one arena, list u
+// with capacity for deg(u) arcs plus headroom. Each list is a three-index
+// slice, so an append past its capacity reallocates that list alone and
+// never writes into a neighbour's span.
+func carveAdj(n int, deg func(u int) int) [][]Arc {
+	capOf := func(u int) int { d := deg(u); return d + d/adjHeadroom + 1 }
+	total := 0
+	for u := 0; u < n; u++ {
+		total += capOf(u)
+	}
+	arena := make([]Arc, total)
+	adj := make([][]Arc, n)
+	for u := range adj {
+		c := capOf(u)
+		adj[u] = arena[:0:c]
+		arena = arena[c:]
+	}
+	return adj
+}
+
+// copyAdj copies every list of src into one carved arena.
+func copyAdj(src [][]Arc) [][]Arc {
+	adj := carveAdj(len(src), func(u int) int { return len(src[u]) })
+	for u := range adj {
+		adj[u] = append(adj[u], src[u]...)
+	}
+	return adj
 }
 
 // New returns an empty graph with n nodes and capacity hint edgeCap.
 func New(n int, edgeCap int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes exceed the limit of %d", n, math.MaxInt32))
 	}
 	return &Graph{
 		n:     n,
@@ -114,9 +159,10 @@ func (g *Graph) WeightedDegree(u int) float64 {
 
 // Snapshot returns an immutable-by-convention copy-on-write view of g in
 // O(1): both graphs share the edge and adjacency storage until either side
-// mutates, at which point the mutating side deep-copies its storage first
-// (one O(N+E) copy per snapshot generation, amortized over the whole write
-// batch that follows). Snapshots are safe to read from any number of
+// mutates, at which point the mutating side deep-copies its storage first:
+// one O(N+E) copy per snapshot generation into a constant number of
+// allocations (the edges and one adjacency arena), amortized over the whole
+// write batch that follows. Snapshots are safe to read from any number of
 // goroutines while the live graph keeps mutating, which is what the
 // concurrent service layer relies on for snapshot-isolated queries.
 func (g *Graph) Snapshot() *Graph {
@@ -137,25 +183,25 @@ func (g *Graph) Snapshot() *Graph {
 }
 
 // unshare deep-copies storage shared with snapshots so an impending
-// mutation cannot be observed by concurrent snapshot readers.
+// mutation cannot be observed by concurrent snapshot readers. The edges go
+// to one new slice and every adjacency list to one carved arena, both with
+// growth headroom: unshare is usually triggered by the first AddEdge of a
+// write batch, and an exact-capacity copy would reallocate again on the
+// very next append.
 func (g *Graph) unshare() {
 	if !g.shared {
 		return
 	}
-	// Leave growth headroom: unshare is usually triggered by the first
-	// AddEdge of a write batch, and an exact-capacity copy would reallocate
-	// again on the very next append.
 	g.edges = append(make([]Edge, 0, len(g.edges)+len(g.edges)/8+8), g.edges...)
-	adj := make([][]Arc, len(g.adj))
-	for u := range g.adj {
-		adj[u] = append([]Arc(nil), g.adj[u]...)
-	}
-	g.adj = adj
+	g.adj = copyAdj(g.adj)
 	g.shared = false
 }
 
 // AddNode appends a new isolated node and returns its identifier.
 func (g *Graph) AddNode() int {
+	if g.n >= math.MaxInt32 {
+		panic(fmt.Sprintf("graph: AddNode past the limit of %d nodes", math.MaxInt32))
+	}
 	g.unshare()
 	g.adj = append(g.adj, nil)
 	g.n++
@@ -176,11 +222,14 @@ func (g *Graph) AddEdge(u, v int, w float64) int {
 	if !(w > 0) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("graph: edge weight %v must be positive and finite", w))
 	}
-	g.unshare()
 	idx := len(g.edges)
+	if idx >= math.MaxInt32 {
+		panic(fmt.Sprintf("graph: AddEdge past the limit of %d edges", math.MaxInt32))
+	}
+	g.unshare()
 	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
-	g.adj[u] = append(g.adj[u], Arc{To: v, Edge: idx})
-	g.adj[v] = append(g.adj[v], Arc{To: u, Edge: idx})
+	g.adj[u] = append(g.adj[u], Arc{To: int32(v), Edge: int32(idx)})
+	g.adj[v] = append(g.adj[v], Arc{To: int32(u), Edge: int32(idx)})
 	g.totalWeight += w
 	return idx
 }
@@ -218,8 +267,8 @@ func (g *Graph) FindEdge(u, v int) (int, bool) {
 		a, b = b, a
 	}
 	for _, arc := range g.adj[a] {
-		if arc.To == b {
-			return arc.Edge, true
+		if int(arc.To) == b {
+			return int(arc.Edge), true
 		}
 	}
 	return -1, false
@@ -231,15 +280,15 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return ok
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. Its adjacency lists are carved from one
+// arena with headroom (see the package doc).
 func (g *Graph) Clone() *Graph {
-	c := New(g.n, len(g.edges))
-	c.edges = append(c.edges, g.edges...)
-	for u := range g.adj {
-		c.adj[u] = append([]Arc(nil), g.adj[u]...)
+	return &Graph{
+		n:           g.n,
+		edges:       append(make([]Edge, 0, len(g.edges)), g.edges...),
+		adj:         copyAdj(g.adj),
+		totalWeight: g.totalWeight,
 	}
-	c.totalWeight = g.totalWeight
-	return c
 }
 
 // Subgraph returns a new graph over the same node set containing exactly
@@ -341,11 +390,11 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: node %d adjacency length %d != degree %d", u, len(g.adj[u]), deg[u])
 		}
 		for _, a := range g.adj[u] {
-			if a.Edge < 0 || a.Edge >= len(g.edges) {
+			if a.Edge < 0 || int(a.Edge) >= len(g.edges) {
 				return fmt.Errorf("graph: node %d has arc to invalid edge %d", u, a.Edge)
 			}
-			e := g.edges[a.Edge]
-			if (e.U != u || e.V != a.To) && (e.V != u || e.U != a.To) {
+			e, to := g.edges[a.Edge], int(a.To)
+			if (e.U != u || e.V != to) && (e.V != u || e.U != to) {
 				return fmt.Errorf("graph: node %d arc (%d, edge %d) disagrees with edge (%d,%d)", u, a.To, a.Edge, e.U, e.V)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -70,7 +71,12 @@ func Read(r io.Reader) (*Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: line %d: negative dimensions %d %d", line, n, m)
 	}
-	g := New(n, m)
+	if n > math.MaxInt32 || m > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: line %d: dimensions %d %d exceed the limit of %d", line, n, m, math.MaxInt32)
+	}
+	// The edge count is unverified until the edges are read, so it sizes
+	// no allocation.
+	g := New(n, 0)
 	for i := 0; i < m; i++ {
 		f, err := nextFields()
 		if err != nil {
@@ -97,8 +103,8 @@ func Read(r io.Reader) (*Graph, error) {
 		if u == v {
 			return nil, fmt.Errorf("graph: line %d: self-loop rejected", line)
 		}
-		if !(w > 0) {
-			return nil, fmt.Errorf("graph: line %d: weight %v not positive", line, w)
+		if !(w > 0) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("graph: line %d: weight %v not positive finite", line, w)
 		}
 		g.AddEdge(u, v, w)
 	}

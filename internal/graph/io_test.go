@@ -53,6 +53,9 @@ func TestReadErrors(t *testing.T) {
 		"range endpoint":  "3 1\n0 9 1.0\n",
 		"self loop":       "3 1\n1 1 1.0\n",
 		"negative weight": "3 1\n0 1 -2\n",
+		"infinite weight": "3 1\n0 1 Inf\n",
+		"huge node count": "2147483648 0\n",
+		"huge edge count": "3 2147483648\n",
 		"two-field edge":  "3 1\n0 1\n",
 	}
 	for name, in := range cases {

@@ -98,7 +98,7 @@ func TestSnapshotConcurrentReads(t *testing.T) {
 				var sum float64
 				for u := 0; u < snap.NumNodes(); u++ {
 					for _, a := range snap.Adj(u) {
-						sum += snap.Edge(a.Edge).W
+						sum += snap.Edge(int(a.Edge)).W
 					}
 				}
 				if sum <= 0 {

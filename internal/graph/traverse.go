@@ -23,7 +23,7 @@ func Components(g *Graph) (labels []int, count int) {
 			for _, a := range g.Adj(u) {
 				if labels[a.To] == -1 {
 					labels[a.To] = count
-					queue = append(queue, a.To)
+					queue = append(queue, int(a.To))
 				}
 			}
 		}
@@ -58,8 +58,8 @@ func BFSOrder(g *Graph, start int) (order []int, parent []Arc) {
 		u := order[head]
 		for _, a := range g.Adj(u) {
 			if parent[a.To].To == -2 {
-				parent[a.To] = Arc{To: u, Edge: a.Edge}
-				order = append(order, a.To)
+				parent[a.To] = Arc{To: int32(u), Edge: a.Edge}
+				order = append(order, int(a.To))
 			}
 		}
 	}
@@ -84,7 +84,7 @@ func EccentricityFrom(g *Graph, start int) (dist []int, ecc int) {
 				if dist[a.To] > ecc {
 					ecc = dist[a.To]
 				}
-				queue = append(queue, a.To)
+				queue = append(queue, int(a.To))
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func factorLDL(h *graph.Graph) *ldl {
 		a := back[:len(arcs):len(arcs)]
 		back = back[len(arcs):]
 		for i, arc := range arcs {
-			a[i] = nbr{int32(arc.To), h.Edge(arc.Edge).W}
+			a[i] = nbr{arc.To, h.Edge(int(arc.Edge)).W}
 		}
 		// A stable sort keeps parallel edges in edge-index order for the sum.
 		slices.SortStableFunc(a, func(x, y nbr) int { return cmp.Compare(x.to, y.to) })

@@ -102,7 +102,7 @@ func Prim(g *graph.Graph) *SpanningTree {
 		}
 		inTree[start] = true
 		for _, a := range g.Adj(start) {
-			push(item{w: g.Edge(a.Edge).W, node: a.To, edge: a.Edge})
+			push(item{w: g.Edge(int(a.Edge)).W, node: int(a.To), edge: int(a.Edge)})
 		}
 		for len(heap) > 0 {
 			it := pop()
@@ -113,7 +113,7 @@ func Prim(g *graph.Graph) *SpanningTree {
 			keep = append(keep, it.edge)
 			for _, a := range g.Adj(it.node) {
 				if !inTree[a.To] {
-					push(item{w: g.Edge(a.Edge).W, node: a.To, edge: a.Edge})
+					push(item{w: g.Edge(int(a.Edge)).W, node: int(a.To), edge: int(a.Edge)})
 				}
 			}
 		}

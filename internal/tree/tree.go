@@ -40,16 +40,29 @@ func New(g *graph.Graph, edgeIdx []int) *SpanningTree {
 		ParentEdge: make([]int, n),
 		Depth:      make([]int, n),
 	}
-	// Adjacency restricted to tree edges.
-	adj := make([][]graph.Arc, n)
+	// Adjacency restricted to tree edges, in one counted arena: node u's
+	// arcs are adj[start[u]:start[u+1]], in edgeIdx order.
 	uf := graph.NewUnionFind(n)
+	start := make([]int, n+1)
 	for _, ei := range edgeIdx {
 		e := g.Edge(ei)
 		if !uf.Union(e.U, e.V) {
 			panic(fmt.Sprintf("tree: edge set contains cycle at edge %d (%d-%d)", ei, e.U, e.V))
 		}
-		adj[e.U] = append(adj[e.U], graph.Arc{To: e.V, Edge: ei})
-		adj[e.V] = append(adj[e.V], graph.Arc{To: e.U, Edge: ei})
+		start[e.U+1]++
+		start[e.V+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	adj := make([]graph.Arc, start[n])
+	next := append([]int(nil), start[:n]...)
+	for _, ei := range edgeIdx {
+		e := g.Edge(ei)
+		adj[next[e.U]] = graph.Arc{To: int32(e.V), Edge: int32(ei)}
+		next[e.U]++
+		adj[next[e.V]] = graph.Arc{To: int32(e.U), Edge: int32(ei)}
+		next[e.V]++
 	}
 	for i := range t.Parent {
 		t.Parent[i] = -2 // unvisited sentinel
@@ -68,12 +81,12 @@ func New(g *graph.Graph, edgeIdx []int) *SpanningTree {
 		for head < len(t.Order) {
 			u := t.Order[head]
 			head++
-			for _, a := range adj[u] {
+			for _, a := range adj[start[u]:start[u+1]] {
 				if t.Parent[a.To] == -2 {
 					t.Parent[a.To] = u
-					t.ParentEdge[a.To] = a.Edge
+					t.ParentEdge[a.To] = int(a.Edge)
 					t.Depth[a.To] = t.Depth[u] + 1
-					t.Order = append(t.Order, a.To)
+					t.Order = append(t.Order, int(a.To))
 				}
 			}
 		}

@@ -185,8 +185,8 @@ func TestPathOracleAgainstBruteForce(t *testing.T) {
 	treeAdj := make([][]graph.Arc, g.NumNodes())
 	for _, ei := range st.EdgeIdx {
 		e := g.Edge(ei)
-		treeAdj[e.U] = append(treeAdj[e.U], graph.Arc{To: e.V, Edge: ei})
-		treeAdj[e.V] = append(treeAdj[e.V], graph.Arc{To: e.U, Edge: ei})
+		treeAdj[e.U] = append(treeAdj[e.U], graph.Arc{To: int32(e.V), Edge: int32(ei)})
+		treeAdj[e.V] = append(treeAdj[e.V], graph.Arc{To: int32(e.U), Edge: int32(ei)})
 	}
 	brute := func(u, v int) float64 {
 		dist := make([]float64, g.NumNodes())
@@ -202,8 +202,8 @@ func TestPathOracleAgainstBruteForce(t *testing.T) {
 			for _, a := range treeAdj[x] {
 				if !seen[a.To] {
 					seen[a.To] = true
-					dist[a.To] = dist[x] + 1/g.Edge(a.Edge).W
-					queue = append(queue, a.To)
+					dist[a.To] = dist[x] + 1/g.Edge(int(a.Edge)).W
+					queue = append(queue, int(a.To))
 				}
 			}
 		}
