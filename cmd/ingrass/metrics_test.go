@@ -56,11 +56,12 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	for _, want := range []string{
 		`ingrass_http_requests_total{code="200",endpoint="solve"} 1`,
 		`ingrass_http_request_duration_seconds_count{endpoint="solve"} 1`,
-		"ingrass_solves_total 1",
+		// The resistance query is a solve column too.
+		"ingrass_solves_total 2",
 		"ingrass_resistance_queries_total 1",
 		`ingrass_solve_failures_total{mode="no_convergence"} 0`,
 		"ingrass_generation 0",
-		"ingrass_solve_duration_seconds_count 1",
+		"ingrass_solve_duration_seconds_count 2",
 		"ingrass_kernel_forks_total",
 		`ingrass_operator_format{format="csr"} 1`,
 		`ingrass_operator_format{format="sell"} 0`,

@@ -41,18 +41,19 @@ func cmdServe(args []string) {
 	target := fs.Float64("target", 0, "target condition number (0 = default)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	maxBatch := fs.Int("max-batch", 128, "flush the write batch at this many edges")
-	// Deprecated: -flush-interval and -batch-window are accepted and
-	// ignored. Both coalescers batch whatever queued while the previous
-	// batch ran, with no timer.
+	// Deprecated: -flush-interval, -batch-window and -coalesce are accepted
+	// and ignored. Both coalescers batch whatever queued while the previous
+	// batch ran, with no timer, and every solve and resistance query rides
+	// the read coalescer.
 	fs.Duration("flush-interval", 0, "deprecated and ignored: a write batch is whatever queued while the previous one was applied")
 	fs.Duration("batch-window", 0, "deprecated and ignored: a read group is whatever queued while the executors were busy")
+	fs.Bool("coalesce", true, "deprecated and ignored: concurrent solves and resistance queries always coalesce")
 	dataDir := fs.String("data-dir", "", "durable data directory (empty = in-memory only)")
 	fsyncMode := fs.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 	fsyncEvery := fs.Duration("fsync-every", 100*time.Millisecond, "flush interval for -fsync=interval")
 	segmentBytes := fs.Int64("segment-bytes", 64<<20, "WAL segment rotation size")
 	ckptEvery := fs.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 = only on shutdown)")
 	format := fs.String("format", "auto", "frozen operator storage layout: auto, csr, or sell")
-	coalesce := fs.Bool("coalesce", true, "coalesce concurrent single solves into blocked multi-RHS executions")
 	batchMax := fs.Int("batch-max", 8, "widest coalesced block (capped at 16)")
 	maintain := fs.Bool("maintain", false, "enable closed-loop maintenance: background re-sparsification when a health threshold trips")
 	maintainEvery := fs.Duration("maintain-every", 2*time.Second, "health-evaluation cadence for -maintain")
@@ -84,12 +85,9 @@ func cmdServe(args []string) {
 			TargetCond:     *target,
 			Seed:           *seed,
 		},
-		MaxBatch: *maxBatch,
-		Solve:    ingrass.SolveOptions{Format: *format},
-		Batch: ingrass.BatchOptions{
-			MaxBlock:        *batchMax,
-			CoalesceSingles: *coalesce,
-		},
+		MaxBatch:     *maxBatch,
+		Solve:        ingrass.SolveOptions{Format: *format},
+		Batch:        ingrass.BatchOptions{MaxBlock: *batchMax},
 		DataDir:      *dataDir,
 		FsyncEvery:   *fsyncEvery,
 		SegmentBytes: *segmentBytes,
@@ -420,10 +418,11 @@ func solveStatus(err error) int {
 // inbound traceparent header), so a routed request shows up as one
 // stitched cross-process trace in /debug/requests.
 //
-// Concurrent single POST /solve requests against the same generation are
-// transparently coalesced into blocked multi-RHS executions when the
-// service was started with -coalesce (the default). tracer may be nil
-// (requests are served untraced).
+// Concurrent POST /solve and GET /resistance requests against the same
+// generation are transparently coalesced into blocked multi-RHS
+// executions, and the batch endpoints run as blocks of -batch-max columns
+// through the same scheduler. tracer may be nil (requests are served
+// untraced).
 func newServeMux(svc *ingrass.Service, tracer *trace.Recorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	hm := newHTTPMetrics(svc.Metrics(), tracer)

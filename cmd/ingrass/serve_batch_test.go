@@ -10,8 +10,9 @@ import (
 	"ingrass"
 )
 
-// testBatchService is testService with single-request coalescing enabled,
-// as `ingrass serve` runs by default.
+// testBatchService is testService with the deprecated CoalesceSingles
+// set, as callers written before it was ignored still do; it must serve
+// exactly like testService.
 func testBatchService(t *testing.T) *ingrass.Service {
 	t.Helper()
 	const rows, cols = 6, 6
@@ -138,6 +139,38 @@ func TestSolveBatchEndpoint(t *testing.T) {
 	}
 	if fe.Field != "bs" || fe.Reason != reasonMissing {
 		t.Fatalf("empty batch error %+v", fe)
+	}
+}
+
+// TestSolveBatchDeadline: a POST /solve/batch whose deadline_ms expires
+// before its blocks finish answers 408, as a single POST /solve does.
+func TestSolveBatchDeadline(t *testing.T) {
+	g, err := ingrass.GenerateTriMesh(40, 40, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := ingrass.NewService(g, ingrass.ServiceOptions{
+		Options: ingrass.Options{InitialDensity: 0.1, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	srv := httptest.NewServer(newServeMux(svc, nil))
+	defer srv.Close()
+
+	// 64 tight-tolerance columns on a 1,600-node mesh take far longer
+	// than the 1 ms budget.
+	n := svc.NumNodes()
+	bs := make([][]float64, 64)
+	for j := range bs {
+		bs[j] = make([]float64, n)
+		bs[j][j], bs[j][n-1-j] = 1, -1
+	}
+	var e errorResponse
+	resp := doJSON(t, srv, http.MethodPost, "/solve/batch", batchSolveRequest{Bs: bs, Tol: 1e-12, DeadlineMS: 1}, &e)
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("expired batch: %d (%+v), want 408", resp.StatusCode, e)
 	}
 }
 

@@ -22,6 +22,10 @@ var (
 	ErrCancelled = solver.ErrCancelled
 )
 
+// ErrClosed reports a write or a scheduled read (Solve, EffectiveResistance,
+// SolveBatch, EffectiveResistanceBatch) issued after Service.Close.
+var ErrClosed = service.ErrClosed
+
 // Typed errors of the durability subsystem.
 var (
 	// ErrNotDurable accompanies an otherwise-successful write whose

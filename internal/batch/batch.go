@@ -8,7 +8,9 @@
 // executors the moment it opens, same-key requests join it while it waits,
 // and it seals when an executor picks it up (or at MaxBlock). An idle
 // service therefore runs a lone request at once, and a busy one batches
-// whatever queued while the previous groups ran.
+// whatever queued while the previous groups ran. An explicit batch
+// (SubmitBatch) skips the open groups: it queues its own sealed groups of
+// MaxBlock columns, so its cost does not depend on concurrent traffic.
 //
 // The scheduler is generic over the execution target T (the service layer
 // instantiates it with its *Snapshot), which keeps the grouping machinery
@@ -48,7 +50,8 @@ var ErrClosed = errors.New("batch: scheduler closed")
 // Options configures a Scheduler. The zero value means all defaults.
 type Options struct {
 	// MaxBlock seals a group at this many coalesced right-hand sides.
-	// Default 8; the executor's kernels cap it (sparse.MaxBlockWidth).
+	// Default 8, at most QueueCap; the executor's kernels cap it
+	// (sparse.MaxBlockWidth).
 	MaxBlock int
 	// QueueCap bounds admitted-but-unexecuted requests; further submitters
 	// block (backpressure) until capacity frees or their context expires.
@@ -57,10 +60,10 @@ type Options struct {
 	// Workers is the number of executor goroutines draining queued groups.
 	// Default GOMAXPROCS.
 	Workers int
-	// OnGroup, when non-nil, is invoked once per executed (or directly
-	// recorded) group with its width in right-hand sides — the hook the
-	// serving layer uses to feed its block-fill histogram. It runs on
-	// executor goroutines and must be cheap and non-blocking.
+	// OnGroup, when non-nil, is invoked once per executed group with its
+	// width in right-hand sides — the hook the serving layer uses to feed
+	// its block-fill histogram. It runs on executor goroutines and must be
+	// cheap and non-blocking.
 	OnGroup func(width int)
 }
 
@@ -74,6 +77,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
+	// Every column of a queued group holds an admission slot.
+	o.MaxBlock = min(o.MaxBlock, o.QueueCap)
 	return o
 }
 
@@ -200,12 +205,15 @@ type Scheduler[T any] struct {
 	// execQ holds every group not yet taken by an executor, in opening
 	// order. Each queued group holds at least one admission slot, so
 	// QueueCap bounds its length and a send under mu never blocks.
-	execQ  chan *group[T]
-	sem    chan struct{}
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
-	stats  Stats
+	execQ chan *group[T]
+	sem   chan struct{}
+	// admitMu (a one-slot channel, so waits can honour ctx) serializes
+	// multi-slot admissions.
+	admitMu chan struct{}
+	quit    chan struct{}
+	wg      sync.WaitGroup
+	closed  atomic.Bool
+	stats   Stats
 }
 
 // New starts a scheduler whose groups are executed by run.
@@ -218,6 +226,7 @@ func New[T any](opts Options, run Runner[T]) *Scheduler[T] {
 	}
 	s.execQ = make(chan *group[T], s.opts.QueueCap)
 	s.sem = make(chan struct{}, s.opts.QueueCap)
+	s.admitMu = make(chan struct{}, 1)
 	for i := 0; i < s.opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.exec()
@@ -230,24 +239,10 @@ func New[T any](opts Options, run Runner[T]) *Scheduler[T] {
 // while the admission queue is full; ctx (the request's own context) bounds
 // that wait.
 func (s *Scheduler[T]) Submit(ctx context.Context, gen uint64, target T, r *Req) error {
-	if s.closed.Load() {
-		return ErrClosed
+	if err := s.admit(ctx, 1); err != nil {
+		return err
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.quit:
-			return ErrClosed
-		}
-	}
-	r.gen = gen
-	r.done = make(chan struct{})
-	r.submitted = time.Now()
-	s.stats.depth.Add(1)
+	s.stamp(gen, r)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -267,6 +262,91 @@ func (s *Scheduler[T]) Submit(ctx context.Context, gen uint64, target T, r *Req)
 		delete(s.open, key)
 	}
 	return nil
+}
+
+// SubmitBatch admits one caller's requests against the given
+// generation/target as sealed groups: consecutive runs of at most MaxBlock
+// requests that no other submitter joins, so k requests form exactly
+// ceil(k/MaxBlock) groups. All requests must share one option set. Each
+// group takes its admission slots and is then queued under one lock hold,
+// so a batch larger than QueueCap streams through the executors instead of
+// waiting for room it can never get. It returns how many requests were
+// admitted: after an error (ctx expiry while waiting for admission, or
+// Close) reqs[n:] were never queued and only reqs[:n] complete.
+func (s *Scheduler[T]) SubmitBatch(ctx context.Context, gen uint64, target T, reqs []*Req) (int, error) {
+	n := 0
+	for n < len(reqs) {
+		w := min(s.opts.MaxBlock, len(reqs)-n)
+		if err := s.admit(ctx, w); err != nil {
+			return n, err
+		}
+		g := &group[T]{target: target, key: groupKey{gen: gen, opts: reqs[n].Opts}, reqs: reqs[n : n+w : n+w]}
+		s.stamp(gen, g.reqs...)
+		s.mu.Lock()
+		if s.closed.Load() {
+			s.mu.Unlock()
+			s.admitRelease(w)
+			return n, ErrClosed
+		}
+		s.execQ <- g
+		s.mu.Unlock()
+		n += w
+	}
+	return n, nil
+}
+
+// admit takes w admission slots for one group, blocking while the queue is
+// full. Groups wider than one slot take theirs under admitMu, so two
+// batches can never each hold part of what the other waits for: every
+// other slot belongs to a group that is queued or about to be, and frees
+// once an executor takes it.
+func (s *Scheduler[T]) admit(ctx context.Context, w int) error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	if w > 1 {
+		select {
+		case s.admitMu <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.quit:
+			return ErrClosed
+		}
+		defer func() { <-s.admitMu }()
+	}
+	for i := 0; i < w; i++ {
+		select {
+		case s.sem <- struct{}{}:
+			continue
+		default:
+		}
+		var err error
+		select {
+		case s.sem <- struct{}{}:
+			continue
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-s.quit:
+			err = ErrClosed
+		}
+		for ; i > 0; i-- {
+			<-s.sem
+		}
+		return err
+	}
+	return nil
+}
+
+// stamp marks admitted requests with their generation and admission time
+// and counts them in the queue depth.
+func (s *Scheduler[T]) stamp(gen uint64, reqs ...*Req) {
+	now := time.Now()
+	for _, r := range reqs {
+		r.gen = gen
+		r.done = make(chan struct{})
+		r.submitted = now
+	}
+	s.stats.depth.Add(int64(len(reqs)))
 }
 
 // exec is one executor goroutine: run groups until shutdown.
@@ -296,15 +376,6 @@ func (s *Scheduler[T]) runGroup(g *group[T]) {
 	}
 	w := len(g.reqs)
 	s.admitRelease(w)
-	s.recordGroup(w)
-	s.run(g.target, g.reqs)
-	for _, r := range g.reqs {
-		close(r.done)
-	}
-}
-
-// recordGroup accounts one executed group of the given width.
-func (s *Scheduler[T]) recordGroup(w int) {
 	s.stats.batches.Add(1)
 	s.stats.columns.Add(uint64(w))
 	if w > 1 {
@@ -313,12 +384,11 @@ func (s *Scheduler[T]) recordGroup(w int) {
 	if s.opts.OnGroup != nil {
 		s.opts.OnGroup(w)
 	}
+	s.run(g.target, g.reqs)
+	for _, r := range g.reqs {
+		close(r.done)
+	}
 }
-
-// RecordDirect accounts a blocked group executed outside the scheduler (the
-// explicit SolveBatch / resistance-sweep path), so block-fill stats cover
-// every blocked execution.
-func (s *Scheduler[T]) RecordDirect(w int) { s.recordGroup(w) }
 
 // admitRelease returns n admission slots.
 func (s *Scheduler[T]) admitRelease(n int) {

@@ -166,6 +166,115 @@ func TestGenerationsNeverMix(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchSealsOwnGroups: an explicit batch queues exactly
+// ceil(k/MaxBlock) sealed groups in order; singles queued around it never
+// join them, and it never joins their open group.
+func TestSubmitBatchSealsOwnGroups(t *testing.T) {
+	s, rc, plug, release := busyScheduler(t, 4)
+	before := &Req{}
+	submitWait(t, s, 1, before)
+	reqs := make([]*Req, 11)
+	for i := range reqs {
+		reqs[i] = &Req{Ctx: context.Background()}
+	}
+	if n, err := s.SubmitBatch(context.Background(), 1, "t", reqs); n != len(reqs) || err != nil {
+		t.Fatalf("SubmitBatch admitted %d: %v", n, err)
+	}
+	after := &Req{}
+	submitWait(t, s, 1, after)
+	release()
+	waitAll(t, append(append(reqs, plug, before), after)...)
+	if w := rc.widths(); len(w) != 5 || w[0] != 1 || w[1] != 2 || w[2] != 4 || w[3] != 4 || w[4] != 3 {
+		t.Fatalf("groups %v, want [1 2 4 4 3] (plug, singles, batch blocks)", w)
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for i, g := range rc.groups[2:] {
+		for j, r := range g {
+			if r != reqs[4*i+j] || r.Gen() != 1 {
+				t.Fatalf("group %d column %d is not batch request %d", i, j, 4*i+j)
+			}
+		}
+	}
+}
+
+// TestSubmitBatchLargerThanQueueCap: batches needing more admission slots
+// than the queue holds stream through group by group, also while several
+// of them and a stream of singles compete for the slots.
+func TestSubmitBatchLargerThanQueueCap(t *testing.T) {
+	var ran atomic.Int64
+	s := New(Options{MaxBlock: 3, QueueCap: 4, Workers: 2}, func(target string, reqs []*Req) {
+		ran.Add(int64(len(reqs)))
+	})
+	defer s.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			reqs := make([]*Req, 10)
+			for i := range reqs {
+				reqs[i] = &Req{Ctx: context.Background()}
+			}
+			if n, err := s.SubmitBatch(context.Background(), 1, "t", reqs); n != len(reqs) || err != nil {
+				t.Errorf("SubmitBatch admitted %d: %v", n, err)
+				return
+			}
+			for _, r := range reqs {
+				<-r.Done()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				r := &Req{Ctx: context.Background()}
+				if err := s.Submit(r.Ctx, 1, "t", r); err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+				<-r.Done()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ran.Load(); got != 80 {
+		t.Fatalf("%d requests executed, want 80", got)
+	}
+	if d := s.Stats().QueueDepth; d != 0 {
+		t.Fatalf("queue depth %d after drain", d)
+	}
+}
+
+// TestSubmitBatchCancelledAdmission: a batch whose context expires while
+// it waits for admission reports how many requests it queued; exactly
+// those complete, and the rest never enter the queue.
+func TestSubmitBatchCancelledAdmission(t *testing.T) {
+	rc := &recorder{block: make(chan struct{}), started: make(chan struct{}, 8)}
+	s := New(Options{MaxBlock: 2, QueueCap: 2, Workers: 1}, rc.run)
+	defer s.Close()
+	defer close(rc.block)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	reqs := make([]*Req, 8)
+	for i := range reqs {
+		reqs[i] = &Req{Ctx: ctx}
+	}
+	// The executor parks in the first group; the second fills the queue;
+	// the third waits for admission until ctx expires.
+	n, err := s.SubmitBatch(ctx, 1, "t", reqs)
+	if !errors.Is(err, context.DeadlineExceeded) || n != 4 {
+		t.Fatalf("SubmitBatch admitted %d: %v, want 4 and DeadlineExceeded", n, err)
+	}
+	for _, r := range reqs[n:] {
+		if r.Done() != nil {
+			t.Fatal("a request past the admitted prefix was queued")
+		}
+	}
+	rc.block <- struct{}{}
+	rc.block <- struct{}{}
+	waitAll(t, reqs[:n]...)
+}
+
 // TestQueueBoundBlocksAndCancels: a full admission queue blocks Submit
 // until the submitter's context expires.
 func TestQueueBoundBlocksAndCancels(t *testing.T) {

@@ -104,6 +104,9 @@ type Decision struct {
 	// Target is the H edge index that received the weight for Merged, or
 	// the new edge's H index for Included, or -1 for Redistributed.
 	Target int
+	// Pos is the edge's index in the UpdateBatch input (0 for Update):
+	// decisions come back in distortion order, Pos maps each to its edge.
+	Pos int
 }
 
 // Stats accumulates update-phase counters across batches.
@@ -232,6 +235,7 @@ func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 	for _, it := range work {
 		s.G.AddEdge(it.e.U, it.e.V, it.e.W)
 		d := s.applyOne(it.e, it.d)
+		d.Pos = it.pos
 		decisions = append(decisions, d)
 	}
 	return decisions, nil

@@ -48,13 +48,13 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 
 	// Phase 1: shared prefix, applied to the live engine only.
 	prefix := streamEdges(n, 120, 7)
-	if _, err := live.ApplyBatch(prefix[:60], nil); err != nil {
+	if _, err := live.UpdateBatch(prefix[:60]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := live.DeleteEdges([]graph.Edge{prefix[3], prefix[17]}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := live.ApplyBatch(prefix[60:], nil); err != nil {
+	if _, err := live.UpdateBatch(prefix[60:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,19 +77,19 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 	suffix := streamEdges(n, 150, 99)
 	for k := 0; k < len(suffix); k += 30 {
 		batch := suffix[k : k+30]
-		dLive, err := live.ApplyBatch(append([]graph.Edge(nil), batch...), nil)
+		dLive, err := live.UpdateBatch(append([]graph.Edge(nil), batch...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dRest, err := restored.ApplyBatch(append([]graph.Edge(nil), batch...), nil)
+		dRest, err := restored.UpdateBatch(append([]graph.Edge(nil), batch...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dLive.Additions) != len(dRest.Additions) {
-			t.Fatalf("batch %d: decision counts %d vs %d", k, len(dLive.Additions), len(dRest.Additions))
+		if len(dLive) != len(dRest) {
+			t.Fatalf("batch %d: decision counts %d vs %d", k, len(dLive), len(dRest))
 		}
-		for i := range dLive.Additions {
-			a, b := dLive.Additions[i], dRest.Additions[i]
+		for i := range dLive {
+			a, b := dLive[i], dRest[i]
 			if a.Edge != b.Edge || a.Action != b.Action || a.Target != b.Target ||
 				math.Float64bits(a.Distortion) != math.Float64bits(b.Distortion) {
 				t.Fatalf("batch %d decision %d: %+v vs %+v", k, i, a, b)
@@ -125,7 +125,7 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 func TestRestoreAfterResparsify(t *testing.T) {
 	_, live := setup(t, 8, 8, 0.1, 50)
 	n := live.G.NumNodes()
-	if _, err := live.ApplyBatch(streamEdges(n, 80, 3), nil); err != nil {
+	if _, err := live.UpdateBatch(streamEdges(n, 80, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := live.Resparsify(); err != nil {
@@ -141,17 +141,17 @@ func TestRestoreAfterResparsify(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := streamEdges(n, 40, 5)
-	dLive, err := live.ApplyBatch(append([]graph.Edge(nil), batch...), nil)
+	dLive, err := live.UpdateBatch(append([]graph.Edge(nil), batch...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dRest, err := restored.ApplyBatch(append([]graph.Edge(nil), batch...), nil)
+	dRest, err := restored.UpdateBatch(append([]graph.Edge(nil), batch...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range dLive.Additions {
-		if dLive.Additions[i] != dRest.Additions[i] {
-			t.Fatalf("decision %d: %+v vs %+v", i, dLive.Additions[i], dRest.Additions[i])
+	for i := range dLive {
+		if dLive[i] != dRest[i] {
+			t.Fatalf("decision %d: %+v vs %+v", i, dLive[i], dRest[i])
 		}
 	}
 }

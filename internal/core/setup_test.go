@@ -21,7 +21,7 @@ func applyStream(t *testing.T, s *Sparsifier, stream []graph.Edge, batchSize int
 	t.Helper()
 	for k := 0; k+batchSize <= len(stream); k += batchSize {
 		batch := stream[k : k+batchSize]
-		if _, err := s.ApplyBatch(append([]graph.Edge(nil), batch...), nil); err != nil {
+		if _, err := s.UpdateBatch(append([]graph.Edge(nil), batch...)); err != nil {
 			t.Fatal(err)
 		}
 		if (k/batchSize)%4 == 3 {
@@ -111,15 +111,15 @@ func TestSwapEquivalenceProperty(t *testing.T) {
 				suffix := streamEdges(n, 80, seed^0x30)
 				for k := 0; k+10 <= len(suffix); k += 10 {
 					batch := suffix[k : k+10]
-					dLive, err := live.ApplyBatch(append([]graph.Edge(nil), batch...), nil)
+					dLive, err := live.UpdateBatch(append([]graph.Edge(nil), batch...))
 					if err != nil {
 						t.Fatal(err)
 					}
-					dRep, err := replayed.ApplyBatch(append([]graph.Edge(nil), batch...), nil)
+					dRep, err := replayed.UpdateBatch(append([]graph.Edge(nil), batch...))
 					if err != nil {
 						t.Fatal(err)
 					}
-					decisionsBitEqual(t, fmt.Sprintf("suffix batch %d", k), dLive.Additions, dRep.Additions)
+					decisionsBitEqual(t, fmt.Sprintf("suffix batch %d", k), dLive, dRep)
 				}
 				graphsBitEqual(t, "final G", live.G, replayed.G)
 				graphsBitEqual(t, "final H", live.H, replayed.H)
@@ -189,7 +189,7 @@ func TestAdoptSetupValidation(t *testing.T) {
 
 	// A basis from a future H (more edges than the adopter) must be refused.
 	_, ahead := setup(t, 8, 8, 0.1, 50)
-	if _, err := ahead.ApplyBatch(streamEdges(ahead.G.NumNodes(), 40, 9), nil); err != nil {
+	if _, err := ahead.UpdateBatch(streamEdges(ahead.G.NumNodes(), 40, 9)); err != nil {
 		t.Fatal(err)
 	}
 	_, behind := setup(t, 8, 8, 0.1, 50)
@@ -224,15 +224,15 @@ func TestAdoptBasisMatchesResparsify(t *testing.T) {
 		t.Fatalf("filter levels %d vs %d", a.FilterLevel(), b.FilterLevel())
 	}
 	suffix := streamEdges(a.G.NumNodes(), 30, 12)
-	dA, err := a.ApplyBatch(append([]graph.Edge(nil), suffix...), nil)
+	dA, err := a.UpdateBatch(append([]graph.Edge(nil), suffix...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dB, err := b.ApplyBatch(append([]graph.Edge(nil), suffix...), nil)
+	dB, err := b.UpdateBatch(append([]graph.Edge(nil), suffix...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	decisionsBitEqual(t, "post-resparsify", dA.Additions, dB.Additions)
+	decisionsBitEqual(t, "post-resparsify", dA, dB)
 	graphsBitEqual(t, "final H", a.H, b.H)
 }
 

@@ -30,8 +30,8 @@ import (
 // storage order. Entries keep their per-row order in the slots, the kernels
 // walk slots in ascending order for every lane, and padded slots are NEVER
 // read (the uniform loop stops at the chunk's minimum real row length and
-// per-lane remainder loops finish each longer row), so LapMul/AdjMul over
-// SELL are bit-for-bit equal to their serial CSR counterparts — the same
+// per-lane remainder loops finish each longer row), so the SELL products
+// are bit-for-bit equal to their serial CSR counterparts — the same
 // guarantee the pooled CSR kernels give, extended to the sliced layout.
 // (Executing padded slots would not be bit-neutral: 0*x[j] carries x[j]'s
 // sign, and subtracting a -0 flips a -0 accumulator to +0.)
@@ -256,27 +256,12 @@ func (s *SELL) LapMul(dst, x []float64) {
 	s.LapMulChunks(dst, x, 0, s.NumChunks())
 }
 
-// AdjMul computes dst = A x over the sliced layout; bit-identical to
-// CSR.AdjMul.
-func (s *SELL) AdjMul(dst, x []float64) {
-	s.checkDims("AdjMul", dst, x)
-	s.AdjMulChunks(dst, x, 0, s.NumChunks())
-}
-
 // lapTail finishes lane's row from slot `from` to its real length: the
 // per-lane remainder beyond the chunk's uniform minimum.
 func (s *SELL) lapTail(acc float64, x []float64, base, from, to, lane int) float64 {
 	for k := from; k < to; k++ {
 		idx := base + k*SellC + lane
 		acc -= float64(s.Vals[idx] * x[s.Cols[idx]])
-	}
-	return acc
-}
-
-func (s *SELL) adjTail(acc float64, x []float64, base, from, to, lane int) float64 {
-	for k := from; k < to; k++ {
-		idx := base + k*SellC + lane
-		acc += float64(s.Vals[idx] * x[s.Cols[idx]])
 	}
 	return acc
 }
@@ -322,42 +307,6 @@ func (s *SELL) LapMulChunks(dst, x []float64, c0, c1 int) {
 			r := r0 + lane
 			u := s.Perm[r]
 			dst[u] = s.lapTail(s.Degree[u]*x[u], x, base, 0, int(s.RowLen[r]), lane)
-		}
-	}
-}
-
-// AdjMulChunks is LapMulChunks for the adjacency product dst = A x.
-func (s *SELL) AdjMulChunks(dst, x []float64, c0, c1 int) {
-	for ch := c0; ch < c1; ch++ {
-		base := s.ChunkPtr[ch]
-		r0 := ch * SellC
-		if r0+SellC <= s.N {
-			u0, u1, u2, u3 := s.Perm[r0], s.Perm[r0+1], s.Perm[r0+2], s.Perm[r0+3]
-			var a0, a1, a2, a3 float64
-			m := int(s.ChunkMin[ch])
-			off := base
-			for k := 0; k < m; k++ {
-				a0 += float64(s.Vals[off] * x[s.Cols[off]])
-				a1 += float64(s.Vals[off+1] * x[s.Cols[off+1]])
-				a2 += float64(s.Vals[off+2] * x[s.Cols[off+2]])
-				a3 += float64(s.Vals[off+3] * x[s.Cols[off+3]])
-				off += SellC
-			}
-			if int(s.ChunkLen[ch]) > m {
-				a0 = s.adjTail(a0, x, base, m, int(s.RowLen[r0]), 0)
-				a1 = s.adjTail(a1, x, base, m, int(s.RowLen[r0+1]), 1)
-				a2 = s.adjTail(a2, x, base, m, int(s.RowLen[r0+2]), 2)
-				a3 = s.adjTail(a3, x, base, m, int(s.RowLen[r0+3]), 3)
-			}
-			dst[u0] = a0
-			dst[u1] = a1
-			dst[u2] = a2
-			dst[u3] = a3
-			continue
-		}
-		for lane := 0; r0+lane < s.N; lane++ {
-			r := r0 + lane
-			dst[s.Perm[r]] = s.adjTail(0, x, base, 0, int(s.RowLen[r]), lane)
 		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"ingrass/internal/graph"
 )
 
-// Pooled SELL-C-σ kernels. These mirror the CSR entry points in kernels.go
-// and multi.go one-for-one, with the partition granularity lifted from rows
+// Pooled SELL-C-σ kernels. These mirror the CSR Laplacian entry points in
+// kernels.go and multi.go, with the partition granularity lifted from rows
 // to chunks: a span boundary never lands inside a chunk, so each original
 // row is written by exactly one worker and every pooled product stays
 // bit-identical to its serial counterpart — which graph.SELL in turn pins
@@ -20,11 +20,6 @@ import (
 func lapMulSellShare(p *Pool, w int) {
 	j := &p.job
 	j.sell.LapMulChunks(j.dst, j.x, j.part[w], j.part[w+1])
-}
-
-func adjMulSellShare(p *Pool, w int) {
-	j := &p.job
-	j.sell.AdjMulChunks(j.dst, j.x, j.part[w], j.part[w+1])
 }
 
 func lapMulMultiSellShare(p *Pool, w int) {
@@ -62,19 +57,6 @@ func (p *Pool) LapMulSELL(s *graph.SELL, part []int, dst, x []float64) {
 	p.mu.Lock()
 	p.job = job{sell: s, part: part, dst: dst, x: x}
 	p.run(lapMulSellShare)
-	p.mu.Unlock()
-}
-
-// AdjMulSELL computes dst = A x over the slot-balanced chunk partition.
-func (p *Pool) AdjMulSELL(s *graph.SELL, part []int, dst, x []float64) {
-	if p.spmvSerialSELL(s, part) {
-		s.AdjMul(dst, x)
-		return
-	}
-	checkSpMVSELL("AdjMulSELL", s, part, dst, x)
-	p.mu.Lock()
-	p.job = job{sell: s, part: part, dst: dst, x: x}
-	p.run(adjMulSellShare)
 	p.mu.Unlock()
 }
 

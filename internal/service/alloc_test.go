@@ -238,7 +238,7 @@ func TestSolveCancelledContext(t *testing.T) {
 	rhs := warmRHS(snap.G.NumNodes())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := snap.Solve(ctx, rhs, solver.Options{})
+	st, err := snap.SolveInto(ctx, make([]float64, len(rhs)), rhs, solver.Options{})
 	if !errors.Is(err, solver.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCancelled/context.Canceled, got %v", err)
 	}
@@ -260,7 +260,7 @@ func TestSolvePerRequestOptions(t *testing.T) {
 	e := newEngine(t, 12, 12, Options{})
 	snap := e.Current()
 	rhs := warmRHS(snap.G.NumNodes())
-	_, st, err := snap.Solve(context.Background(), rhs, solver.Options{Tol: 1e-14, MaxIter: 1})
+	st, err := snap.SolveInto(context.Background(), make([]float64, len(rhs)), rhs, solver.Options{Tol: 1e-14, MaxIter: 1})
 	if !errors.Is(err, solver.ErrNoConvergence) {
 		t.Fatalf("want ErrNoConvergence, got %v", err)
 	}

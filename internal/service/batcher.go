@@ -12,7 +12,7 @@ import (
 	"ingrass/internal/wal"
 )
 
-// ErrClosed is returned for writes enqueued after Close.
+// ErrClosed is returned for writes and scheduled reads issued after Close.
 var ErrClosed = errors.New("service: engine closed")
 
 // errEmptyBatch rejects write requests that carry no edges.
@@ -86,7 +86,7 @@ type request struct {
 // (typically while the previous flush ran), and flushes them as one batch,
 // flushing early at MaxBatch edges, at a barrier, or before a maintenance
 // swap. Each batch is applied under the write lock (all insertions through
-// one core.ApplyBatch pass; deletions per request, for exact error
+// one core.UpdateBatch pass; deletions per request, for exact error
 // isolation), published as a fresh snapshot, and its futures completed.
 func (e *Engine) run() {
 	defer e.wg.Done()
@@ -144,13 +144,6 @@ func (e *Engine) run() {
 	}
 }
 
-// edgeKey identifies an edge payload for attributing coalesced decisions
-// back to the requests that carried them.
-type edgeKey struct {
-	u, v int
-	w    float64
-}
-
 // flush applies one coalesced batch and publishes the resulting snapshot.
 func (e *Engine) flush(batch []*request) {
 	var adds, dels []graph.Edge
@@ -175,29 +168,21 @@ func (e *Engine) flush(batch []*request) {
 
 	e.mu.Lock()
 	var (
-		decisions []decisionLite
-		addErr    error
+		actions []core.Action // by position in adds
+		addErr  error
 	)
 	if len(adds) > 0 {
-		res, err := e.sp.ApplyBatch(adds, nil)
+		decs, err := e.sp.UpdateBatch(adds)
 		if err != nil {
 			// Should be unreachable given the static validation above, but
 			// fail the whole add phase rather than guessing.
 			addErr = err
 		} else {
-			decs := res.Additions
-			decisions = make([]decisionLite, 0, len(decs))
+			actions = make([]core.Action, len(adds))
 			for _, d := range decs {
-				decisions = append(decisions, decisionLite{
-					key:    edgeKey{u: d.Edge.U, v: d.Edge.V, w: d.Edge.W},
-					action: d.Action,
-				})
+				actions[d.Pos] = d.Action
 			}
 		}
-	}
-	byKey := make(map[edgeKey][]int)
-	for i, d := range decisions {
-		byKey[d.key] = append(byKey[d.key], i)
 	}
 
 	// Delete requests apply per request: deletion validation depends on the
@@ -305,25 +290,19 @@ func (e *Engine) flush(batch []*request) {
 	// its future already sees the flush in Stats.
 	e.stats.flushes.Add(1)
 
-	// Complete futures outside the write lock.
+	// Complete futures outside the write lock. Each valid add request owns
+	// the next contiguous range of adds.
+	next := 0
 	for _, r := range batch {
 		switch r.kind {
 		case opAdd:
-			res := WriteResult{Generation: snap.Gen}
-			var err error
 			if addErr != nil {
-				err = addErr
+				e.stats.writeErrors.Add(1)
+				r.p.complete(WriteResult{}, addErr)
 			} else {
-				for _, edge := range r.edges {
-					k := edgeKey{u: edge.U, v: edge.V, w: edge.W}
-					idxs := byKey[k]
-					if len(idxs) == 0 {
-						err = fmt.Errorf("service: internal: decision missing for edge %+v", edge)
-						break
-					}
-					d := decisions[idxs[0]]
-					byKey[k] = idxs[1:]
-					switch d.action {
+				res := WriteResult{Generation: snap.Gen}
+				for _, a := range actions[next : next+len(r.edges)] {
+					switch a {
 					case core.Included:
 						res.Included++
 					case core.Merged:
@@ -332,11 +311,7 @@ func (e *Engine) flush(batch []*request) {
 						res.Redistributed++
 					}
 				}
-			}
-			if err != nil {
-				e.stats.writeErrors.Add(1)
-				r.p.complete(WriteResult{}, err)
-			} else {
+				next += len(r.edges)
 				e.stats.flushedAdds.Add(uint64(len(r.edges)))
 				r.p.complete(res, walErr)
 			}
@@ -359,11 +334,6 @@ func (e *Engine) flush(batch []*request) {
 			}
 		}
 	}
-}
-
-type decisionLite struct {
-	key    edgeKey
-	action core.Action
 }
 
 func validateAdds(edges []graph.Edge, n int) error {

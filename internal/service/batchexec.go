@@ -124,13 +124,22 @@ func (e *Engine) execGroup(snap *Snapshot, reqs []*batch.Req) {
 	}
 }
 
-// wrapSubmitErr classifies a scheduler admission failure: a request whose
+// submitErr classifies a scheduler admission failure: a request whose
 // own context expired while blocked on the admission queue is a
 // cancellation (HTTP 499/408 via solver.ErrCancelled), exactly as if it
-// had been cancelled mid-solve; ErrClosed passes through.
-func wrapSubmitErr(err error) error {
+// had been cancelled mid-solve, and a closed scheduler is a closed engine.
+func submitErr(err error) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return solver.Cancelled(err)
+	}
+	return closedErr(err)
+}
+
+// closedErr reports a request the scheduler failed at Close as ErrClosed,
+// the error every engine call issued after Close returns.
+func closedErr(err error) error {
+	if errors.Is(err, batch.ErrClosed) {
+		return ErrClosed
 	}
 	return err
 }
@@ -152,19 +161,12 @@ func (e *Engine) SolveCoalesced(ctx context.Context, snap *Snapshot, x, b []floa
 	}
 	r := &batch.Req{Ctx: ctx, Kind: batch.KindSolve, X: x, B: b, Opts: opts}
 	if err := e.sched.Submit(ctx, snap.Gen, snap, r); err != nil {
-		return SolveStats{}, wrapSubmitErr(err)
+		return SolveStats{}, submitErr(err)
 	}
 	if err := r.Wait(ctx); err != nil {
 		return SolveStats{Generation: snap.Gen}, solver.Cancelled(err)
 	}
-	st := SolveStats{
-		Generation:  snap.Gen,
-		Iterations:  r.Iterations,
-		Residual:    r.Residual,
-		Converged:   r.Converged,
-		PrecondUses: r.InnerUses,
-	}
-	return st, r.Err
+	return ReqStats(r), closedErr(r.Err)
 }
 
 // ResistanceCoalesced submits one effective-resistance query through the
@@ -174,33 +176,88 @@ func (e *Engine) ResistanceCoalesced(ctx context.Context, snap *Snapshot, u, v i
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := snap.G.NumNodes()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return 0, fmt.Errorf("service: resistance endpoints (%d, %d) out of range [0, %d)", u, v, n)
-	}
-	if u == v {
-		snap.stats.resistQueries.Add(1)
-		return 0, nil
+	if e.closed.Load() {
+		return 0, ErrClosed // before the u == v shortcut
 	}
 	r := &batch.Req{Ctx: ctx, Kind: batch.KindPair, U: u, V: v}
+	if !snap.pairNeedsSolve(r) {
+		return 0, r.Err
+	}
 	if err := e.sched.Submit(ctx, snap.Gen, snap, r); err != nil {
-		return 0, wrapSubmitErr(err)
+		return 0, submitErr(err)
 	}
 	if err := r.Wait(ctx); err != nil {
 		return 0, solver.Cancelled(err)
 	}
-	return r.Resistance, r.Err
+	return r.Resistance, closedErr(r.Err)
 }
 
-// SolveBlock runs an explicit blocked solve against snap (the
-// Service.SolveBatch path), recording it in the block-fill stats. Width is
-// capped at sparse.MaxBlockWidth; the public layer chunks wider batches.
-func (e *Engine) SolveBlock(ctx context.Context, snap *Snapshot, xs, bs [][]float64, out []sparse.ColumnResult, opts solver.Options) (BlockSolveStats, error) {
-	st, err := snap.SolveBlockInto(ctx, xs, bs, out, nil, opts)
-	if err == nil {
-		e.sched.RecordDirect(len(xs))
+// RunBatch executes one caller's requests against snap as sealed groups of
+// at most MaxBlock columns (see batch.Scheduler.SubmitBatch), so k columns
+// cost ceil(k/MaxBlock) blocked executions however busy the service is.
+// Every request rides with ctx as its column context. Pair requests are
+// validated first: an invalid one gets its Err and a u == v one resolves
+// to zero, neither taking a column. Per-request outcomes land in each
+// request's result fields.
+//
+// RunBatch returns only once no executor can still write a request's
+// buffers, even when ctx expires: admitted columns are masked within one
+// iteration and waited out. A ctx that expired (before admission or during
+// execution) fails the call with an error matching solver.ErrCancelled.
+func (e *Engine) RunBatch(ctx context.Context, snap *Snapshot, reqs []*batch.Req) error {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return st, err
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	cols := make([]*batch.Req, 0, len(reqs))
+	for _, r := range reqs {
+		r.Ctx = ctx
+		if r.Kind == batch.KindPair && !snap.pairNeedsSolve(r) {
+			continue
+		}
+		cols = append(cols, r)
+	}
+	n, err := e.sched.SubmitBatch(ctx, snap.Gen, snap, cols)
+	for _, r := range cols[:n] {
+		<-r.Done()
+		r.Err = closedErr(r.Err)
+	}
+	if err != nil {
+		return submitErr(err)
+	}
+	if err := ctx.Err(); err != nil {
+		return solver.Cancelled(err)
+	}
+	return nil
+}
+
+// ReqStats reports a completed solve request's column as SolveStats.
+func ReqStats(r *batch.Req) SolveStats {
+	return SolveStats{
+		Generation:  r.Gen(),
+		Iterations:  r.Iterations,
+		Residual:    r.Residual,
+		Converged:   r.Converged,
+		PrecondUses: r.InnerUses,
+	}
+}
+
+// pairNeedsSolve validates a resistance request against s and reports
+// whether it needs a column. Invalid endpoints set r.Err; u == v is zero by
+// definition and counts as a query at once.
+func (s *Snapshot) pairNeedsSolve(r *batch.Req) bool {
+	n := s.G.NumNodes()
+	if r.U < 0 || r.U >= n || r.V < 0 || r.V >= n {
+		r.Err = fmt.Errorf("service: resistance endpoints (%d, %d) out of range [0, %d)", r.U, r.V, n)
+		return false
+	}
+	if r.U == r.V {
+		s.stats.resistQueries.Add(1)
+		return false
+	}
+	return true
 }
 
 // BatchStats snapshots the scheduler counters.

@@ -379,22 +379,20 @@ func TestSchedulerHammer(t *testing.T) {
 				case 1: // explicit blocked batch
 					const w = 3
 					bs := blockRHS(n, w, id*100+it)
-					xs := make([][]float64, w)
-					for j := range xs {
-						xs[j] = make([]float64, n)
+					reqs := make([]*batch.Req, w)
+					for j := range reqs {
+						reqs[j] = &batch.Req{Kind: batch.KindSolve, X: make([]float64, n), B: bs[j]}
 					}
-					out := make([]sparse.ColumnResult, w)
-					bst, err := e.SolveBlock(ctx, snap, xs, bs, out, solver.Options{})
-					if err != nil || bst.Generation != snap.Gen {
-						t.Errorf("goroutine %d iter %d: block err=%v bst=%+v", id, it, err, bst)
+					if err := e.RunBatch(ctx, snap, reqs); err != nil {
+						t.Errorf("goroutine %d iter %d: batch err=%v", id, it, err)
 						return
 					}
-					for j := 0; j < w; j++ {
-						if out[j].Err != nil {
-							t.Errorf("goroutine %d iter %d col %d: %v", id, it, j, out[j].Err)
+					for j, r := range reqs {
+						if r.Err != nil || r.Gen() != snap.Gen {
+							t.Errorf("goroutine %d iter %d col %d: err=%v gen %d", id, it, j, r.Err, r.Gen())
 							return
 						}
-						verify(id, it, snap, xs[j], bs[j])
+						verify(id, it, snap, r.X, bs[j])
 					}
 				case 2: // coalesced resistance
 					u, v := (id*7+it)%n, (id*13+it*3+1)%n

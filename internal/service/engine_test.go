@@ -37,6 +37,15 @@ func grid(r, c int) *graph.Graph {
 
 func newEngine(t testing.TB, rows, cols int, opts Options) *Engine {
 	t.Helper()
+	e := New(newSparsifier(t, rows, cols), opts)
+	t.Cleanup(e.Close)
+	return e
+}
+
+// newSparsifier is the set-up sparsifier newEngine serves: the same grid
+// and seeds give the same state every time.
+func newSparsifier(t testing.TB, rows, cols int) *core.Sparsifier {
+	t.Helper()
 	g := grid(rows, cols)
 	init, err := grass.InitialSparsifier(g, 0.1, 1)
 	if err != nil {
@@ -49,9 +58,7 @@ func newEngine(t testing.TB, rows, cols int, opts Options) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(sp, opts)
-	t.Cleanup(e.Close)
-	return e
+	return sp
 }
 
 func ctxT(t testing.TB) context.Context {
@@ -141,6 +148,83 @@ func TestCoalescingSingleFlush(t *testing.T) {
 	}
 }
 
+// TestAddCountsByPosition: a flush attributes each filter decision to the
+// request that carried its edge, by position. Two requests carrying the
+// identical edge and a rejected request among valid ones each get exactly
+// the counts one UpdateBatch of the valid requests' edges, in order, gives
+// their edges.
+func TestAddCountsByPosition(t *testing.T) {
+	reqs := [][]graph.Edge{
+		{{U: 0, V: 35, W: 1}, {U: 5, V: 30, W: 2}},
+		{{U: 5, V: 30, W: 2}},
+		{{U: 3, V: 3, W: 1}}, // self-loop: rejected at flush
+		{{U: 1, V: 34, W: 0.5}, {U: 2, V: 20, W: 4}, {U: 7, V: 28, W: 1}},
+		{{U: 0, V: 35, W: 1}, {U: 6, V: 29, W: 3}},
+	}
+	const rejected = 2
+
+	var adds []graph.Edge
+	for i, r := range reqs {
+		if i != rejected {
+			adds = append(adds, r...)
+		}
+	}
+	decs, err := newSparsifier(t, 6, 6).UpdateBatch(append([]graph.Edge(nil), adds...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions := make([]core.Action, len(adds))
+	for _, d := range decs {
+		actions[d.Pos] = d.Action
+	}
+	// Positions 1 and 2 carry the identical edge: the first copy is
+	// included, the second then merges.
+	if actions[1] == actions[2] {
+		t.Fatalf("fixture: both copies of the identical edge were %v", actions[1])
+	}
+
+	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000})
+	ctx := ctxT(t)
+	release := parkWriter(t, e)
+	pendings := make([]*Pending, len(reqs))
+	for i, r := range reqs {
+		pendings[i] = mustEnqueue(t, e, opAdd, r)
+	}
+	release()
+	next := 0
+	for i, p := range pendings {
+		res, err := p.Wait(ctx)
+		if i == rejected {
+			if err == nil {
+				t.Fatal("self-loop request succeeded")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		var want WriteResult
+		for _, a := range actions[next : next+len(reqs[i])] {
+			switch a {
+			case core.Included:
+				want.Included++
+			case core.Merged:
+				want.Merged++
+			case core.Redistributed:
+				want.Redistributed++
+			}
+		}
+		next += len(reqs[i])
+		want.Generation = res.Generation
+		if res != want {
+			t.Errorf("request %d: %+v, want %+v", i, res, want)
+		}
+	}
+	if st := e.Stats(); st.Flushes != 2 || st.WriteErrors != 1 {
+		t.Fatalf("flushes %d, write errors %d; want 2 and 1 (one coalesced batch)", st.Flushes, st.WriteErrors)
+	}
+}
+
 func TestErrorIsolation(t *testing.T) {
 	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000})
 	ctx := ctxT(t)
@@ -225,7 +309,8 @@ func TestSolveAgainstSnapshot(t *testing.T) {
 		b[i] = math.Cos(float64(3 * i))
 	}
 	vecmath.CenterMean(b)
-	x, st, err := snap.Solve(context.Background(), b, solver.Options{Tol: 1e-8})
+	x := make([]float64, n)
+	st, err := snap.SolveInto(context.Background(), x, b, solver.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +337,7 @@ func TestPrecondCachePerGeneration(t *testing.T) {
 	before := e.Stats()
 	const solves = 8
 	for i := 0; i < solves; i++ {
-		if _, _, err := snap.Solve(context.Background(), b, solver.Options{Tol: 1e-8}); err != nil {
+		if _, err := snap.SolveInto(context.Background(), make([]float64, len(b)), b, solver.Options{Tol: 1e-8}); err != nil {
 			t.Fatal(err)
 		}
 	}

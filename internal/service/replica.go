@@ -66,27 +66,17 @@ func (e *Engine) ApplyRecord(rec wal.BatchRecord) error {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: replica at %d, record %d", ErrGenerationGap, gen, rec.Gen)
 	}
+	if err := rec.ApplyTo(e.sp); err != nil {
+		e.mu.Unlock()
+		return fmt.Errorf("service: apply: %w", err)
+	}
 	if rec.Maint != nil {
-		if err := e.sp.AdoptBasis(rec.Maint.HBase, rec.Maint.TargetCond); err != nil {
-			e.mu.Unlock()
-			return fmt.Errorf("service: apply gen %d maintenance swap: %w", rec.Gen, err)
-		}
 		e.stats.maintRebuilds.Add(1)
 		e.stats.maintLastGen.Store(rec.Gen)
 		e.stats.maintTargetCond.Store(math.Float64bits(rec.Maint.TargetCond))
 	} else {
-		if len(rec.Adds) > 0 {
-			if _, err := e.sp.ApplyBatch(rec.Adds, nil); err != nil {
-				e.mu.Unlock()
-				return fmt.Errorf("service: apply gen %d adds: %w", rec.Gen, err)
-			}
-			e.stats.flushedAdds.Add(uint64(len(rec.Adds)))
-		}
-		for i, batch := range rec.DelBatches {
-			if _, err := e.sp.DeleteEdges(batch); err != nil {
-				e.mu.Unlock()
-				return fmt.Errorf("service: apply gen %d delete batch %d: %w", rec.Gen, i, err)
-			}
+		e.stats.flushedAdds.Add(uint64(len(rec.Adds)))
+		for _, batch := range rec.DelBatches {
 			e.stats.flushedDeletes.Add(uint64(len(batch)))
 		}
 	}

@@ -359,9 +359,9 @@ func (e *Engine) Flush(ctx context.Context) error {
 	return err
 }
 
-// Close stops the batcher after flushing already-enqueued writes. Further
-// writes fail with ErrClosed; reads against existing snapshots keep
-// working.
+// Close stops the batcher after flushing already-enqueued writes, then the
+// query scheduler. Further writes and scheduled reads fail with ErrClosed;
+// direct reads against existing snapshots keep working.
 func (e *Engine) Close() {
 	e.sendMu.Lock()
 	already := e.closed.Swap(true)

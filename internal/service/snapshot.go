@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"ingrass/internal/batch"
 	"ingrass/internal/cond"
 	"ingrass/internal/graph"
 	"ingrass/internal/precond"
@@ -162,7 +163,7 @@ type BlockSolveStats struct {
 // Safe for any number of concurrent goroutines; the warm path allocates
 // nothing (the per-call blocked solve state is pooled on the shared
 // factorization). Blocks wider than sparse.MaxBlockWidth are rejected;
-// chunking is the caller's job (the public API chunks transparently).
+// the scheduler's groups never are.
 func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out []sparse.ColumnResult, colCtx []context.Context, opts solver.Options) (BlockSolveStats, error) {
 	w := len(xs)
 	if len(bs) != w || len(out) != w {
@@ -190,29 +191,16 @@ func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out [
 	return BlockSolveStats{Generation: s.Gen, InnerUses: inner}, err
 }
 
-// Solve is SolveInto with a freshly allocated solution vector.
-func (s *Snapshot) Solve(ctx context.Context, b []float64, opts solver.Options) ([]float64, SolveStats, error) {
-	if len(b) != s.G.NumNodes() {
-		return nil, SolveStats{}, fmt.Errorf("service: rhs length %d != %d nodes", len(b), s.G.NumNodes())
-	}
-	x := make([]float64, len(b))
-	st, err := s.SolveInto(ctx, x, b, opts)
-	return x, st, err
-}
-
 // EffectiveResistance computes the effective resistance between u and v on
 // this snapshot's original graph as a width-1 solve against the cached
 // preconditioner. Scratch comes from the snapshot operator's workspace
 // pool, so warm queries allocate nothing.
 func (s *Snapshot) EffectiveResistance(ctx context.Context, u, v int) (float64, error) {
-	n := s.G.NumNodes()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return 0, fmt.Errorf("service: resistance endpoints (%d, %d) out of range [0, %d)", u, v, n)
+	r := batch.Req{U: u, V: v}
+	if !s.pairNeedsSolve(&r) {
+		return 0, r.Err
 	}
 	s.stats.resistQueries.Add(1)
-	if u == v {
-		return 0, nil
-	}
 	if err := s.ensureFactorized(); err != nil {
 		return 0, err
 	}

@@ -108,8 +108,9 @@ func TestStressConcurrentReadersLiveWriter(t *testing.T) {
 				snap := e.Current()
 				switch (id + iter) % 4 {
 				case 0, 1:
-					x, st, err := snap.Solve(context.Background(), b, solver.Options{Tol: 1e-6})
-					if err != nil || !st.Converged || len(x) != n || st.Generation != snap.Gen {
+					x := make([]float64, n)
+					st, err := snap.SolveInto(context.Background(), x, b, solver.Options{Tol: 1e-6})
+					if err != nil || !st.Converged || st.Generation != snap.Gen {
 						readErrors.Add(1)
 						return
 					}
@@ -211,7 +212,7 @@ func TestStressConcurrentReadersLiveWriter(t *testing.T) {
 	before := e.Stats()
 	const repeats = 10
 	for i := 0; i < repeats; i++ {
-		if _, _, err := final.Solve(context.Background(), b, solver.Options{Tol: 1e-8}); err != nil {
+		if _, err := final.SolveInto(context.Background(), make([]float64, n), b, solver.Options{Tol: 1e-8}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -213,7 +213,7 @@ func TestRestoreStateWithMaintRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1 := []graph.Edge{{U: 0, V: 25, W: 2}, {U: 5, V: 30, W: 0.5}, {U: 7, V: 31, W: 1.2}}
-	if _, err := sp.ApplyBatch(append([]graph.Edge(nil), b1...), nil); err != nil {
+	if _, err := sp.UpdateBatch(append([]graph.Edge(nil), b1...)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Append(rec(1, b1)); err != nil {
@@ -231,7 +231,7 @@ func TestRestoreStateWithMaintRecord(t *testing.T) {
 	}
 
 	b2 := []graph.Edge{{U: 2, V: 33, W: 0.8}, {U: 11, V: 29, W: 1.9}}
-	if _, err := sp.ApplyBatch(append([]graph.Edge(nil), b2...), nil); err != nil {
+	if _, err := sp.UpdateBatch(append([]graph.Edge(nil), b2...)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Append(rec(3, b2)); err != nil {

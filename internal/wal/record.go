@@ -6,17 +6,18 @@ import (
 	"fmt"
 	"math"
 
+	"ingrass/internal/core"
 	"ingrass/internal/graph"
 )
 
 // BatchRecord is one applied write batch: everything the engine mutated in
 // a single flush, in application order. Replaying the record against the
 // state the previous generation left behind reproduces generation Gen
-// exactly: Adds go through one core.ApplyBatch pass (which re-sorts by
-// distortion deterministically), then each deletion batch goes through
-// core.DeleteEdges in order. Only *applied* mutations are logged — requests
-// that failed validation never reach the WAL, so replay cannot fail where
-// the original didn't.
+// exactly (ApplyTo): Adds go through one core.UpdateBatch pass (which
+// re-sorts by distortion deterministically), then each deletion batch goes
+// through core.DeleteEdges in order. Only *applied* mutations are logged —
+// requests that failed validation never reach the WAL, so replay cannot
+// fail where the original didn't.
 type BatchRecord struct {
 	// Gen is the snapshot generation this batch produced.
 	Gen uint64
@@ -30,6 +31,33 @@ type BatchRecord struct {
 	// maintenance record carries no edges (Adds and DelBatches must be
 	// empty).
 	Maint *MaintRecord
+}
+
+// ApplyTo applies the record to sp exactly as the engine applied the
+// batch it logs, which is what recovery and replicas replay. A maintenance
+// record repeats the background setup-basis swap: rebuild from the
+// recorded snapshot, then catch the sketch up over the edges the preceding
+// records appended. Otherwise the adds go in one UpdateBatch pass, then
+// each deletion batch in order. Each pass validates before it mutates, so
+// an invalid add leaves sp untouched.
+func (r BatchRecord) ApplyTo(sp *core.Sparsifier) error {
+	if r.Maint != nil {
+		if err := sp.AdoptBasis(r.Maint.HBase, r.Maint.TargetCond); err != nil {
+			return fmt.Errorf("wal: gen %d maintenance swap: %w", r.Gen, err)
+		}
+		return nil
+	}
+	if len(r.Adds) > 0 {
+		if _, err := sp.UpdateBatch(r.Adds); err != nil {
+			return fmt.Errorf("wal: gen %d adds: %w", r.Gen, err)
+		}
+	}
+	for i, batch := range r.DelBatches {
+		if _, err := sp.DeleteEdges(batch); err != nil {
+			return fmt.Errorf("wal: gen %d delete batch %d: %w", r.Gen, i, err)
+		}
+	}
+	return nil
 }
 
 // MaintRecord is the durable image of one background re-sparsification

@@ -619,9 +619,8 @@ func (st *Store) Close() error {
 
 // RestoreState is the recovery entry point below the service layer: load
 // the newest checkpoint and fold the WAL tail back into a Sparsifier by
-// replaying each record the way the engine applied it (one ApplyBatch pass
-// for the adds, then each deletion batch in order). It returns the rebuilt
-// sparsifier and the generation it represents.
+// replaying each record the way the engine applied it (BatchRecord.ApplyTo).
+// It returns the rebuilt sparsifier and the generation it represents.
 func (st *Store) RestoreState() (*core.Sparsifier, uint64, error) {
 	// Pin the log at the current checkpoint generation for the whole
 	// load-then-replay window: a checkpoint written in between must not
@@ -648,26 +647,8 @@ func (st *Store) RestoreState() (*core.Sparsifier, uint64, error) {
 		if rec.Gen != gen+1 {
 			return fmt.Errorf("%w: generation gap in WAL (have %d, next record %d)", ErrCorrupt, gen, rec.Gen)
 		}
-		if rec.Maint != nil {
-			// A maintenance record replays the background setup-basis swap
-			// exactly as the live engine performed it: rebuild from the
-			// recorded snapshot, then catch the sketch up over the edges
-			// the preceding batch records appended.
-			if err := sp.AdoptBasis(rec.Maint.HBase, rec.Maint.TargetCond); err != nil {
-				return fmt.Errorf("wal: replay gen %d maintenance swap: %w", rec.Gen, err)
-			}
-			gen = rec.Gen
-			return nil
-		}
-		if len(rec.Adds) > 0 {
-			if _, err := sp.ApplyBatch(rec.Adds, nil); err != nil {
-				return fmt.Errorf("wal: replay gen %d adds: %w", rec.Gen, err)
-			}
-		}
-		for i, batch := range rec.DelBatches {
-			if _, err := sp.DeleteEdges(batch); err != nil {
-				return fmt.Errorf("wal: replay gen %d delete batch %d: %w", rec.Gen, i, err)
-			}
+		if err := rec.ApplyTo(sp); err != nil {
+			return err
 		}
 		gen = rec.Gen
 		return nil

@@ -283,7 +283,7 @@ func TestCheckpointRoundTripAndPruning(t *testing.T) {
 
 	sp := testSparsifier(t, 6, 6)
 	adds := []graph.Edge{{U: 0, V: 20, W: 1.5}, {U: 3, V: 17, W: 0.7}}
-	if _, err := sp.ApplyBatch(adds, nil); err != nil {
+	if _, err := sp.UpdateBatch(adds); err != nil {
 		t.Fatal(err)
 	}
 	for gen := uint64(1); gen <= 5; gen++ {
@@ -427,7 +427,7 @@ func TestRestoreState(t *testing.T) {
 	}
 	// Apply two batches to the live engine, logging each.
 	b1 := []graph.Edge{{U: 0, V: 25, W: 2}, {U: 5, V: 30, W: 0.5}}
-	if _, err := sp.ApplyBatch(append([]graph.Edge(nil), b1...), nil); err != nil {
+	if _, err := sp.UpdateBatch(append([]graph.Edge(nil), b1...)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Append(rec(1, b1)); err != nil {

@@ -169,13 +169,7 @@ func Follow(ctx context.Context, opts FollowOptions) (*Service, error) {
 	metrics.CounterFunc("ingrass_repl_crc_errors_total",
 		"stream frames dropped by CRC or framing verification",
 		func() float64 { return float64(f.Stats().CRCErrors) })
-	return &Service{
-		eng:       f.Engine(),
-		metrics:   metrics,
-		batchOpts: opts.Batch,
-		coalesce:  opts.Batch.CoalesceSingles,
-		follower:  f,
-	}, nil
+	return &Service{eng: f.Engine(), metrics: metrics, follower: f}, nil
 }
 
 // Role reports how this service participates in replication: "primary"

@@ -68,10 +68,9 @@ type ServiceOptions struct {
 	// solves.
 	Solve SolveOptions
 
-	// Batch configures the batched query engine: block width, admission
-	// queue, executor workers, and whether single Solve/EffectiveResistance
-	// calls ride the coalescing scheduler (CoalesceSingles). Explicit SolveBatch/EffectiveResistanceBatch calls
-	// use the blocked execution path regardless.
+	// Batch configures the batched query engine every Solve,
+	// EffectiveResistance, SolveBatch and EffectiveResistanceBatch call
+	// runs through: block width, admission queue and executor workers.
 	Batch BatchOptions
 
 	// DataDir, when non-empty, makes the service durable: every applied
@@ -224,11 +223,9 @@ func (o ServiceOptions) engineOptions(sopts SolveOptions) service.Options {
 // copy-on-write snapshot whose preconditioner factorization is cached per
 // generation, so repeated solves on an unchanged graph skip setup.
 type Service struct {
-	eng       *service.Engine
-	store     *wal.Store // nil without DataDir
-	metrics   *obs.Registry
-	batchOpts BatchOptions
-	coalesce  bool // CoalesceSingles: single reads ride the scheduler
+	eng     *service.Engine
+	store   *wal.Store // nil without DataDir
+	metrics *obs.Registry
 
 	// Replication roles (repl.go): at most one of these is set. A primary
 	// ships its WAL through replPrimary; a follower Service (built by
@@ -297,13 +294,7 @@ func NewService(g *Graph, opts ServiceOptions) (*Service, error) {
 		}
 		eopts.Store = store
 	}
-	return &Service{
-		eng:       service.New(sp, eopts),
-		store:     store,
-		metrics:   metrics,
-		batchOpts: opts.Batch,
-		coalesce:  opts.Batch.CoalesceSingles,
-	}, nil
+	return &Service{eng: service.New(sp, eopts), store: store, metrics: metrics}, nil
 }
 
 // LoadService resumes a durable service from ServiceOptions.DataDir:
@@ -335,13 +326,7 @@ func LoadService(opts ServiceOptions) (*Service, error) {
 		store.Close()
 		return nil, fmt.Errorf("ingrass: recover %s: %w", opts.DataDir, err)
 	}
-	return &Service{
-		eng:       eng,
-		store:     store,
-		metrics:   metrics,
-		batchOpts: opts.Batch,
-		coalesce:  opts.Batch.CoalesceSingles,
-	}, nil
+	return &Service{eng: eng, store: store, metrics: metrics}, nil
 }
 
 // Checkpoint persists the service's full current state to the data
@@ -463,38 +448,35 @@ func (s *Service) DeleteEdges(ctx context.Context, edges []Edge) (WriteResult, e
 
 // Solve computes x = L_G^+ b against the current snapshot. Safe for
 // concurrent use; the returned stats carry the generation that served the
-// solve. opts overrides the engine defaults field-wise for this request
-// (a zero opts means engine defaults). ctx cancellation or deadline expiry
-// aborts the solve within one outer iteration with an error matching
-// ErrCancelled; ErrNoConvergence reports an exhausted iteration budget.
-// Partial stats accompany both.
+// solve. Concurrent same-generation solves with the same options share one
+// blocked multi-RHS execution; the answer is bit-identical to an
+// independent solve. opts overrides the engine defaults field-wise for
+// this request (a zero opts means engine defaults). ctx cancellation or
+// deadline expiry aborts the solve within one outer iteration with an
+// error matching ErrCancelled; ErrNoConvergence reports an exhausted
+// iteration budget. Partial stats accompany both.
 func (s *Service) Solve(ctx context.Context, b []float64, opts SolveOptions) ([]float64, SolveStats, error) {
 	if err := s.readGate(); err != nil {
 		return nil, SolveStats{}, err
 	}
 	snap := s.eng.Current()
-	if s.coalesce {
-		// Coalesced path: concurrent same-generation solves share one
-		// blocked multi-RHS execution; the answer is bit-identical to the
-		// direct path. On a cancelled wait the solution buffer is withheld —
-		// its column may still be in flight inside the group.
-		if len(b) != snap.G.NumNodes() {
-			return nil, SolveStats{}, fmt.Errorf("ingrass: rhs length %d != %d nodes", len(b), snap.G.NumNodes())
-		}
-		x := make([]float64, len(b))
-		ist, err := s.eng.SolveCoalesced(ctx, snap, x, b, opts.internal())
-		if err != nil && ctx != nil && ctx.Err() != nil && !ist.Converged && ist.Iterations == 0 {
-			x = nil
-		}
-		return x, fromInternalSolveStats(ist), err
+	if len(b) != snap.G.NumNodes() {
+		return nil, SolveStats{}, fmt.Errorf("ingrass: rhs length %d != %d nodes", len(b), snap.G.NumNodes())
 	}
-	x, st, err := snap.Solve(ctx, b, opts.internal())
-	return x, fromInternalSolveStats(st), err
+	x := make([]float64, len(b))
+	ist, err := s.eng.SolveCoalesced(ctx, snap, x, b, opts.internal())
+	if err != nil && ctx != nil && ctx.Err() != nil && !ist.Converged && ist.Iterations == 0 {
+		// An abandoned wait withholds the buffer: its column may still be
+		// in flight inside the group.
+		x = nil
+	}
+	return x, fromInternalSolveStats(ist), err
 }
 
 // SolveInto is Solve writing the solution into the caller-provided x
-// (len(x) == len(b)). The warm path performs no allocation: all scratch
-// comes from the snapshot's pooled workspaces, which is what keeps
+// (len(x) == len(b)). It runs on the calling goroutine, outside the
+// coalescing scheduler, and the warm path performs no allocation: all
+// scratch comes from the snapshot's pooled workspaces, which is what keeps
 // steady-state solve throughput garbage-free under heavy traffic.
 func (s *Service) SolveInto(ctx context.Context, x, b []float64, opts SolveOptions) (SolveStats, error) {
 	if err := s.readGate(); err != nil {
@@ -516,17 +498,14 @@ func fromInternalSolveStats(st service.SolveStats) SolveStats {
 
 // EffectiveResistance computes the effective resistance between u and v on
 // the current snapshot's original graph, returning the generation that
-// served the query. ctx cancellation aborts the underlying solve.
+// served the query. Concurrent same-generation queries and solves share
+// one blocked execution. ctx cancellation aborts the underlying solve.
 func (s *Service) EffectiveResistance(ctx context.Context, u, v int) (float64, uint64, error) {
 	if err := s.readGate(); err != nil {
 		return 0, 0, err
 	}
 	snap := s.eng.Current()
-	if s.coalesce {
-		r, err := s.eng.ResistanceCoalesced(ctx, snap, u, v)
-		return r, snap.Gen, err
-	}
-	r, err := snap.EffectiveResistance(ctx, u, v)
+	r, err := s.eng.ResistanceCoalesced(ctx, snap, u, v)
 	return r, snap.Gen, err
 }
 
@@ -771,8 +750,12 @@ func (s *Service) Stats() ServiceStats {
 func (s *Service) Flush(ctx context.Context) error { return s.eng.Flush(ctx) }
 
 // Close stops the write pipeline after flushing already-enqueued writes,
-// then syncs and closes the data directory (if any). Further writes fail;
-// reads against already-obtained snapshots keep working.
+// then syncs and closes the data directory (if any). Afterwards every
+// write (AddEdges, DeleteEdges, their Async forms, Flush, ForceResparsify)
+// and every scheduled read (Solve, EffectiveResistance, SolveBatch,
+// EffectiveResistanceBatch) fails with an error matching ErrClosed.
+// SolveInto, ConditionNumber and the snapshot accessors run on the
+// caller's goroutine and keep working on the last published snapshot.
 func (s *Service) Close() {
 	if s.follower != nil {
 		s.follower.Stop()
