@@ -87,6 +87,56 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	if !strings.Contains(out, fmt.Sprintf("ingrass_precond_factor_nnz %d\n", st.PrecondFactorNNZ)) {
 		t.Errorf("ingrass_precond_factor_nnz gauge disagrees with /stats (%d)", st.PrecondFactorNNZ)
 	}
+	for _, want := range []string{
+		`ingrass_filter_decisions_total{decision="included"} 0`,
+		`ingrass_filter_decisions_total{decision="deleted"} 0`,
+		"ingrass_sparsifier_filter_level ",
+		"ingrass_sparsifier_density ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q before any write", want)
+		}
+	}
+
+	// A known write: two new edges, then deleting one of them. The
+	// decision counters must add up to exactly what the writes reported.
+	var add, del ingrass.WriteResult
+	if r := doJSON(t, srv, http.MethodPost, "/edges", edgesRequest{
+		Edges: []edgeJSON{{U: 0, V: 35, W: 2}, {U: 5, V: 30, W: 1.5}},
+	}, &add); r.StatusCode != http.StatusOK || add.Included+add.Merged+add.Redistributed != 2 {
+		t.Fatalf("POST /edges: %d %+v", r.StatusCode, add)
+	}
+	if r := doJSON(t, srv, http.MethodDelete, "/edges", edgesRequest{Edges: []edgeJSON{{U: 0, V: 35}}}, &del); r.StatusCode != http.StatusOK || del.Deleted != 1 {
+		t.Fatalf("DELETE /edges: %d %+v", r.StatusCode, del)
+	}
+	if r := doJSON(t, srv, http.MethodGet, "/stats", nil, &st); r.StatusCode != http.StatusOK {
+		t.Fatalf("stats: %d", r.StatusCode)
+	}
+	resp, err = srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if data, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if errs := obs.LintExposition(data); len(errs) != 0 {
+		t.Errorf("lint after writes: %v", errs)
+	}
+	out = string(data)
+	for _, want := range []string{
+		fmt.Sprintf(`ingrass_filter_decisions_total{decision="included"} %d`+"\n", add.Included),
+		fmt.Sprintf(`ingrass_filter_decisions_total{decision="merged"} %d`+"\n", add.Merged),
+		fmt.Sprintf(`ingrass_filter_decisions_total{decision="redistributed"} %d`+"\n", add.Redistributed),
+		`ingrass_filter_decisions_total{decision="deleted"} 1` + "\n",
+		fmt.Sprintf(`ingrass_filter_decisions_total{decision="promoted"} %d`+"\n", del.Promoted),
+		fmt.Sprintf("ingrass_generation %d\n", del.Generation),
+		fmt.Sprintf("ingrass_sparsifier_density %v\n", st.Density),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition after the writes missing %q", want)
+		}
+	}
 }
 
 // TestStatsFailureModeCounters forces each solver failure mode through the

@@ -62,7 +62,7 @@ func (p *Graph) AddEdge(u, v int, w float64) (int, error) {
 // Edges returns a copy of the edge list.
 func (p *Graph) Edges() []Edge {
 	out := make([]Edge, p.g.NumEdges())
-	for i, e := range p.g.Edges() {
+	for i, e := range p.g.All() {
 		out[i] = Edge{U: e.U, V: e.V, W: e.W}
 	}
 	return out

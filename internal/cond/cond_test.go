@@ -39,7 +39,7 @@ func TestScaledGraphKappaOne(t *testing.T) {
 	// H = 2G pointwise: pencil eigenvalues all 1/2, kappa still 1.
 	g := grid(4, 4)
 	h := g.Clone()
-	for i := range h.Edges() {
+	for i := range h.All() {
 		h.ScaleWeight(i, 2)
 	}
 	res, err := Estimate(context.Background(), g, h, Options{Seed: 2})
@@ -59,14 +59,14 @@ func TestEstimateMatchesDenseOracle(t *testing.T) {
 	// H: spanning-tree-ish subgraph (drop some edges) keeping connectivity.
 	h := graph.New(g.NumNodes(), g.NumEdges())
 	uf := graph.NewUnionFind(g.NumNodes())
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if uf.Union(e.U, e.V) {
 			h.AddEdge(e.U, e.V, e.W)
 		}
 	}
 	// Add back a couple of off-tree edges.
 	added := 0
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if added >= 3 {
 			break
 		}
@@ -106,7 +106,7 @@ func TestSubgraphPencilBounds(t *testing.T) {
 	g := grid(5, 5)
 	h := graph.New(g.NumNodes(), 0)
 	uf := graph.NewUnionFind(g.NumNodes())
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if uf.Union(e.U, e.V) {
 			h.AddEdge(e.U, e.V, e.W)
 		}
@@ -139,7 +139,7 @@ func TestSparserTreeHasLargerKappa(t *testing.T) {
 	tree := graph.New(g.NumNodes(), 0)
 	uf := graph.NewUnionFind(g.NumNodes())
 	var off []graph.Edge
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if uf.Union(e.U, e.V) {
 			tree.AddEdge(e.U, e.V, e.W)
 		} else {

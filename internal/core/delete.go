@@ -106,7 +106,7 @@ func (s *Sparsifier) replaceIfBridge(u, v int) (int, bool) {
 	}
 	var best cand
 	found := false
-	for _, e := range s.G.Edges() {
+	for _, e := range s.G.All() {
 		if e.W <= tomb {
 			continue
 		}
@@ -160,7 +160,7 @@ func (s *Sparsifier) CompactDeleted() error {
 	tomb := s.tombstoneWeight() * 10
 	liveIdx := func(g *graph.Graph) []int {
 		out := make([]int, 0, g.NumEdges())
-		for i, e := range g.Edges() {
+		for i, e := range g.All() {
 			if e.W > tomb {
 				out = append(out, i)
 			}

@@ -48,7 +48,7 @@ func TestDeleteNonSparsifierEdge(t *testing.T) {
 	// Find a G edge absent from H.
 	var target graph.Edge
 	found := false
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if _, ok := s.H.FindEdge(e.U, e.V); !ok {
 			target = e
 			found = true

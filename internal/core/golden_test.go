@@ -179,7 +179,7 @@ func setupHashes(t *testing.T, name string, scale float64) goldenHashes {
 		t.Fatal(err)
 	}
 	hs = fnv.New64a()
-	for _, r := range emb.EstimateEdges(h.Edges(), 0) {
+	for _, r := range emb.EstimateEdges(h, 0) {
 		putF64(hs, r)
 	}
 	out.Embedding = hs.Sum64()
@@ -213,7 +213,7 @@ func streamHash(t *testing.T, g, h *graph.Graph, cfg Config, stream [][]graph.Ed
 			putU64(hs, uint64(d.Target))
 		}
 	}
-	for _, e := range s.H.Edges() {
+	for _, e := range s.H.All() {
 		putEdge(hs, e)
 	}
 	return hs.Sum64()
@@ -221,7 +221,7 @@ func streamHash(t *testing.T, g, h *graph.Graph, cfg Config, stream [][]graph.Ed
 
 func hashGrass(r *grass.Result) uint64 {
 	hs := fnv.New64a()
-	for _, e := range r.H.Edges() {
+	for _, e := range r.H.All() {
 		putEdge(hs, e)
 	}
 	for _, d := range r.Distortion {

@@ -110,7 +110,7 @@ func TestFigure3FilteringSemantics(t *testing.T) {
 	// Find a connected inter-cluster pair: take an existing H edge crossing
 	// clusters and pick nearby non-adjacent nodes in the same two clusters.
 	mergeP, mergeQ := -1, -1
-	for _, e := range s.H.Edges() {
+	for _, e := range s.H.All() {
 		cu, cv := d.ClusterID(L, e.U), d.ClusterID(L, e.V)
 		if cu == cv {
 			continue

@@ -32,8 +32,8 @@ type PersistentState struct {
 }
 
 // PersistentState captures the sparsifier's durable state. The returned
-// graphs are O(1) copy-on-write snapshots: taking them never blocks on graph
-// size, and later mutations of the live sparsifier are invisible to the
+// graphs are copy-on-write snapshots: taking one copies two page tables, not
+// the graph, and later mutations of the live sparsifier are invisible to the
 // captured state — which is what lets a server checkpoint while it keeps
 // serving writes.
 func (s *Sparsifier) PersistentState() PersistentState {

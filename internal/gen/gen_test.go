@@ -41,7 +41,7 @@ func TestPowerGridDeterminism(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("same seed gave different graphs")
 	}
-	for i := range a.Edges() {
+	for i := range a.All() {
 		if a.Edge(i) != b.Edge(i) {
 			t.Fatal("same seed gave different edges")
 		}

@@ -100,7 +100,7 @@ func TestRegistryDeterminismProperty(t *testing.T) {
 			if a.NumEdges() != b.NumEdges() || a.NumNodes() != b.NumNodes() {
 				return false
 			}
-			for i := range a.Edges() {
+			for i := range a.All() {
 				if a.Edge(i) != b.Edge(i) {
 					return false
 				}

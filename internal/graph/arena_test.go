@@ -78,6 +78,8 @@ func fillPastHeadroom(t *testing.T, g *Graph, u int) {
 // TestArenaHeadroomIsolation checks that a copy's adjacency lists share one
 // arena without sharing storage: filling one list's headroom and going past
 // it leaves every other list, the source graph and any snapshot unchanged.
+// The copies are a Clone, and the lists a mutated snapshot moves to an arena
+// of its own while its origin goes on appending in place to the same node.
 func TestArenaHeadroomIsolation(t *testing.T) {
 	const side = 24
 	for _, u := range []int{0, side*side/2 + 3, side*side - 2} {
@@ -96,15 +98,24 @@ func TestArenaHeadroomIsolation(t *testing.T) {
 			g := triMesh(side)
 			want := adjCopy(g)
 			snap := g.Snapshot()
-			g.SetWeight(0, 7) // copies the shared storage
-			fillPastHeadroom(t, g, u)
+			v := g.Snapshot()
+			v.AddEdge(u^1, v.AddNode(), 7) // moves the lists of u's page to v's arena
+			wantV := adjCopy(v)
+			fillPastHeadroom(t, v, u)
+			g.AddEdge(u, g.AddNode(), 9) // the origin extends u's original list
 			checkAdj(t, "live", g, want, u)
+			checkAdj(t, "mutated snapshot", v, wantV, u)
 			checkAdj(t, "snapshot", snap, want, -1)
-			if snap.NumNodes() != side*side || snap.Edge(0).W == 7 {
+			if a, b := &g.Adj(u)[len(want[u])], &v.Adj(u)[len(want[u])]; a == b {
+				t.Fatalf("origin and mutated snapshot share node %d's new arc storage", u)
+			}
+			if snap.NumNodes() != side*side || snap.NumEdges() != len(g.AppendEdges(nil))-1 {
 				t.Fatalf("snapshot saw live mutations: %v", snap)
 			}
-			if err := snap.Validate(); err != nil {
-				t.Fatal(err)
+			for _, h := range []*Graph{g, v, snap} {
+				if err := h.Validate(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -114,20 +125,25 @@ func TestArenaHeadroomIsolation(t *testing.T) {
 var copySink *Graph
 
 // TestCopyAllocationsConstant checks that copying a graph costs the same
-// four allocations at any size. Clone allocates the graph, its edges, the
-// list headers and one arc arena. A Snapshot allocates the view, and the
-// first AddEdge after it copies the edges, the list headers and the arena;
-// both of its appends land in the arena's headroom.
+// number of allocations at any size. Clone allocates the graph, its edge
+// and node page arrays, their two tables and one arc arena. A Snapshot
+// allocates the view and its two page tables, and the first AddEdge after
+// it copies the one node page holding both endpoints; the edge lands in the
+// unused tail of the last edge page and both arcs in list capacity, which
+// the live graph extends in place past the snapshot's lengths.
 func TestCopyAllocationsConstant(t *testing.T) {
 	for _, side := range []int{32, 128} { // 1,024 and 16,384 nodes
 		g := triMesh(side)
-		u, v := side*side/2, side*side/2+side+1
-		if a := testing.AllocsPerRun(5, func() { copySink = g.Clone() }); a != 4 {
-			t.Errorf("%d nodes: Clone made %v allocations, want 4", side*side, a)
+		if a := testing.AllocsPerRun(5, func() { copySink = g.Clone() }); a != 6 {
+			t.Errorf("%d nodes: Clone made %v allocations, want 6", side*side, a)
 		}
+		// Interior nodes of one row: degree 6 in a list of capacity 8, all
+		// in one node page. Each run joins a fresh pair.
+		next := side*side/2 + 2
 		if a := testing.AllocsPerRun(5, func() {
 			copySink = g.Snapshot()
-			g.AddEdge(u, v, 1)
+			g.AddEdge(next, next+2, 1)
+			next += 3
 		}); a != 4 {
 			t.Errorf("%d nodes: Snapshot and the first AddEdge after it made %v allocations, want 4", side*side, a)
 		}

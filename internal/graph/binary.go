@@ -50,13 +50,13 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if err := putUvarint(uint64(g.n)); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(g.edges))); err != nil {
+	if err := putUvarint(uint64(g.m)); err != nil {
 		return err
 	}
 	if err := putU64(math.Float64bits(g.totalWeight)); err != nil {
 		return err
 	}
-	for _, e := range g.edges {
+	for _, e := range g.All() {
 		if err := putUvarint(uint64(e.U)); err != nil {
 			return err
 		}
@@ -74,8 +74,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // bit-identical to the encoded one: edge order, weight bits, and the cached
 // total-weight accumulator all round-trip exactly. A header claiming more
 // than math.MaxInt32 nodes or edges is an error. The header's edge count is
-// not trusted for allocation: edges grow as they are read, and the
-// adjacency arena is built after the last one.
+// not trusted for allocation: edges grow as they are read, and the pages
+// and the adjacency arena are carved after the last one.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -111,7 +111,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: binary total weight: %w", err)
 	}
 	n, m := int(n64), int(m64)
-	g := &Graph{n: n}
+	var edges []Edge
 	for i := 0; i < m; i++ {
 		u64, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -132,21 +132,29 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if !(w > 0) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("graph: binary edge %d weight %v not positive finite", i, w)
 		}
-		// Build storage directly instead of AddEdge: the cached totalWeight
-		// must come from the file, not from re-accumulation, so that graphs
-		// whose accumulator drifted through a long SetWeight history still
-		// round-trip bit-exactly.
-		g.edges = append(g.edges, Edge{U: u, V: v, W: w})
+		edges = append(edges, Edge{U: u, V: v, W: w})
+	}
+	// Build storage directly instead of AddEdge: the cached totalWeight
+	// must come from the file, not from re-accumulation, so that graphs
+	// whose accumulator drifted through a long SetWeight history still
+	// round-trip bit-exactly.
+	g := &Graph{n: n, m: len(edges)}
+	g.own()
+	g.epages = g.carveEdgePages(pagesFor(g.m, edgePageShift))
+	for k, p := range g.epages {
+		copy(p.e[:], edges[k<<edgePageShift:])
 	}
 	deg := make([]int32, n)
-	for _, e := range g.edges {
+	for _, e := range edges {
 		deg[e.U]++
 		deg[e.V]++
 	}
-	g.adj = carveAdj(n, func(u int) int { return int(deg[u]) })
-	for i, e := range g.edges {
-		g.adj[e.U] = append(g.adj[e.U], Arc{To: int32(e.V), Edge: int32(i)})
-		g.adj[e.V] = append(g.adj[e.V], Arc{To: int32(e.U), Edge: int32(i)})
+	g.npages = g.carveNodePages(pagesFor(n, nodePageShift))
+	carveLists(n, func(u int) int { return int(deg[u]) }, g.slot)
+	for i, e := range edges {
+		hu, hv := g.slot(e.U), g.slot(e.V)
+		*hu = append(*hu, Arc{To: int32(e.V), Edge: int32(i)})
+		*hv = append(*hv, Arc{To: int32(e.U), Edge: int32(i)})
 	}
 	g.totalWeight = math.Float64frombits(twBits)
 	return g, nil

@@ -39,7 +39,7 @@ func TestBinaryRoundTripExact(t *testing.T) {
 		t.Fatalf("totalWeight bits differ: %x vs %x",
 			math.Float64bits(got.TotalWeight()), math.Float64bits(g.TotalWeight()))
 	}
-	for i, e := range g.Edges() {
+	for i, e := range g.All() {
 		ge := got.Edge(i)
 		if ge.U != e.U || ge.V != e.V || math.Float64bits(ge.W) != math.Float64bits(e.W) {
 			t.Fatalf("edge %d differs: %+v vs %+v", i, ge, e)

@@ -54,7 +54,7 @@ func NewCSR(g *Graph) *CSR {
 	for u := 0; u < n; u++ {
 		base := c.RowPtr[u]
 		for _, a := range g.Adj(u) {
-			w := g.edges[a.Edge].W
+			w := g.Edge(int(a.Edge)).W
 			if stamp[a.To] == u+1 {
 				c.Weights[slot[a.To]] += w
 			} else {

@@ -29,7 +29,7 @@ func starN(n int) *Graph {
 // withEmptyRows adds k isolated nodes (empty CSR rows) after g's nodes.
 func withEmptyRows(g *Graph, k int) *Graph {
 	out := New(g.NumNodes()+k, 0)
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		out.AddEdge(e.U, e.V, e.W)
 	}
 	return out

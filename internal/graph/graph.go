@@ -10,17 +10,24 @@
 // not affect Laplacian quadratic forms. A graph holds at most math.MaxInt32
 // nodes and math.MaxInt32 edges, so an adjacency Arc fits in 8 bytes.
 //
-// Each node's adjacency list holds its arcs in edge-index order. A copy of a
-// graph (Clone, the copy-on-write copy after a Snapshot, ReadBinary) carves
-// every list from one arena as a three-index slice with headroom of
-// len/adjHeadroom+1 arcs, so a copy costs a constant number of allocations
-// and the first appends after it land in place. A list that outgrows its
-// headroom is reallocated on its own by append.
+// Edges and adjacency headers live in fixed-size pages behind two page
+// tables (see page.go). Snapshot copies the tables, not the pages: after
+// it, a mutation of either graph copies only the pages it writes, so the
+// first write after a snapshot costs a few KiB, not a copy of the graph.
+//
+// Each node's adjacency list holds its arcs in edge-index order. A full
+// copy of a graph (Clone, ReadBinary) carves its pages from one backing
+// array each and every list from one arena as a three-index slice with
+// headroom of len/adjHeadroom+1 arcs, so a copy costs a constant number of
+// allocations and the first appends after it land in place. A list that
+// outgrows its headroom is reallocated on its own by append.
 package graph
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 )
 
 // Edge is a weighted undirected edge between nodes U and V.
@@ -59,59 +66,30 @@ func KeyOf(u, v int) uint64 {
 // returned by AddEdge remain stable for the life of the graph — the
 // sparsifier update machinery relies on that stability to address edges.
 type Graph struct {
-	n     int
-	edges []Edge
-	// adj[u] lists (neighbor, edge index) pairs in edge-index order. Kept
-	// in sync by AddEdge.
-	adj [][]Arc
+	n, m int
+	// epages[k] holds edges [k·edgePageSize, (k+1)·edgePageSize); npages[k]
+	// holds the adjacency headers of the matching node range. Node u's
+	// header lists (neighbor, edge index) pairs in edge-index order. The
+	// tables are private to g; the pages may be shared (see page.go).
+	epages []*edgePage
+	npages []*nodePage
 	// totalWeight caches the sum of all edge weights.
 	totalWeight float64
-	// shared marks the edge and adjacency storage as shared with at least
-	// one copy-on-write snapshot; the next mutation copies before writing.
-	shared bool
+	// epoch stamps the pages g may write in place (zero: none); id stamps
+	// the arc arrays and edge-page tails g may extend (zero: none yet).
+	epoch, id uint64
 }
 
 // Arc is one directed half of an undirected edge as seen from a node's
 // adjacency list.
 type Arc struct {
 	To   int32 // neighbor node
-	Edge int32 // index into Edges()
+	Edge int32 // edge index (see Edge)
 }
 
-// adjHeadroom sets the spare capacity of a copied adjacency list: a list of
-// d arcs gets room for d/adjHeadroom+1 more before append reallocates it.
-const adjHeadroom = 4
-
-// carveAdj returns n empty adjacency lists carved from one arena, list u
-// with capacity for deg(u) arcs plus headroom. Each list is a three-index
-// slice, so an append past its capacity reallocates that list alone and
-// never writes into a neighbour's span.
-func carveAdj(n int, deg func(u int) int) [][]Arc {
-	capOf := func(u int) int { d := deg(u); return d + d/adjHeadroom + 1 }
-	total := 0
-	for u := 0; u < n; u++ {
-		total += capOf(u)
-	}
-	arena := make([]Arc, total)
-	adj := make([][]Arc, n)
-	for u := range adj {
-		c := capOf(u)
-		adj[u] = arena[:0:c]
-		arena = arena[c:]
-	}
-	return adj
-}
-
-// copyAdj copies every list of src into one carved arena.
-func copyAdj(src [][]Arc) [][]Arc {
-	adj := carveAdj(len(src), func(u int) int { return len(src[u]) })
-	for u := range adj {
-		adj[u] = append(adj[u], src[u]...)
-	}
-	return adj
-}
-
-// New returns an empty graph with n nodes and capacity hint edgeCap.
+// New returns an empty graph with n nodes and capacity hint edgeCap. Its
+// node pages and the edge pages for edgeCap edges are carved from one
+// backing array each.
 func New(n int, edgeCap int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
@@ -119,82 +97,105 @@ func New(n int, edgeCap int) *Graph {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d nodes exceed the limit of %d", n, math.MaxInt32))
 	}
-	return &Graph{
-		n:     n,
-		edges: make([]Edge, 0, edgeCap),
-		adj:   make([][]Arc, n),
-	}
+	g := &Graph{n: n}
+	g.own()
+	g.npages = g.carveNodePages(pagesFor(n, nodePageShift))
+	g.epages = g.carveEdgePages(pagesFor(max(edgeCap, 0), edgePageShift))
+	return g
 }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of edges (parallel edges counted separately).
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return g.m }
 
 // TotalWeight returns the sum of all edge weights.
 func (g *Graph) TotalWeight() float64 { return g.totalWeight }
 
-// Edges returns the edge slice. Callers must not mutate it directly;
-// use SetWeight/ScaleWeight so cached aggregates stay consistent.
-func (g *Graph) Edges() []Edge { return g.edges }
-
 // Edge returns the edge with the given index.
-func (g *Graph) Edge(i int) Edge { return g.edges[i] }
+func (g *Graph) Edge(i int) Edge {
+	// An index past the edge count becomes -1, which the table index
+	// rejects with a bounds panic; a call to a panic helper instead would
+	// keep this accessor from being inlined.
+	if uint(i) >= uint(g.m) {
+		i = -1
+	}
+	return g.epages[i>>edgePageShift].e[i&edgePageMask]
+}
+
+// All iterates over the edges in index order, as (index, edge) pairs. It
+// walks the edges g holds when the iteration starts.
+func (g *Graph) All() iter.Seq2[int, Edge] {
+	return func(yield func(int, Edge) bool) {
+		m, pages := g.m, g.epages
+		for k := 0; k<<edgePageShift < m; k++ {
+			base := k << edgePageShift
+			for j, e := range pages[k].e[:min(edgePageSize, m-base)] {
+				if !yield(base+j, e) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// AppendEdges appends every edge of g, in index order, to dst.
+func (g *Graph) AppendEdges(dst []Edge) []Edge {
+	dst = slices.Grow(dst, g.m)
+	for k := 0; k<<edgePageShift < g.m; k++ {
+		dst = append(dst, g.edgePage(k)...)
+	}
+	return dst
+}
+
+// edgePage returns the used slots of edge page k.
+func (g *Graph) edgePage(k int) []Edge {
+	return g.epages[k].e[:min(edgePageSize, g.m-k<<edgePageShift)]
+}
 
 // Adj returns the adjacency list of node u: one Arc per incident edge.
-func (g *Graph) Adj(u int) []Arc { return g.adj[u] }
+// Callers must not write to it.
+func (g *Graph) Adj(u int) []Arc {
+	if uint(u) >= uint(g.n) {
+		u = -1 // a bounds panic, as in Edge
+	}
+	return g.npages[u>>nodePageShift].adj[u&nodePageMask]
+}
 
 // Degree returns the number of incident edges of u (parallel edges counted).
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u int) int { return len(g.Adj(u)) }
 
 // WeightedDegree returns the sum of the weights of edges incident to u.
 func (g *Graph) WeightedDegree(u int) float64 {
 	var s float64
-	for _, a := range g.adj[u] {
-		s += g.edges[a.Edge].W
+	for _, a := range g.Adj(u) {
+		s += g.Edge(int(a.Edge)).W
 	}
 	return s
 }
 
-// Snapshot returns an immutable-by-convention copy-on-write view of g in
-// O(1): both graphs share the edge and adjacency storage until either side
-// mutates, at which point the mutating side deep-copies its storage first:
-// one O(N+E) copy per snapshot generation into a constant number of
-// allocations (the edges and one adjacency arena), amortized over the whole
-// write batch that follows. Snapshots are safe to read from any number of
+// Snapshot returns an immutable-by-convention copy-on-write view of g. It
+// copies the two page tables — one pointer per page — and marks every page
+// of g shared; after it, each mutation of either graph copies the pages it
+// writes, a few KiB for a one-edge write, and both go on sharing every page
+// neither has written. Snapshots are safe to read from any number of
 // goroutines while the live graph keeps mutating, which is what the
 // concurrent service layer relies on for snapshot-isolated queries.
 func (g *Graph) Snapshot() *Graph {
-	// Only write the flag when it actually flips: snapshots of an
-	// already-shared graph (e.g. handing a published service snapshot to an
-	// API caller) may be taken from many goroutines at once, and skipping
-	// the redundant store keeps that path write-free.
-	if !g.shared {
-		g.shared = true
+	// Only write the epoch when g owns pages: a graph returned by Snapshot
+	// owns none, and published service snapshots are snapshotted again
+	// from many goroutines at once, so that path must stay write-free.
+	if g.epoch != 0 {
+		g.epoch = 0
 	}
 	return &Graph{
 		n:           g.n,
-		edges:       g.edges,
-		adj:         g.adj,
+		m:           g.m,
+		epages:      slices.Clone(g.epages[:pagesFor(g.m, edgePageShift)]),
+		npages:      slices.Clone(g.npages[:pagesFor(g.n, nodePageShift)]),
 		totalWeight: g.totalWeight,
-		shared:      true,
 	}
-}
-
-// unshare deep-copies storage shared with snapshots so an impending
-// mutation cannot be observed by concurrent snapshot readers. The edges go
-// to one new slice and every adjacency list to one carved arena, both with
-// growth headroom: unshare is usually triggered by the first AddEdge of a
-// write batch, and an exact-capacity copy would reallocate again on the
-// very next append.
-func (g *Graph) unshare() {
-	if !g.shared {
-		return
-	}
-	g.edges = append(make([]Edge, 0, len(g.edges)+len(g.edges)/8+8), g.edges...)
-	g.adj = copyAdj(g.adj)
-	g.shared = false
 }
 
 // AddNode appends a new isolated node and returns its identifier.
@@ -202,8 +203,12 @@ func (g *Graph) AddNode() int {
 	if g.n >= math.MaxInt32 {
 		panic(fmt.Sprintf("graph: AddNode past the limit of %d nodes", math.MaxInt32))
 	}
-	g.unshare()
-	g.adj = append(g.adj, nil)
+	// The new node's header is already nil in every page g can reach, so
+	// only a node that starts a page writes anything.
+	if g.n == len(g.npages)<<nodePageShift {
+		g.own()
+		g.npages = append(g.npages, &nodePage{owner: g.epoch, appender: g.id})
+	}
 	g.n++
 	return g.n - 1
 }
@@ -222,14 +227,17 @@ func (g *Graph) AddEdge(u, v int, w float64) int {
 	if !(w > 0) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("graph: edge weight %v must be positive and finite", w))
 	}
-	idx := len(g.edges)
+	idx := g.m
 	if idx >= math.MaxInt32 {
 		panic(fmt.Sprintf("graph: AddEdge past the limit of %d edges", math.MaxInt32))
 	}
-	g.unshare()
-	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
-	g.adj[u] = append(g.adj[u], Arc{To: int32(v), Edge: int32(idx)})
-	g.adj[v] = append(g.adj[v], Arc{To: int32(u), Edge: int32(idx)})
+	g.own()
+	g.edgePageFor(idx>>edgePageShift, idx&edgePageMask).e[idx&edgePageMask] = Edge{U: u, V: v, W: w}
+	g.m++
+	hu := g.header(u)
+	*hu = append(*hu, Arc{To: int32(v), Edge: int32(idx)})
+	hv := g.header(v)
+	*hv = append(*hv, Arc{To: int32(u), Edge: int32(idx)})
 	g.totalWeight += w
 	return idx
 }
@@ -239,20 +247,21 @@ func (g *Graph) SetWeight(i int, w float64) {
 	if !(w > 0) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("graph: edge weight %v must be positive and finite", w))
 	}
-	g.unshare()
-	g.totalWeight += w - g.edges[i].W
-	g.edges[i].W = w
+	old := g.Edge(i).W
+	g.own()
+	g.edgePageFor(i>>edgePageShift, i&edgePageMask).e[i&edgePageMask].W = w
+	g.totalWeight += w - old
 }
 
 // AddWeight increments the weight of edge i by delta (merging a parallel
 // edge into an existing one). The resulting weight must stay positive.
 func (g *Graph) AddWeight(i int, delta float64) {
-	g.SetWeight(i, g.edges[i].W+delta)
+	g.SetWeight(i, g.Edge(i).W+delta)
 }
 
 // ScaleWeight multiplies the weight of edge i by factor.
 func (g *Graph) ScaleWeight(i int, factor float64) {
-	g.SetWeight(i, g.edges[i].W*factor)
+	g.SetWeight(i, g.Edge(i).W*factor)
 }
 
 // FindEdge returns the index of some edge between u and v and true, or
@@ -263,10 +272,10 @@ func (g *Graph) FindEdge(u, v int) (int, bool) {
 		return -1, false
 	}
 	a, b := u, v
-	if len(g.adj[a]) > len(g.adj[b]) {
+	if len(g.Adj(a)) > len(g.Adj(b)) {
 		a, b = b, a
 	}
-	for _, arc := range g.adj[a] {
+	for _, arc := range g.Adj(a) {
 		if int(arc.To) == b {
 			return int(arc.Edge), true
 		}
@@ -280,23 +289,36 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return ok
 }
 
-// Clone returns a deep copy of g. Its adjacency lists are carved from one
-// arena with headroom (see the package doc).
+// Clone returns a deep copy of g: its edge pages, its node pages and its
+// adjacency lists are carved from one backing array each, the lists with
+// headroom (see carveLists), so a copy costs a constant number of
+// allocations at any size.
 func (g *Graph) Clone() *Graph {
-	return &Graph{
-		n:           g.n,
-		edges:       append(make([]Edge, 0, len(g.edges)), g.edges...),
-		adj:         copyAdj(g.adj),
-		totalWeight: g.totalWeight,
+	c := &Graph{n: g.n, m: g.m, totalWeight: g.totalWeight}
+	c.own()
+	c.epages = c.carveEdgePages(pagesFor(g.m, edgePageShift))
+	for k, p := range c.epages {
+		copy(p.e[:], g.edgePage(k))
 	}
+	c.npages = c.carveNodePages(pagesFor(g.n, nodePageShift))
+	carveLists(g.n, g.Degree, c.slot)
+	for u := 0; u < g.n; u++ {
+		h := c.slot(u)
+		*h = append(*h, g.Adj(u)...)
+	}
+	return c
 }
+
+// slot returns a pointer to node u's header in whatever page holds it. It
+// is for graphs under construction, whose pages are all their own.
+func (g *Graph) slot(u int) *[]Arc { return &g.npages[u>>nodePageShift].adj[u&nodePageMask] }
 
 // Subgraph returns a new graph over the same node set containing exactly
 // the edges whose indices appear in keep (in that order).
 func (g *Graph) Subgraph(keep []int) *Graph {
 	s := New(g.n, len(keep))
 	for _, i := range keep {
-		e := g.edges[i]
+		e := g.Edge(i)
 		s.AddEdge(e.U, e.V, e.W)
 	}
 	return s
@@ -305,9 +327,9 @@ func (g *Graph) Subgraph(keep []int) *Graph {
 // Coalesce returns a simple graph in which parallel edges have been merged
 // by summing their weights. Edge order follows first occurrence.
 func (g *Graph) Coalesce() *Graph {
-	s := New(g.n, len(g.edges))
-	at := make(map[uint64]int, len(g.edges))
-	for _, e := range g.edges {
+	s := New(g.n, g.m)
+	at := make(map[uint64]int, g.m)
+	for _, e := range g.All() {
 		k := e.Key()
 		if i, ok := at[k]; ok {
 			s.AddWeight(i, e.W)
@@ -325,9 +347,11 @@ func (g *Graph) QuadraticForm(x []float64) float64 {
 		panic(fmt.Sprintf("graph: QuadraticForm length %d != %d nodes", len(x), g.n))
 	}
 	var s float64
-	for _, e := range g.edges {
-		d := x[e.U] - x[e.V]
-		s += float64(e.W * d * d)
+	for k := 0; k<<edgePageShift < g.m; k++ {
+		for _, e := range g.edgePage(k) {
+			d := x[e.U] - x[e.V]
+			s += float64(e.W * d * d)
+		}
 	}
 	return s
 }
@@ -341,10 +365,12 @@ func (g *Graph) LapMul(dst, x []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for _, e := range g.edges {
-		d := e.W * (x[e.U] - x[e.V])
-		dst[e.U] += d
-		dst[e.V] -= d
+	for k := 0; k<<edgePageShift < g.m; k++ {
+		for _, e := range g.edgePage(k) {
+			d := e.W * (x[e.U] - x[e.V])
+			dst[e.U] += d
+			dst[e.V] -= d
+		}
 	}
 }
 
@@ -352,23 +378,32 @@ func (g *Graph) LapMul(dst, x []float64) {
 // diagonal).
 func (g *Graph) DegreeVector() []float64 {
 	d := make([]float64, g.n)
-	for _, e := range g.edges {
+	for _, e := range g.All() {
 		d[e.U] += e.W
 		d[e.V] += e.W
 	}
 	return d
 }
 
-// Validate performs internal consistency checks (adjacency mirrors the edge
-// list, cached totals correct) and returns the first problem found. It is
-// meant for tests and debug assertions, not hot paths.
+// Validate performs internal consistency checks (page tables cover the
+// nodes and edges, adjacency mirrors the edge list, cached totals correct)
+// and returns the first problem found. It is meant for tests and debug
+// assertions, not hot paths.
 func (g *Graph) Validate() error {
-	if len(g.adj) != g.n {
-		return fmt.Errorf("graph: %d adjacency lists for %d nodes", len(g.adj), g.n)
+	if len(g.npages) < pagesFor(g.n, nodePageShift) || len(g.epages) < pagesFor(g.m, edgePageShift) {
+		return fmt.Errorf("graph: %d node and %d edge pages for %d nodes and %d edges",
+			len(g.npages), len(g.epages), g.n, g.m)
+	}
+	if k := g.n >> nodePageShift; k < len(g.npages) {
+		for i, l := range g.npages[k].adj[g.n&nodePageMask:] {
+			if l != nil {
+				return fmt.Errorf("graph: header of node %d past the node count is set", g.n+i)
+			}
+		}
 	}
 	var tw float64
 	deg := make([]int, g.n)
-	for i, e := range g.edges {
+	for i, e := range g.All() {
 		if e.U < 0 || e.U >= g.n || e.V < 0 || e.V >= g.n {
 			return fmt.Errorf("graph: edge %d endpoints (%d,%d) out of range", i, e.U, e.V)
 		}
@@ -385,15 +420,15 @@ func (g *Graph) Validate() error {
 	if math.Abs(tw-g.totalWeight) > 1e-9*(1+math.Abs(tw)) {
 		return fmt.Errorf("graph: cached total weight %v != recomputed %v", g.totalWeight, tw)
 	}
-	for u := range g.adj {
-		if len(g.adj[u]) != deg[u] {
-			return fmt.Errorf("graph: node %d adjacency length %d != degree %d", u, len(g.adj[u]), deg[u])
+	for u := 0; u < g.n; u++ {
+		if len(g.Adj(u)) != deg[u] {
+			return fmt.Errorf("graph: node %d adjacency length %d != degree %d", u, len(g.Adj(u)), deg[u])
 		}
-		for _, a := range g.adj[u] {
-			if a.Edge < 0 || int(a.Edge) >= len(g.edges) {
+		for _, a := range g.Adj(u) {
+			if a.Edge < 0 || int(a.Edge) >= g.m {
 				return fmt.Errorf("graph: node %d has arc to invalid edge %d", u, a.Edge)
 			}
-			e, to := g.edges[a.Edge], int(a.To)
+			e, to := g.Edge(int(a.Edge)), int(a.To)
 			if (e.U != u || e.V != to) && (e.V != u || e.U != to) {
 				return fmt.Errorf("graph: node %d arc (%d, edge %d) disagrees with edge (%d,%d)", u, a.To, a.Edge, e.U, e.V)
 			}
@@ -404,5 +439,5 @@ func (g *Graph) Validate() error {
 
 // String summarizes the graph for diagnostics.
 func (g *Graph) String() string {
-	return fmt.Sprintf("graph{N=%d, E=%d, W=%.4g}", g.n, len(g.edges), g.totalWeight)
+	return fmt.Sprintf("graph{N=%d, E=%d, W=%.4g}", g.n, g.m, g.totalWeight)
 }

@@ -168,7 +168,7 @@ func TestCoalesce(t *testing.T) {
 		t.Fatalf("coalesced edges = %d", c.NumEdges())
 	}
 	if i, ok := c.FindEdge(0, 1); !ok || c.Edge(i).W != 3 {
-		t.Fatalf("merged weight wrong: %v", c.Edges())
+		t.Fatalf("merged weight wrong: %v", c.AppendEdges(nil))
 	}
 	if math.Abs(c.TotalWeight()-g.TotalWeight()) > 1e-12 {
 		t.Fatal("coalesce must preserve total weight")
@@ -453,7 +453,7 @@ func TestDegreeHistogram(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	g := triangle()
-	g.edges[0].W = -1 // corrupt directly, bypassing SetWeight
+	g.epages[0].e[0].W = -1 // corrupt directly, bypassing SetWeight
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate must catch negative weight")
 	}

@@ -25,7 +25,7 @@ func Write(w io.Writer, g *Graph) error {
 	if _, err := fmt.Fprintf(bw, "%d %d\n", g.NumNodes(), g.NumEdges()); err != nil {
 		return err
 	}
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", e.U, e.V, e.W); err != nil {
 			return err
 		}

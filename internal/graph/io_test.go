@@ -23,7 +23,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if back.NumNodes() != 4 || back.NumEdges() != 3 {
 		t.Fatalf("round trip size %v", back)
 	}
-	for i := range g.Edges() {
+	for i := range g.All() {
 		if g.Edge(i) != back.Edge(i) {
 			t.Fatalf("edge %d: %v vs %v", i, g.Edge(i), back.Edge(i))
 		}

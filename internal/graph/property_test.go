@@ -141,7 +141,7 @@ func TestCoalesceProperty(t *testing.T) {
 		}
 		// No duplicate pairs.
 		seen := map[uint64]bool{}
-		for _, e := range c.Edges() {
+		for _, e := range c.All() {
 			if seen[e.Key()] {
 				return false
 			}
@@ -174,7 +174,7 @@ func TestComponentsMatchUnionFindProperty(t *testing.T) {
 		g := randomGraphFromSeed(seed, 16, 12) // sparse: likely disconnected
 		labels, count := Components(g)
 		uf := NewUnionFind(16)
-		for _, e := range g.Edges() {
+		for _, e := range g.All() {
 			uf.Union(e.U, e.V)
 		}
 		if uf.Count() != count {
@@ -209,7 +209,7 @@ func TestIORoundTripProperty(t *testing.T) {
 		if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
 			return false
 		}
-		for i := range g.Edges() {
+		for i := range g.All() {
 			if g.Edge(i) != back.Edge(i) {
 				return false
 			}

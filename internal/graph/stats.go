@@ -38,7 +38,7 @@ func Summarize(g *Graph) Stats {
 	if s.Edges > 0 {
 		s.MinWeight = g.Edge(0).W
 		s.MaxWeight = g.Edge(0).W
-		for _, e := range g.Edges() {
+		for _, e := range g.All() {
 			if e.W < s.MinWeight {
 				s.MinWeight = e.W
 			}

@@ -124,7 +124,7 @@ func LargestComponent(g *Graph) (*Graph, []int) {
 		}
 	}
 	sub := New(next, g.NumEdges())
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if remap[e.U] >= 0 && remap[e.V] >= 0 {
 			sub.AddEdge(remap[e.U], remap[e.V], e.W)
 		}

@@ -131,7 +131,7 @@ func starGraph(n int) *graph.Graph {
 // withIsolatedRows appends k isolated (empty-row) nodes to g.
 func withIsolatedRows(g *graph.Graph, k int) *graph.Graph {
 	out := graph.New(g.NumNodes()+k, 0)
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		out.AddEdge(e.U, e.V, e.W)
 	}
 	return out

@@ -97,35 +97,37 @@ func (e *Embedding) Resistance(p, q int) float64 {
 	return s
 }
 
-// EstimateEdges evaluates the resistance estimate for each listed edge in
-// parallel and returns the results in order.
-func (e *Embedding) EstimateEdges(edges []graph.Edge, workers int) []float64 {
-	out := make([]float64, len(edges))
+// EstimateEdges evaluates the resistance estimate for every edge of g in
+// parallel and returns the results in edge-index order.
+func (e *Embedding) EstimateEdges(g *graph.Graph, workers int) []float64 {
+	m := g.NumEdges()
+	out := make([]float64, m)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(edges) < 1024 {
-		for i, ed := range edges {
+	if workers == 1 || m < 1024 {
+		for i, ed := range g.All() {
 			out[i] = e.Resistance(ed.U, ed.V)
 		}
 		return out
 	}
 	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
+	chunk := (m + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		if lo >= len(edges) {
+		if lo >= m {
 			break
 		}
 		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
+		if hi > m {
+			hi = m
 		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				out[i] = e.Resistance(edges[i].U, edges[i].V)
+				ed := g.Edge(i)
+				out[i] = e.Resistance(ed.U, ed.V)
 			}
 		}(lo, hi)
 	}

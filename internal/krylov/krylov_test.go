@@ -164,9 +164,9 @@ func TestEstimateEdgesMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := g.Edges()
-	serial := emb.EstimateEdges(edges, 1)
-	parallel := emb.EstimateEdges(edges, 4)
+	edges := g.AppendEdges(nil)
+	serial := emb.EstimateEdges(g, 1)
+	parallel := emb.EstimateEdges(g, 4)
 	for i := range serial {
 		if serial[i] != parallel[i] {
 			t.Fatalf("parallel estimate differs at %d", i)

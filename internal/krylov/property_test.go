@@ -76,7 +76,7 @@ func TestEmbeddingNoWildOvershootProperty(t *testing.T) {
 		// tree resistance (sum of all edge resistances), a crude universal
 		// upper bound on any effective resistance in a connected graph.
 		var totalRes float64
-		for _, e := range g.Edges() {
+		for _, e := range g.All() {
 			totalRes += 1 / e.W
 		}
 		for k := 0; k < 15; k++ {

@@ -187,7 +187,7 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lrd: level %d embedding: %w", level, err)
 			}
-			resist = emb.EstimateEdges(cur.Edges(), kcfg.Workers)
+			resist = emb.EstimateEdges(cur, kcfg.Workers)
 			if budget == 0 {
 				budget = 2 * median(resist)
 				if budget <= 0 {
@@ -294,7 +294,7 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 		// weights (parallel conductances add).
 		next := graph.New(int(count), cur.NumEdges()/2)
 		agg := make(map[uint64]int, cur.NumEdges()/2)
-		for _, e := range cur.Edges() {
+		for _, e := range cur.All() {
 			cu, cv := newID[e.U], newID[e.V]
 			if cu == cv {
 				continue

@@ -184,7 +184,7 @@ func evaluate(g *graph.Graph, b *Bisection) *Bisection {
 		vol[s] += g.WeightedDegree(v)
 	}
 	b.CutWeight = 0
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		if b.Side[e.U] != b.Side[e.V] {
 			b.CutWeight += e.W
 		}

@@ -134,10 +134,10 @@ func TestLDLSingleNode(t *testing.T) {
 func TestLDLTwoComponents(t *testing.T) {
 	a, b := randomConnected(30, 25, 4), randomConnected(20, 15, 5)
 	h := graph.New(50, a.NumEdges()+b.NumEdges())
-	for _, e := range a.Edges() {
+	for _, e := range a.All() {
 		h.AddEdge(e.U, e.V, e.W)
 	}
-	for _, e := range b.Edges() {
+	for _, e := range b.All() {
 		h.AddEdge(30+e.U, 30+e.V, e.W)
 	}
 	f, err := Factorize(h, solver.Options{})
@@ -172,7 +172,7 @@ func TestLDLExtremeWeights(t *testing.T) {
 	for _, scale := range []float64{1e-300, 1e-160, 1e160, 1e300} {
 		base := randomConnected(30, 40, 13)
 		h := graph.New(30, base.NumEdges())
-		for _, e := range base.Edges() {
+		for _, e := range base.All() {
 			h.AddEdge(e.U, e.V, scale*e.W)
 		}
 		f, err := Factorize(h, solver.Options{})
@@ -195,7 +195,7 @@ func TestLDLExtremeWeights(t *testing.T) {
 func TestLDLParallelEdges(t *testing.T) {
 	base := randomConnected(25, 30, 7)
 	h := graph.New(25, 2*base.NumEdges())
-	for i, e := range base.Edges() {
+	for i, e := range base.All() {
 		h.AddEdge(e.U, e.V, e.W)
 		if i%3 == 0 {
 			h.AddEdge(e.V, e.U, 0.25*e.W)

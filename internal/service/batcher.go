@@ -236,7 +236,7 @@ func (e *Engine) flush(batch []*request) {
 	var walRec *wal.BatchRecord
 	if mutated {
 		gen := e.stats.generation.Add(1)
-		snap = newSnapshot(gen, e.sp.G.Snapshot(), e.sp.H.Snapshot(), &e.stats, e.opts.Solver)
+		snap = e.snapshotLocked(gen)
 		if e.opts.Store != nil && !e.walBroken.Load() {
 			walRec = &wal.BatchRecord{Gen: gen, DelBatches: appliedDels}
 			if addErr == nil && len(adds) > 0 {

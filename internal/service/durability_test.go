@@ -57,7 +57,7 @@ func sameGraphBits(t *testing.T, name string, a, b *graph.Graph) {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		t.Fatalf("%s: size mismatch %v vs %v", name, a, b)
 	}
-	for i := range a.Edges() {
+	for i := range a.All() {
 		ea, eb := a.Edge(i), b.Edge(i)
 		if ea.U != eb.U || ea.V != eb.V || math.Float64bits(ea.W) != math.Float64bits(eb.W) {
 			t.Fatalf("%s: edge %d differs: %+v vs %+v", name, i, ea, eb)

@@ -437,8 +437,8 @@ func (e *Engine) resparsify(ctx context.Context, reason MaintReason) (uint64, er
 		e.stats.maintState.Store(int32(e.idleMaintState()))
 	}()
 
-	// The rebuild inputs are O(1) COW captures; the writer is blocked only
-	// for the two snapshot headers, never for the build.
+	// The rebuild input is a copy-on-write snapshot; the writer is blocked
+	// only while H's page tables are copied, never for the build.
 	e.mu.Lock()
 	hSnap := e.sp.H.Snapshot()
 	cfg := e.sp.Config()
@@ -525,7 +525,7 @@ func (e *Engine) applyMaintenance(r *request) {
 		return
 	}
 	gen := e.stats.generation.Add(1)
-	snap := newSnapshot(gen, e.sp.G.Snapshot(), e.sp.H.Snapshot(), &e.stats, e.opts.Solver)
+	snap := e.snapshotLocked(gen)
 	var walRec *wal.BatchRecord
 	if e.opts.Store != nil && !e.walBroken.Load() {
 		walRec = &wal.BatchRecord{Gen: gen, Maint: &wal.MaintRecord{

@@ -90,6 +90,14 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 	ctr("ingrass_maintenance_failures_total", "background rebuilds aborted at any stage", e.stats.maintFailures.Load)
 	ctr("ingrass_generations_evicted_total", "snapshots evicted by the post-swap GC pressure policy", e.stats.gensEvicted.Load)
 
+	for i, name := range decisionNames {
+		ctr("ingrass_filter_decisions_total", "sparsifier filter decisions on new and deleted edges, by outcome",
+			e.stats.decisions[i].Load, obs.Label{Key: "decision", Value: name})
+	}
+	reg.GaugeFunc("ingrass_sparsifier_filter_level", "LRD level the similarity filter of the newest generation uses",
+		func() float64 { return float64(e.stats.filterLevel.Load()) })
+	reg.GaugeFunc("ingrass_sparsifier_density", "off-tree density of the newest generation's sparsifier relative to its original graph",
+		func() float64 { return math.Float64frombits(e.stats.density.Load()) })
 	reg.GaugeFunc("ingrass_generation", "snapshot generation currently served",
 		func() float64 { return float64(e.stats.generation.Load()) })
 	reg.GaugeFunc("ingrass_last_checkpoint_generation", "generation covered by the newest checkpoint",

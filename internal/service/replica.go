@@ -82,7 +82,7 @@ func (e *Engine) ApplyRecord(rec wal.BatchRecord) error {
 	}
 	e.stats.flushes.Add(1)
 	e.stats.generation.Store(rec.Gen)
-	snap := newSnapshot(rec.Gen, e.sp.G.Snapshot(), e.sp.H.Snapshot(), &e.stats, e.opts.Solver)
+	snap := e.snapshotLocked(rec.Gen)
 	e.mu.Unlock()
 	e.reg.Publish(snap)
 	return nil
@@ -112,8 +112,9 @@ func (e *Engine) ResetReplica(ck wal.Checkpoint) error {
 			ErrGenerationGap, ck.Gen, e.stats.generation.Load())
 	}
 	e.sp = sp
+	e.counted = decisionCounts(sp.Stats()) // the image's decisions were counted by the primary
 	e.stats.generation.Store(ck.Gen)
-	snap := newSnapshot(ck.Gen, sp.G.Snapshot(), sp.H.Snapshot(), &e.stats, e.opts.Solver)
+	snap := e.snapshotLocked(ck.Gen)
 	e.mu.Unlock()
 	e.reg.Publish(snap)
 	return nil

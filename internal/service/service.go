@@ -22,7 +22,7 @@
 // When Options.Store is set, the engine is durable: every applied batch is
 // appended to the write-ahead log (internal/wal) *before* its generation is
 // published to readers or its futures complete, Checkpoint persists the
-// full state from O(1) copy-on-write snapshots without stalling writers,
+// full state from copy-on-write snapshots without stalling writers,
 // and Recover rebuilds an engine from checkpoint ⊕ WAL replay so a restart
 // resumes at the exact pre-crash generation.
 package service
@@ -133,6 +133,10 @@ type Engine struct {
 	churnBase   atomic.Uint64
 	basisEdges  atomic.Uint64
 
+	// counted is sp's decision counts as of the newest snapshotLocked;
+	// guarded by mu.
+	counted [len(decisionNames)]int
+
 	reqs chan *request
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -160,6 +164,31 @@ func errNotDurableWrap(err error) error {
 	return fmt.Errorf("%w: %v", ErrNotDurable, err)
 }
 
+// decisionNames are the outcomes ingrass_filter_decisions_total counts.
+var decisionNames = [...]string{"included", "merged", "redistributed", "deleted", "promoted"}
+
+// decisionCounts returns s's decision counters in decisionNames order.
+func decisionCounts(s core.Stats) [len(decisionNames)]int {
+	return [...]int{s.Included, s.Merged, s.Redistributed, s.Deleted, s.Promoted}
+}
+
+// snapshotLocked captures generation gen of the sparsifier for
+// publication and records what the exposition reports about it: the
+// decisions made since the previous capture, the filter level and the
+// density. The caller holds mu (or owns e exclusively, as New does).
+func (e *Engine) snapshotLocked(gen uint64) *Snapshot {
+	now := decisionCounts(e.sp.Stats())
+	for i, n := range now {
+		if d := n - e.counted[i]; d > 0 {
+			e.stats.decisions[i].Add(uint64(d))
+		}
+	}
+	e.counted = now
+	e.stats.filterLevel.Store(int64(e.sp.FilterLevel()))
+	e.stats.density.Store(math.Float64bits(e.sp.Density()))
+	return newSnapshot(gen, e.sp.G.Snapshot(), e.sp.H.Snapshot(), &e.stats, e.opts.Solver)
+}
+
 // New wraps an already-set-up sparsifier in an engine and publishes the
 // generation-0 snapshot. The engine takes ownership of sp: the caller must
 // not touch it (or its graphs) afterwards.
@@ -173,7 +202,8 @@ func New(sp *core.Sparsifier, opts Options) *Engine {
 	e.reg = NewRegistry(e.opts.Retain)
 	e.stats.generation.Store(e.opts.InitialGeneration)
 	e.stats.lastCheckpoint.Store(e.opts.InitialGeneration)
-	e.reg.Publish(newSnapshot(e.opts.InitialGeneration, sp.G.Snapshot(), sp.H.Snapshot(), &e.stats, e.opts.Solver))
+	e.counted = decisionCounts(sp.Stats())
+	e.reg.Publish(e.snapshotLocked(e.opts.InitialGeneration))
 	if e.opts.Obs != nil {
 		// Histograms first: the block-fill hook rides in Batch options, which
 		// batch.New copies by value. The counter bridges come after the
@@ -215,11 +245,11 @@ func Recover(store *wal.Store, opts Options) (*Engine, error) {
 }
 
 // Checkpoint persists the engine's full current state to the store and
-// prunes the WAL records it covers. The state capture is O(1) copy-on-write
-// snapshots taken under the write lock — writers never wait on the
-// encoding or the disk. A successful checkpoint also repairs a degraded
-// WAL (see ErrNotDurable): once the full state is on disk, the unlogged
-// suffix is covered and appending may resume.
+// prunes the WAL records it covers. The state capture is copy-on-write
+// snapshots (page tables, not pages) taken under the write lock — writers
+// never wait on the encoding or the disk. A successful checkpoint also
+// repairs a degraded WAL (see ErrNotDurable): once the full state is on
+// disk, the unlogged suffix is covered and appending may resume.
 func (e *Engine) Checkpoint() (uint64, error) {
 	if e.opts.Store == nil {
 		return 0, ErrNoStore

@@ -79,6 +79,14 @@ type Stats struct {
 	precondFactored  atomic.Bool
 	precondFactorNNZ atomic.Uint64
 
+	// Sparsifier decisions since the engine started, by outcome (in
+	// decisionNames order), and the filter level and off-tree density of
+	// the newest generation (density as Float64bits). Recorded by
+	// snapshotLocked.
+	decisions   [len(decisionNames)]atomic.Uint64
+	filterLevel atomic.Int64
+	density     atomic.Uint64
+
 	// Latency/shape histograms, created when a metrics registry is attached
 	// (Options.Obs) and nil otherwise — every observe site records
 	// unconditionally through the nil-safe receivers, so the unwired cost is

@@ -131,7 +131,7 @@ func TestStressConcurrentReadersLiveWriter(t *testing.T) {
 						return
 					}
 					counts := make(map[float64]int)
-					for _, edge := range snap.G.Edges() {
+					for _, edge := range snap.G.All() {
 						if edge.W >= 2 {
 							counts[edge.W]++
 						}
@@ -178,7 +178,7 @@ func TestStressConcurrentReadersLiveWriter(t *testing.T) {
 	// Final state: every insert request fully visible.
 	final := e.Current()
 	counts := make(map[float64]int)
-	for _, edge := range final.G.Edges() {
+	for _, edge := range final.G.All() {
 		if edge.W >= 2 {
 			counts[edge.W]++
 		}

@@ -54,7 +54,7 @@ func TestEveryEdgeIndexedOnceProperty(t *testing.T) {
 				}
 			}
 		}
-		for ei, e := range g.Edges() {
+		for ei, e := range g.All() {
 			sharedLvl := d.SharedLevel(e.U, e.V)
 			if sharedLvl <= 0 {
 				// Cross-component edges impossible on a connected graph.

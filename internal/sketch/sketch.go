@@ -132,7 +132,7 @@ func New(d *lrd.Decomposition, h *graph.Graph) (*Structure, error) {
 		}
 	}
 
-	for ei := range h.Edges() {
+	for ei := range h.NumEdges() {
 		s.Register(ei)
 	}
 	return s, nil
@@ -216,7 +216,8 @@ func (s *Structure) IndexPairs(l int) bool {
 		return false
 	}
 	m := make(map[uint64]PairInfo)
-	for ei, e := range s.h.Edges()[:s.registered] {
+	for ei := range s.registered {
+		e := s.h.Edge(ei)
 		// Clusters nest, so an edge crossing level l crosses every level
 		// below it: exactly the edges an eager Register put here.
 		if cu, cv := s.d.ClusterID(l, e.U), s.d.ClusterID(l, e.V); cu != cv {

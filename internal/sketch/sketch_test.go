@@ -56,7 +56,7 @@ func TestPairIndexMatchesBruteForce(t *testing.T) {
 	for l := 1; l < d.Levels; l++ {
 		// Brute force: recompute pair counts by scanning all edges.
 		want := map[uint64]int{}
-		for _, e := range g.Edges() {
+		for _, e := range g.All() {
 			cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V)
 			if cu != cv {
 				want[pairKey(cu, cv)]++
@@ -65,7 +65,7 @@ func TestPairIndexMatchesBruteForce(t *testing.T) {
 		if len(want) != s.LevelPairs(l) {
 			t.Fatalf("level %d: %d pairs indexed, want %d", l, s.LevelPairs(l), len(want))
 		}
-		for _, e := range g.Edges() {
+		for _, e := range g.All() {
 			cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V)
 			if cu != cv {
 				if got := s.PairCount(l, e.U, e.V); got != want[pairKey(cu, cv)] {
@@ -85,7 +85,7 @@ func TestConnectingEdgeIsValid(t *testing.T) {
 	g := grid(5, 5)
 	d, s := build(t, g)
 	for l := 1; l < d.Levels; l++ {
-		for _, e := range g.Edges() {
+		for _, e := range g.All() {
 			if s.SameCluster(l, e.U, e.V) {
 				continue
 			}

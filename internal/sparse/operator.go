@@ -335,7 +335,7 @@ func (f *FuncOperator) Apply(dst, x []float64) { f.Fn(dst, x) }
 func DenseLaplacian(g *graph.Graph) *vecmath.Dense {
 	n := g.NumNodes()
 	m := vecmath.NewDense(n, n)
-	for _, e := range g.Edges() {
+	for _, e := range g.All() {
 		m.Add(e.U, e.U, e.W)
 		m.Add(e.V, e.V, e.W)
 		m.Add(e.U, e.V, -e.W)

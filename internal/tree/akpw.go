@@ -33,56 +33,79 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 
 	_, targetComponents := graph.Components(g)
 
+	// cands holds, in edge-index order, every edge that may still cross two
+	// clusters. Clusters only ever merge, so an edge found internal leaves
+	// the list for good.
+	type cand struct {
+		u, v, edge int32
+		w          float64
+	}
+	cands := make([]cand, 0, g.NumEdges())
 	maxW := g.Edge(0).W
 	minW := maxW
-	for _, e := range g.Edges() {
+	for ei, e := range g.All() {
 		if e.W > maxW {
 			maxW = e.W
 		}
 		if e.W < minW {
 			minW = e.W
 		}
+		cands = append(cands, cand{u: int32(e.U), v: int32(e.V), edge: int32(ei), w: e.W})
 	}
 	const mu = 4.0
 	threshold := maxW / mu
 
 	type superArc struct {
-		to   int
-		edge int
+		to, edge int32
+	}
+	type crossing struct {
+		ru, rv, edge int32
 	}
 	// Scratch indexed by union-find root, reused across levels. supers
 	// lists the roots with a crossing edge this level, in first-touch order;
-	// only their adj and assigned entries are ever non-empty.
-	adj := make([][]superArc, n)
+	// only their deg, start and assigned entries are ever non-zero. Root x's
+	// supernode arcs are arcs[start[x] : start[x]+deg[x]], in edge-index
+	// order.
+	deg := make([]int32, n)
+	start := make([]int32, n)
 	assigned := make([]bool, n)
 	hops := make([]int, n)
-	var supers []int
+	var (
+		supers []int
+		cross  []crossing
+		arcs   []superArc
+	)
 	queue := make([]int, 0, 64)
 
 	for uf.Count() > targetComponents {
 		// Gather admissible edges that cross current clusters.
 		for _, s := range supers {
-			adj[s] = adj[s][:0]
+			deg[s] = 0
 			assigned[s] = false
 		}
-		supers = supers[:0]
-		for ei, e := range g.Edges() {
-			if e.W < threshold {
+		supers, cross = supers[:0], cross[:0]
+		kept := cands[:0]
+		for _, c := range cands {
+			if c.w < threshold {
+				kept = append(kept, c)
 				continue
 			}
-			ru, rv := uf.Find(e.U), uf.Find(e.V)
+			ru, rv := uf.Find(int(c.u)), uf.Find(int(c.v))
 			if ru == rv {
 				continue
 			}
-			if len(adj[ru]) == 0 {
+			kept = append(kept, c)
+			if deg[ru] == 0 {
 				supers = append(supers, ru)
 			}
-			if len(adj[rv]) == 0 {
+			if deg[rv] == 0 {
 				supers = append(supers, rv)
 			}
-			adj[ru] = append(adj[ru], superArc{to: rv, edge: ei})
-			adj[rv] = append(adj[rv], superArc{to: ru, edge: ei})
+			deg[ru]++
+			deg[rv]++
+			cross = append(cross, crossing{ru: int32(ru), rv: int32(rv), edge: c.edge})
 		}
+		cands = kept
 		if len(supers) == 0 {
 			if threshold <= 0 {
 				break // only cross-component edges remain impossible
@@ -95,6 +118,20 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 				threshold /= mu
 			}
 			continue
+		}
+		// Lay the supernode adjacency out as one counted arena: deg counts
+		// back up from zero as each root's span fills.
+		next := int32(0)
+		for _, s := range supers {
+			start[s], next = next, next+deg[s]
+			deg[s] = 0
+		}
+		arcs = slices.Grow(arcs[:0], int(next))[:next]
+		for _, c := range cross {
+			arcs[start[c.ru]+deg[c.ru]] = superArc{to: c.rv, edge: c.edge}
+			deg[c.ru]++
+			arcs[start[c.rv]+deg[c.rv]] = superArc{to: c.ru, edge: c.edge}
+			deg[c.rv]++
 		}
 
 		// Randomized ball growing over the supernode graph, visiting
@@ -118,15 +155,16 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 				if hops[x] >= radius {
 					continue
 				}
-				for _, a := range adj[x] {
-					if assigned[a.to] {
+				for _, a := range arcs[start[x] : start[x]+deg[x]] {
+					to := int(a.to)
+					if assigned[to] {
 						continue
 					}
-					assigned[a.to] = true
-					hops[a.to] = hops[x] + 1
-					treeEdges = append(treeEdges, a.edge)
-					uf.Union(x, a.to)
-					queue = append(queue, a.to)
+					assigned[to] = true
+					hops[to] = hops[x] + 1
+					treeEdges = append(treeEdges, int(a.edge))
+					uf.Union(x, to)
+					queue = append(queue, to)
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 //
 // Ties are broken by edge index, making the result deterministic.
 func MaxWeight(g *graph.Graph) *SpanningTree {
-	edges := g.Edges()
+	edges := g.AppendEdges(nil)
 	order := heaviestFirst(edges)
 	uf := graph.NewUnionFind(g.NumNodes())
 	keep := make([]int, 0, g.NumNodes()-1)

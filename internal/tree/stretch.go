@@ -22,7 +22,7 @@ func Stretch(t *SpanningTree, o *PathOracle) StretchStats {
 	var st StretchStats
 	mask := t.InTree()
 	count := 0
-	for ei, e := range t.G.Edges() {
+	for ei, e := range t.G.All() {
 		var s float64
 		if mask[ei] {
 			s = 1

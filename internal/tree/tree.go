@@ -18,11 +18,11 @@ import (
 // indices of the tree edges within the host graph's edge list.
 type SpanningTree struct {
 	G       *graph.Graph
-	EdgeIdx []int // indices into G.Edges() forming the forest
+	EdgeIdx []int // edge indices of G forming the forest
 
 	// Rooted representation, computed by the constructor:
 	Parent     []int // parent node id, -1 for roots
-	ParentEdge []int // index into G.Edges() of the edge to the parent, -1 for roots
+	ParentEdge []int // edge index in G of the edge to the parent, -1 for roots
 	Order      []int // nodes in BFS order, roots first within their component
 	Depth      []int // hop depth from the component root
 	Roots      []int // one root per component

@@ -34,7 +34,7 @@ func TestMaintRecordRoundTrip(t *testing.T) {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		t.Fatalf("graph shape %v vs %v", a, b)
 	}
-	for i := range a.Edges() {
+	for i := range a.All() {
 		ea, eb := a.Edge(i), b.Edge(i)
 		if ea.U != eb.U || ea.V != eb.V || math.Float64bits(ea.W) != math.Float64bits(eb.W) {
 			t.Fatalf("edge %d: %+v vs %+v", i, ea, eb)
@@ -254,7 +254,7 @@ func TestRestoreStateWithMaintRecord(t *testing.T) {
 	if got.Config().TargetCond != 60 {
 		t.Fatalf("replayed TargetCond %v", got.Config().TargetCond)
 	}
-	for i := range sp.H.Edges() {
+	for i := range sp.H.All() {
 		a, b := got.H.Edge(i), sp.H.Edge(i)
 		if a.U != b.U || a.V != b.V || math.Float64bits(a.W) != math.Float64bits(b.W) {
 			t.Fatalf("H edge %d: %+v vs %+v", i, a, b)

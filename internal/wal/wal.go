@@ -3,7 +3,7 @@
 // together in one data directory. The serving layer (internal/service)
 // appends one BatchRecord per applied write batch *before* publishing the
 // batch's snapshot generation to readers, and periodically persists a
-// Checkpoint taken from O(1) copy-on-write snapshots, so recovery is
+// Checkpoint taken from copy-on-write snapshots, so recovery is
 //
 //	state = latest checkpoint  ⊕  replay of the WAL records after it
 //

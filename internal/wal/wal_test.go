@@ -332,7 +332,7 @@ func TestCheckpointRoundTripAndPruning(t *testing.T) {
 	if restored.Stats() != sp.Stats() {
 		t.Fatalf("restored stats %+v vs %+v", restored.Stats(), sp.Stats())
 	}
-	for i := range sp.G.Edges() {
+	for i := range sp.G.All() {
 		a, b := restored.G.Edge(i), sp.G.Edge(i)
 		if a.U != b.U || a.V != b.V || math.Float64bits(a.W) != math.Float64bits(b.W) {
 			t.Fatalf("G edge %d: %+v vs %+v", i, a, b)
@@ -451,7 +451,7 @@ func TestRestoreState(t *testing.T) {
 	if got.Stats() != sp.Stats() {
 		t.Fatalf("stats %+v vs %+v", got.Stats(), sp.Stats())
 	}
-	for i := range sp.H.Edges() {
+	for i := range sp.H.All() {
 		a, b := got.H.Edge(i), sp.H.Edge(i)
 		if a.U != b.U || a.V != b.V || math.Float64bits(a.W) != math.Float64bits(b.W) {
 			t.Fatalf("H edge %d: %+v vs %+v", i, a, b)

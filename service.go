@@ -331,8 +331,8 @@ func LoadService(opts ServiceOptions) (*Service, error) {
 
 // Checkpoint persists the service's full current state to the data
 // directory and prunes the WAL records it covers, without stalling
-// concurrent reads or writes (the state capture is an O(1) copy-on-write
-// snapshot). It returns the generation the checkpoint covers. Checkpoint
+// concurrent reads or writes (the state capture is a copy-on-write
+// snapshot, which copies page tables, not pages). It returns the generation the checkpoint covers. Checkpoint
 // also restores durability after a degraded period (see ErrNotDurable).
 func (s *Service) Checkpoint() (uint64, error) {
 	gen, err := s.eng.Checkpoint()
