@@ -51,7 +51,7 @@
 // The public API wraps internal packages, each a self-contained substrate:
 // graph storage and CSR kernels (internal/graph), CG/PCG solvers
 // (internal/sparse), Krylov resistance embedding (internal/krylov),
-// low-resistance-diameter decomposition (internal/lrd), the multilevel
+// low-resistance-diameter decomposition (internal/lrd), the filter-level
 // cluster-connectivity sketch (internal/sketch), spanning trees
 // (internal/tree), the GRASS baseline (internal/grass), the inGRASS update
 // engine (internal/core), condition-number estimation (internal/cond),

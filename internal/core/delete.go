@@ -14,7 +14,7 @@ import (
 // edge's weight is reduced to a negligible epsilon relative to the graph's
 // mean weight, which makes it spectrally invisible (its contribution to
 // every quadratic form is ~1e-12 of typical) while preserving the stable
-// edge indexing that the multilevel sketch relies on.
+// edge indexing that the sketch relies on.
 //
 // When a deletion spectrally disconnects the sparsifier (the deleted edge
 // was load-bearing, e.g. a tree edge), the highest-distortion original-graph
@@ -115,7 +115,7 @@ func (s *Sparsifier) replaceIfBridge(u, v int) (int, bool) {
 		}
 		d := e.W * s.dec.ResistanceBound(e.U, e.V)
 		if math.IsInf(d, 1) {
-			d = e.W * 1e18 // unknown bound: strongly prefer reconnecting
+			d = e.W * 1e18 // no estimate: strongly prefer reconnecting
 		}
 		if !found || d > best.d {
 			best = cand{e: e, d: d}

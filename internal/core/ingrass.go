@@ -2,13 +2,15 @@
 // paper's primary contribution. Given an original graph G(0), its initial
 // sparsifier H(0) (from internal/grass), and a target condition number C,
 // the setup phase builds a multilevel resistance embedding of H(0) via LRD
-// decomposition plus a multilevel cluster-connectivity sketch; the update
-// phase then processes streams of newly inserted edges in O(log N) each:
+// decomposition plus a cluster-connectivity sketch of the filter level; the
+// update phase then processes streams of newly inserted edges in O(log N)
+// each:
 //
 //   - Spectral distortion estimation: a new edge's distortion is its
-//     weight times the resistance-diameter bound of the first LRD level at
-//     which its endpoints share a cluster (Eq. 6 with the embedding bound
-//     in place of the exact effective resistance). Batches are processed
+//     weight times the estimated resistance diameter of the first LRD
+//     cluster that holds both endpoints (Eq. 6 with the embedding estimate
+//     in place of the exact effective resistance). The estimate is not a
+//     bound: it can fall below the exact resistance. Batches are processed
 //     in descending distortion order so the most spectrally-critical edges
 //     are considered first.
 //
@@ -127,11 +129,10 @@ type Sparsifier struct {
 	G *graph.Graph
 	H *graph.Graph
 
-	cfg         Config
-	dec         *lrd.Decomposition
-	sk          *sketch.Structure
-	filterLevel int
-	stats       Stats
+	cfg   Config
+	dec   *lrd.Decomposition
+	sk    *sketch.Structure
+	stats Stats
 
 	// hBase is a copy-on-write snapshot of H as it was when dec/sk were
 	// built (setup or the latest Resparsify/CompactDeleted). It is the
@@ -160,15 +161,13 @@ func NewSparsifier(g, h *graph.Graph, cfg Config) (*Sparsifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: setup sketch: %w", err)
 	}
-	s := &Sparsifier{G: g, H: h, cfg: cfg, dec: dec, sk: sk, hBase: h.Snapshot()}
-	s.filterLevel = cfg.filterLevel(dec)
-	sk.IndexPairs(s.filterLevel)
-	sk.IndexIntra(s.filterLevel)
-	return s, nil
+	sk.Index(cfg.filterLevel(dec))
+	return &Sparsifier{G: g, H: h, cfg: cfg, dec: dec, sk: sk, hBase: h.Snapshot()}, nil
 }
 
-// FilterLevel returns the LRD level used by similarity filtering.
-func (s *Sparsifier) FilterLevel() int { return s.filterLevel }
+// FilterLevel returns the LRD level used by similarity filtering: the one
+// level the sketch indexes.
+func (s *Sparsifier) FilterLevel() int { return s.sk.Level() }
 
 // Decomposition exposes the setup-phase LRD hierarchy (read-only).
 func (s *Sparsifier) Decomposition() *lrd.Decomposition { return s.dec }
@@ -178,7 +177,8 @@ func (s *Sparsifier) Stats() Stats { return s.stats }
 
 // EstimateDistortion returns the spectral-distortion estimate the update
 // phase would assign to a new edge (u, v, w): w times the embedding's
-// resistance bound.
+// resistance estimate (see lrd.Decomposition.ResistanceBound), which is not
+// a bound on the exact resistance.
 func (s *Sparsifier) EstimateDistortion(e graph.Edge) float64 {
 	return e.W * s.dec.ResistanceBound(e.U, e.V)
 }
@@ -190,7 +190,7 @@ func (s *Sparsifier) EstimateDistortion(e graph.Edge) float64 {
 //
 // Edges referencing unknown nodes are rejected with an error before any
 // mutation. Edges whose endpoints lie in different components of H(0) are
-// always included (their distortion bound is infinite: nothing in H
+// always included (their distortion estimate is infinite: nothing in H
 // approximates them).
 func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 	n := s.G.NumNodes()
@@ -262,17 +262,16 @@ func byDistortion(a, b scored) int {
 
 // applyOne runs the level-L filtering rules for a single new edge.
 func (s *Sparsifier) applyOne(e graph.Edge, distortion float64) Decision {
-	L := s.filterLevel
 	dec := Decision{Edge: e, Distortion: distortion, Target: -1}
 	s.stats.Processed++
 
 	switch {
-	case s.sk.SameCluster(L, e.U, e.V):
+	case s.sk.SameCluster(e.U, e.V):
 		// Intra-cluster: the sparsifier already connects these nodes well
-		// (resistance bounded by the cluster diameter). Spread the new
+		// (resistance estimated by the cluster diameter). Spread the new
 		// conductance proportionally over the cluster's internal edges,
 		// read in place from the sketch's span for the cluster.
-		intra := s.sk.IntraClusterEdges(L, e.U)
+		intra := s.sk.IntraClusterEdges(e.U)
 		if len(intra) == 0 {
 			// Defensive: a multi-node cluster always has internal sparsifier
 			// edges (it was formed by contracting them), but if the
@@ -297,7 +296,7 @@ func (s *Sparsifier) applyOne(e graph.Edge, distortion float64) Decision {
 		return dec
 
 	default:
-		if pairEdges := s.sk.PairEdges(L, e.U, e.V); len(pairEdges) > 0 {
+		if pairEdges := s.sk.PairEdges(e.U, e.V); len(pairEdges) > 0 {
 			// Redundant inter-cluster edge: spread the weight across every
 			// sparsifier edge already crossing this cluster pair,
 			// proportionally to their weights. Dumping it all on one

@@ -185,7 +185,7 @@ func TestUniqueEdgeIncluded(t *testing.T) {
 	p, q := -1, -1
 	for a := 0; a < g.NumNodes() && p < 0; a += 3 {
 		for b := a + 1; b < g.NumNodes(); b += 3 {
-			if d.ClusterID(L, a) != d.ClusterID(L, b) && s.sk.PairCount(L, a, b) == 0 && !g.HasEdge(a, b) {
+			if d.ClusterID(L, a) != d.ClusterID(L, b) && len(s.sk.PairEdges(a, b)) == 0 && !g.HasEdge(a, b) {
 				p, q = a, b
 				break
 			}

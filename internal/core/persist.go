@@ -39,7 +39,7 @@ type PersistentState struct {
 func (s *Sparsifier) PersistentState() PersistentState {
 	return PersistentState{
 		Config:      s.cfg,
-		FilterLevel: s.filterLevel,
+		FilterLevel: s.FilterLevel(),
 		Stats:       s.stats,
 		G:           s.G.Snapshot(),
 		H:           s.H.Snapshot(),
@@ -87,16 +87,14 @@ func RestoreSparsifier(st PersistentState) (*Sparsifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore sketch: %w", err)
 	}
-	sk.IndexPairs(st.FilterLevel)
-	sk.IndexIntra(st.FilterLevel)
+	sk.Index(st.FilterLevel)
 	return &Sparsifier{
-		G:           st.G,
-		H:           st.H,
-		cfg:         st.Config,
-		dec:         dec,
-		sk:          sk,
-		filterLevel: st.FilterLevel,
-		stats:       st.Stats,
-		hBase:       st.HBase,
+		G:     st.G,
+		H:     st.H,
+		cfg:   st.Config,
+		dec:   dec,
+		sk:    sk,
+		stats: st.Stats,
+		hBase: st.HBase,
 	}, nil
 }

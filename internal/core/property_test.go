@@ -101,8 +101,8 @@ func TestUpdateAccountingProperty(t *testing.T) {
 			if d.Action == Included {
 				included++
 				// The included edge must now connect its clusters.
-				if s.sk.PairCount(s.filterLevel, d.Edge.U, d.Edge.V) == 0 &&
-					!s.sk.SameCluster(s.filterLevel, d.Edge.U, d.Edge.V) {
+				if len(s.sk.PairEdges(d.Edge.U, d.Edge.V)) == 0 &&
+					!s.sk.SameCluster(d.Edge.U, d.Edge.V) {
 					return false
 				}
 			}

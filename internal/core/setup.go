@@ -8,7 +8,7 @@ import (
 	"ingrass/internal/sketch"
 )
 
-// SetupBasis is a setup phase (LRD decomposition + multilevel sketch) built
+// SetupBasis is a setup phase (LRD decomposition + filter-level sketch) built
 // offline against a frozen copy-on-write snapshot of the sparsifier. It is
 // the unit of background maintenance: a controller snapshots H, runs
 // BuildSetup without holding any engine lock, and the writer later adopts
@@ -20,15 +20,13 @@ type SetupBasis struct {
 	cfg   Config
 	hBase *graph.Graph
 	dec   *lrd.Decomposition
-	sk    *sketch.Structure
-	// level is the filtering level the adopter will use; sk's pair and
-	// span indexes are materialized there only.
-	level int
+	// sk is indexed at the filtering level the adopter will use.
+	sk *sketch.Structure
 }
 
-// BuildSetup runs the setup phase (lrd.Build + sketch indexing, including
-// the pair and span indexes at the filtering level) over the frozen sparsifier
-// snapshot hBase. It mutates nothing and may run concurrently with updates
+// BuildSetup runs the setup phase (lrd.Build + the sketch's pair and span
+// indexes at the filtering level) over the frozen sparsifier snapshot
+// hBase. It mutates nothing and may run concurrently with updates
 // to the live sparsifier the snapshot was taken from. cfg.TargetCond
 // selects the filtering level the adopting sparsifier will use; the other
 // fields must match the adopter's configuration.
@@ -45,10 +43,8 @@ func BuildSetup(hBase *graph.Graph, cfg Config) (*SetupBasis, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: basis sketch: %w", err)
 	}
-	level := cfg.filterLevel(dec)
-	sk.IndexPairs(level)
-	sk.IndexIntra(level)
-	return &SetupBasis{cfg: cfg, hBase: hBase, dec: dec, sk: sk, level: level}, nil
+	sk.Index(cfg.filterLevel(dec))
+	return &SetupBasis{cfg: cfg, hBase: hBase, dec: dec, sk: sk}, nil
 }
 
 // TargetCond returns the target condition number the basis was built for.
@@ -67,10 +63,10 @@ func (b *SetupBasis) HBase() *graph.Graph { return b.hBase }
 // persist.go invariant), the filtering level becomes the one the basis
 // indexed for its TargetCond, and the basis's snapshot becomes the new
 // persistence anchor (hBase). G, H, and the accumulated counters are
-// untouched. The catch-up touches only the basis's materialized pair level,
-// so the swap costs O(|H delta|), never an O(|E_H|) index build. A
-// caught-up edge internal at or below the filtering level drops that
-// level's span index; the first redistribution after the swap rebuilds it.
+// untouched. The catch-up touches only the basis's one indexed level, so
+// the swap costs O(|H delta|), never an O(|E_H|) index build. A caught-up
+// edge inside a filtering-level cluster marks the span index stale; the
+// first redistribution after the swap rebuilds it.
 //
 // The caller must guarantee b.hBase is a snapshot of this sparsifier's H:
 // the live H must extend it by index (soft deletion never removes edges, so
@@ -92,7 +88,6 @@ func (s *Sparsifier) AdoptSetup(b *SetupBasis) error {
 	s.dec = b.dec
 	s.sk = b.sk
 	s.hBase = b.hBase
-	s.filterLevel = b.level
 	b.sk = nil
 	return nil
 }

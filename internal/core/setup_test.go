@@ -237,22 +237,23 @@ func TestAdoptBasisMatchesResparsify(t *testing.T) {
 }
 
 // TestOnlyFilterLevelPairsIndexed pins the update path to the sketch's pair
-// index at the filter level: setup, restore and an offline rebuild each build
-// that one level before any write, and no update, deletion or swap catch-up
-// materializes another. The adopted basis must arrive with its level already
-// built, so the swap under the writer does no O(|E_H|) index build.
+// index at the filter level: setup, restore and an offline rebuild each hold
+// that one level, the level the configuration selects on the decomposition,
+// and after updates, deletions and a swap catch-up its pair lists equal the
+// ones a brute-force scan of H gives. The adopted basis must arrive indexed,
+// so the swap under the writer does no O(|E_H|) index build.
 func TestOnlyFilterLevelPairsIndexed(t *testing.T) {
 	_, fresh := setup(t, 10, 10, 0.1, 50)
 	if fresh.dec.Levels < 4 {
 		t.Fatalf("fixture has %d levels; the test needs levels besides the filter level", fresh.dec.Levels)
 	}
-	onlyLevelIndexed(t, "after setup", fresh.sk, fresh.FilterLevel())
+	onlyPairsAt(t, "after setup", fresh)
 
 	_, s := setup(t, 10, 10, 0.1, 50)
 	n := s.G.NumNodes()
 	applyStream(t, s, streamEdges(n, 96, 1), 8)
 	st := s.PersistentState()
-	onlyLevelIndexed(t, "after setup and a stream", s.sk, s.FilterLevel())
+	onlyPairsAt(t, "after setup and a stream", s)
 
 	for _, stream := range []int{0, 48} {
 		restored, err := RestoreSparsifier(st)
@@ -260,7 +261,7 @@ func TestOnlyFilterLevelPairsIndexed(t *testing.T) {
 			t.Fatal(err)
 		}
 		applyStream(t, restored, streamEdges(n, stream, 2), 8)
-		onlyLevelIndexed(t, fmt.Sprintf("after restore and %d edges", stream), restored.sk, restored.FilterLevel())
+		onlyPairsAt(t, fmt.Sprintf("after restore and %d edges", stream), restored)
 	}
 
 	cfg := s.Config()
@@ -269,40 +270,52 @@ func TestOnlyFilterLevelPairsIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if basis.sk.IndexPairs(basis.level) {
-		t.Fatal("BuildSetup left the filter level's pair index to the adopter")
+	if got, want := basis.sk.Level(), cfg.withDefaults().filterLevel(basis.dec); got != want {
+		t.Fatalf("BuildSetup indexed level %d, want the filter level %d", got, want)
 	}
 	applyStream(t, s, streamEdges(n, 48, 3), 8)
 	if err := s.AdoptSetup(basis); err != nil {
 		t.Fatal(err)
 	}
 	applyStream(t, s, streamEdges(n, 48, 4), 8)
-	onlyLevelIndexed(t, "after a swap and a stream", s.sk, s.FilterLevel())
+	onlyPairsAt(t, "after a swap and a stream", s)
 }
 
-// onlyLevelIndexed fails unless sk's pair index exists at level l and at no
-// other level. Probing builds the other levels, so it must be sk's last use.
-func onlyLevelIndexed(t *testing.T, tag string, sk *sketch.Structure, l int) {
+// onlyPairsAt fails unless s's sketch holds the level s's configuration
+// selects on its decomposition, and, for every H edge, the pair list of its
+// endpoints' clusters at that level is every H edge crossing the same
+// cluster pair, in index order.
+func onlyPairsAt(t *testing.T, tag string, s *Sparsifier) {
 	t.Helper()
-	if sk.IndexPairs(l) {
-		t.Fatalf("%s: filter level %d had no pair index", tag, l)
+	L := s.FilterLevel()
+	if want := s.cfg.filterLevel(s.dec); L != want {
+		t.Fatalf("%s: sketch holds level %d, the configuration selects %d", tag, L, want)
 	}
-	for k := 1; k < sk.Decomposition().Levels; k++ {
-		if k != l && !sk.IndexPairs(k) {
-			t.Fatalf("%s: level %d has a pair index; only the filter level %d should", tag, k, l)
+	want := map[[2]int32][]int{}
+	key := func(u, v int) [2]int32 {
+		cu, cv := s.dec.ClusterID(L, u), s.dec.ClusterID(L, v)
+		return [2]int32{min(cu, cv), max(cu, cv)}
+	}
+	for ei, e := range s.H.All() {
+		if !s.sk.SameCluster(e.U, e.V) {
+			want[key(e.U, e.V)] = append(want[key(e.U, e.V)], ei)
+		}
+	}
+	for _, e := range s.H.All() {
+		if got := s.sk.PairEdges(e.U, e.V); !slices.Equal(got, want[key(e.U, e.V)]) {
+			t.Fatalf("%s: pair of (%d,%d) at level %d holds %v, H gives %v", tag, e.U, e.V, L, got, want[key(e.U, e.V)])
 		}
 	}
 }
 
 // TestOnlyFilterLevelSpansIndexed pins redistribution to the sketch's
-// intra-span index at the filter level: setup, restore and an offline
-// rebuild each build that one level before any write, nothing builds
-// another, and after promotions, streams and a swap catch-up the level's
-// spans equal the recursive descent of a structure freshly built over the
-// same H.
+// intra-span index at the filter level: after setup, promotions, streams,
+// a restore and a swap catch-up, the sketch holds the filter level, and its
+// span for every node's cluster equals the one a structure freshly indexed
+// at that level over the same decomposition and H lays out.
 func TestOnlyFilterLevelSpansIndexed(t *testing.T) {
 	_, fresh := setup(t, 10, 10, 0.1, 50)
-	onlySpansAt(t, "after setup", fresh, true)
+	onlySpansAt(t, "after setup", fresh)
 
 	// A spanning-tree H: every deleted H edge is a bridge and promotes a
 	// replacement, some of them internal at or below the filter level.
@@ -332,7 +345,7 @@ func TestOnlyFilterLevelSpansIndexed(t *testing.T) {
 	if below == 0 {
 		t.Fatal("fixture promoted no edge internal at or below the filter level")
 	}
-	onlySpansAt(t, "after promotions", s, false)
+	onlySpansAt(t, "after promotions", s)
 
 	for _, stream := range []int{0, 48} {
 		_, s := setup(t, 10, 10, 0.1, 50)
@@ -343,7 +356,7 @@ func TestOnlyFilterLevelSpansIndexed(t *testing.T) {
 			t.Fatal(err)
 		}
 		applyStream(t, restored, streamEdges(n, stream, 2), 8)
-		onlySpansAt(t, fmt.Sprintf("after restore and %d edges", stream), restored, stream == 0)
+		onlySpansAt(t, fmt.Sprintf("after restore and %d edges", stream), restored)
 
 		cfg := s.Config()
 		cfg.TargetCond = 20
@@ -351,44 +364,34 @@ func TestOnlyFilterLevelSpansIndexed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if basis.sk.IndexIntra(basis.level) {
-			t.Fatal("BuildSetup left the filter level's span index to the adopter")
-		}
 		applyStream(t, s, streamEdges(n, 48, 3), 8)
 		if err := s.AdoptSetup(basis); err != nil {
 			t.Fatal(err)
 		}
 		applyStream(t, s, streamEdges(n, stream, 4), 8)
-		onlySpansAt(t, fmt.Sprintf("after a swap and %d edges", stream), s, false)
+		onlySpansAt(t, fmt.Sprintf("after a swap and %d edges", stream), s)
 	}
 }
 
-// onlySpansAt fails unless s's sketch has a span index at no level but the
-// filter level, and that level's span for every node's cluster equals the
-// one a structure freshly built over the same decomposition and H derives
-// by recursive descent. built demands the filter level was already
-// materialized; registrations internal at or below it may have dropped it,
-// in which case the comparison rebuilds it. Probing builds the other
-// levels, so it must be the sparsifier's last use.
-func onlySpansAt(t *testing.T, tag string, s *Sparsifier, built bool) {
+// onlySpansAt fails unless s's sketch holds the level s's configuration
+// selects on its decomposition, and its span for every node's cluster
+// equals the one a structure freshly indexed at that level over the same
+// decomposition and H lays out.
+func onlySpansAt(t *testing.T, tag string, s *Sparsifier) {
 	t.Helper()
 	L := s.FilterLevel()
-	if built && s.sk.IndexIntra(L) {
-		t.Fatalf("%s: filter level %d had no span index", tag, L)
+	if want := s.cfg.filterLevel(s.dec); L != want {
+		t.Fatalf("%s: sketch holds level %d, the configuration selects %d", tag, L, want)
 	}
 	ref, err := sketch.New(s.dec, s.H)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref.Index(L)
 	for v := 0; v < s.H.NumNodes(); v++ {
-		got, want := s.sk.IntraClusterEdges(L, v), ref.IntraClusterEdges(L, v)
+		got, want := s.sk.IntraClusterEdges(v), ref.IntraClusterEdges(v)
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: node %d's span at level %d is %v, descent gives %v", tag, v, L, got, want)
-		}
-	}
-	for k := 1; k < s.dec.Levels; k++ {
-		if k != L && !s.sk.IndexIntra(k) {
-			t.Fatalf("%s: level %d has a span index; only the filter level %d should", tag, k, L)
+			t.Fatalf("%s: node %d's span at level %d is %v, a fresh index gives %v", tag, v, L, got, want)
 		}
 	}
 }

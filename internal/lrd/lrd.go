@@ -10,8 +10,10 @@
 // grows geometrically, so after O(log N) levels every connected component
 // is a single cluster. Recording each node's cluster index at every level
 // yields the O(log N)-dimensional resistance embedding: the resistance
-// between any two nodes is bounded by the diameter of the first cluster
-// they share.
+// between any two nodes is estimated by the diameter of the first cluster
+// they share. The diameters are sums of Krylov resistance estimates, so
+// this is an estimate, not a bound: it can fall below the exact
+// resistance.
 package lrd
 
 import (
@@ -63,8 +65,10 @@ type Decomposition struct {
 	clusterID [][]int32
 	// NumClusters[l] is the cluster count at level l.
 	NumClusters []int
-	// Diameter[l][c] is the tracked resistance-diameter upper bound of
-	// cluster c at level l.
+	// Diameter[l][c] is the tracked resistance-diameter estimate of cluster
+	// c at level l: the sum of the Krylov-estimated resistances along the
+	// contractions that formed it. It is not an upper bound on the exact
+	// diameter.
 	Diameter [][]float64
 	// Budget[l] is the diameter budget that produced level l (0 for level 0,
 	// +Inf for the final component level).
@@ -102,9 +106,10 @@ func (d *Decomposition) SharedLevel(p, q int) int {
 	return -1
 }
 
-// ResistanceBound returns the upper bound on the effective resistance
-// between p and q implied by the hierarchy: the tracked diameter of the
-// first shared cluster. It returns +Inf for disconnected pairs.
+// ResistanceBound returns the hierarchy's estimate of the effective
+// resistance between p and q: the tracked diameter of the first shared
+// cluster. Despite the name it is not an upper bound; it can fall below the
+// exact resistance. It returns +Inf for disconnected pairs.
 func (d *Decomposition) ResistanceBound(p, q int) float64 {
 	l := d.SharedLevel(p, q)
 	switch {

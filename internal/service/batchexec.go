@@ -259,6 +259,3 @@ func (s *Snapshot) pairNeedsSolve(r *batch.Req) bool {
 	}
 	return true
 }
-
-// BatchStats snapshots the scheduler counters.
-func (e *Engine) BatchStats() batch.StatsView { return e.sched.Stats() }

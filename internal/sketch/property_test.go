@@ -27,9 +27,9 @@ func randomConnected(seed uint64, n, extra int) *graph.Graph {
 	return g
 }
 
-// Property: on any random connected graph, every sparsifier edge is indexed
-// exactly once — either as an intra edge at its shared level or as a
-// pair edge at every level below it.
+// Property: on any random connected graph and at any level, every
+// sparsifier edge is indexed exactly once: in the pair list of its clusters
+// if it crosses two, otherwise in the span of the one cluster holding it.
 func TestEveryEdgeIndexedOnceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomConnected(seed, 30, 45)
@@ -37,35 +37,34 @@ func TestEveryEdgeIndexedOnceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := New(d, g)
-		if err != nil {
-			return false
-		}
-		// Collect intra memberships over all levels and clusters: each edge
-		// must appear exactly once (at its shared level).
-		counts := make([]int, g.NumEdges())
 		for l := 1; l < d.Levels; l++ {
-			for v := 0; v < d.N; v++ {
-				// Visit each cluster once via its first member.
-				if isFirstMember(d, l, v) {
-					for _, ei := range s.intra[l][d.ClusterID(l, v)] {
+			s, err := New(d, g)
+			if err != nil {
+				return false
+			}
+			s.Index(l)
+			counts := make([]int, g.NumEdges())
+			pairs := map[uint64]bool{}
+			clusters := map[int32]bool{}
+			for u := range d.N {
+				if c := d.ClusterID(l, u); !clusters[c] {
+					clusters[c] = true
+					for _, ei := range s.IntraClusterEdges(u) {
 						counts[ei]++
 					}
 				}
+				for v := range d.N {
+					cu, cv := d.ClusterID(l, u), d.ClusterID(l, v)
+					if k := pairKey(cu, cv); cu != cv && !pairs[k] {
+						pairs[k] = true
+						for _, ei := range s.PairEdges(u, v) {
+							counts[ei]++
+						}
+					}
+				}
 			}
-		}
-		for ei, e := range g.All() {
-			sharedLvl := d.SharedLevel(e.U, e.V)
-			if sharedLvl <= 0 {
-				// Cross-component edges impossible on a connected graph.
-				return false
-			}
-			if counts[ei] != 1 {
-				return false
-			}
-			// Below the shared level the pair index must know the edge.
-			for l := 1; l < sharedLvl; l++ {
-				if s.PairCount(l, e.U, e.V) == 0 {
+			for _, c := range counts {
+				if c != 1 {
 					return false
 				}
 			}
@@ -77,20 +76,9 @@ func TestEveryEdgeIndexedOnceProperty(t *testing.T) {
 	}
 }
 
-// isFirstMember reports whether v is the lowest-id node of its cluster at
-// level l (used to visit each cluster exactly once).
-func isFirstMember(d *lrd.Decomposition, l, v int) bool {
-	c := d.ClusterID(l, v)
-	for u := 0; u < v; u++ {
-		if d.ClusterID(l, u) == c {
-			return false
-		}
-	}
-	return true
-}
-
-// Property: registering an edge then querying ConnectingEdge at any level
-// below its shared level returns a valid edge of the same cluster pair.
+// Property: registering an edge then querying its endpoints' pair at any
+// level below its shared level lists it last, and every listed edge
+// connects the same cluster pair.
 func TestRegisterQueryRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := randomConnected(seed, 25, 30)
@@ -98,9 +86,12 @@ func TestRegisterQueryRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := New(d, g)
-		if err != nil {
-			return false
+		levels := make([]*Structure, d.Levels)
+		for l := 1; l < d.Levels; l++ {
+			if levels[l], err = New(d, g); err != nil {
+				return false
+			}
+			levels[l].Index(l)
 		}
 		r := vecmath.NewRNG(seed ^ 0x8)
 		for k := 0; k < 10; k++ {
@@ -109,17 +100,21 @@ func TestRegisterQueryRoundTripProperty(t *testing.T) {
 				continue
 			}
 			ei := g.AddEdge(u, v, r.Range(0.5, 2))
-			s.Register(ei)
+			for l := 1; l < d.Levels; l++ {
+				levels[l].Register(ei)
+			}
 			shared := d.SharedLevel(u, v)
 			for l := 1; l < shared; l++ {
-				rep, ok := s.ConnectingEdge(l, u, v)
-				if !ok {
+				es := levels[l].PairEdges(u, v)
+				if len(es) == 0 || es[len(es)-1] != ei {
 					return false
 				}
-				re := g.Edge(rep)
-				if pairKey(d.ClusterID(l, re.U), d.ClusterID(l, re.V)) !=
-					pairKey(d.ClusterID(l, u), d.ClusterID(l, v)) {
-					return false
+				for _, x := range es {
+					e := g.Edge(x)
+					if pairKey(d.ClusterID(l, e.U), d.ClusterID(l, e.V)) !=
+						pairKey(d.ClusterID(l, u), d.ClusterID(l, v)) {
+						return false
+					}
 				}
 			}
 		}
@@ -130,93 +125,81 @@ func TestRegisterQueryRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: materializing a pair level late gives, element for element, the
-// index that keeping it current from the start gives. Three structures see
-// the same registration stream: one with every level built before it, one
-// with every level built after it, and one with level 1 and a random half of
-// the others built midway, between an edge's append and its registration. Every level must hold the same edge lists, in the same order,
-// for every cluster pair, and every cluster the same intra edges.
-func TestLazyPairLevelsEqualEagerProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		g := randomConnected(seed, 40, 50)
-		d, err := lrd.Build(g, lrd.Config{Krylov: krylov.Config{Seed: seed}})
-		if err != nil {
-			return false
-		}
-		var eager, lazy, mid *Structure
-		for _, s := range []**Structure{&eager, &lazy, &mid} {
-			if *s, err = New(d, g); err != nil {
-				return false
-			}
-		}
-		for l := 1; l < d.Levels; l++ {
-			eager.IndexPairs(l)
-		}
-		r := vecmath.NewRNG(seed ^ 0x5)
-		const stream = 60
-		for k := 0; k < stream; k++ {
-			u, v := r.Intn(40), r.Intn(40)
-			if u == v {
-				v = (u + 1) % 40
-			}
-			ei := g.AddEdge(u, v, r.Range(0.5, 2))
-			if k == stream/2 {
-				// Between AddEdge and Register: the build must skip ei.
-				for l := 1; l < d.Levels; l++ {
-					if l == 1 || r.Intn(2) == 0 {
-						mid.IndexPairs(l)
-					}
-				}
-			}
-			for _, s := range []*Structure{eager, lazy, mid} {
-				s.Register(ei)
-			}
-		}
-		for _, s := range []*Structure{lazy, mid} {
-			for l := 1; l < d.Levels; l++ {
-				if s.LevelPairs(l) != eager.LevelPairs(l) {
-					return false
-				}
-				for k, info := range eager.pairs[l] {
-					if !slices.Equal(s.pairs[l][k].Edges, info.Edges) {
-						return false
-					}
-				}
-				for v := 0; v < d.N; v++ {
-					if !slices.Equal(s.IntraClusterEdges(l, v), eager.IntraClusterEdges(l, v)) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
+// reference is level l's index built from the decomposition and h alone,
+// the way the definition reads: pair lists by a scan of the edges in index
+// order, and each cluster's span by recursive descent of the containment
+// tree, own edges first, children in order of their lowest node id.
+type reference struct {
+	pairs map[uint64][]int
+	spans [][]int32 // by level-l cluster
 }
 
-// descent is the reference for a cluster's intra span, independent of the
-// index build: cluster c's own intra edges at level l, then each child's
-// subtree in containment-tree order.
-func descent(s *Structure, l int, c int32) []int32 {
-	out := append([]int32(nil), s.intra[l][c]...)
-	if l >= 2 {
-		for _, child := range s.children[l][c] {
-			out = append(out, descent(s, l-1, child)...)
+func newReference(d *lrd.Decomposition, h *graph.Graph, l int) reference {
+	ref := reference{pairs: map[uint64][]int{}, spans: make([][]int32, d.NumClusters[l])}
+	// own[k][c] holds the edges whose endpoints first share a cluster at
+	// level k, in cluster c.
+	own := make([][][]int32, l+1)
+	for k := 1; k <= l; k++ {
+		own[k] = make([][]int32, d.NumClusters[k])
+	}
+	for ei, e := range h.All() {
+		if cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V); cu != cv {
+			ref.pairs[pairKey(cu, cv)] = append(ref.pairs[pairKey(cu, cv)], ei)
+			continue
+		}
+		for k := 1; k <= l; k++ {
+			if c := d.ClusterID(k, e.U); c == d.ClusterID(k, e.V) {
+				own[k][c] = append(own[k][c], int32(ei))
+				break
+			}
 		}
 	}
-	return out
+	// children[k][c] lists the level-(k-1) clusters inside level-k cluster
+	// c by lowest node id.
+	children := make([][][]int32, l+1)
+	for k := 2; k <= l; k++ {
+		children[k] = make([][]int32, d.NumClusters[k])
+		first := make([]int, d.NumClusters[k-1])
+		for i := range first {
+			first[i] = d.N
+		}
+		for v := d.N - 1; v >= 0; v-- {
+			first[d.ClusterID(k-1, v)] = v
+		}
+		for child, v := range first {
+			p := d.ClusterID(k, v)
+			children[k][p] = append(children[k][p], int32(child))
+		}
+		for _, cs := range children[k] {
+			slices.SortFunc(cs, func(a, b int32) int { return first[a] - first[b] })
+		}
+	}
+	var descend func(k int, c int32) []int32
+	descend = func(k int, c int32) []int32 {
+		out := slices.Clone(own[k][c])
+		if k >= 2 {
+			for _, child := range children[k][c] {
+				out = append(out, descend(k-1, child)...)
+			}
+		}
+		return out
+	}
+	for c := range ref.spans {
+		ref.spans[c] = descend(l, int32(c))
+	}
+	return ref
 }
 
-// Property: whatever the order in which levels are materialized and edges
-// registered, every materialized span index holds, for every cluster, the
-// recursive descent element for element. The stream mixes random edges with
-// edges inside an existing level-1 cluster, so registrations land below
-// levels already built (the delete-path promotion and swap catch-up case)
-// and must drop those levels' spans.
-func TestIntraSpansEqualDescentProperty(t *testing.T) {
-	stale := 0
+// Property: at every level, a structure indexed at any point of a stream
+// of registrations answers every query as the reference built from the
+// decomposition and H alone does. The stream mixes random edges with edges
+// inside one cluster of a random level, so registrations land inside
+// clusters of levels already indexed (the delete-path promotion and swap
+// catch-up case) and must make the spans rebuild. One structure per level
+// is indexed at a random step, sometimes between an edge's append and its
+// registration, which the build must skip.
+func TestIndexMatchesReferenceProperty(t *testing.T) {
+	internal := 0
 	f := func(seed uint64) bool {
 		const n = 40
 		g := randomConnected(seed, n, 50)
@@ -224,36 +207,51 @@ func TestIntraSpansEqualDescentProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := New(d, g)
-		if err != nil {
-			return false
-		}
 		r := vecmath.NewRNG(seed ^ 0x11)
-		check := func() bool {
-			for l := 1; l < d.Levels; l++ {
-				if s.spans[l].off == nil && r.Intn(2) == 0 {
-					continue // leave this level lazy for now
-				}
-				s.IndexIntra(l)
-				sp := s.spans[l]
-				if len(sp.off) != d.NumClusters[l]+1 {
+		const stream = 60
+		levels := make([]*Structure, d.Levels)
+		at := make([]int, d.Levels) // the step at which level l is indexed
+		for l := 1; l < d.Levels; l++ {
+			if levels[l], err = New(d, g); err != nil {
+				return false
+			}
+			at[l] = r.Intn(stream + 1)
+		}
+		check := func(l int) bool {
+			s := levels[l]
+			if s.Level() != l {
+				return true
+			}
+			ref := newReference(d, g, l)
+			for u := range n {
+				if !slices.Equal(s.IntraClusterEdges(u), ref.spans[d.ClusterID(l, u)]) {
 					return false
 				}
-				for c := range d.NumClusters[l] {
-					if !slices.Equal(sp.edges[sp.off[c]:sp.off[c+1]], descent(s, l, int32(c))) {
+				for v := range n {
+					cu, cv := d.ClusterID(l, u), d.ClusterID(l, v)
+					if s.SameCluster(u, v) != (cu == cv) || !slices.Equal(s.PairEdges(u, v), ref.pairs[pairKey(cu, cv)]) {
 						return false
 					}
 				}
 			}
 			return true
 		}
-		for k := 0; k < 60; k++ {
-			u := r.Intn(n)
-			v := r.Intn(n)
+		for k := 0; k <= stream; k++ {
+			for l := 1; l < d.Levels; l++ {
+				if at[l] == k && (k == stream || r.Intn(2) == 0) {
+					levels[l].Index(l)
+				}
+			}
+			if k == stream {
+				break
+			}
+			u, v := r.Intn(n), r.Intn(n)
 			if k%2 == 0 {
-				// A partner inside u's level-1 cluster, when it has one.
+				// A partner inside u's cluster at a random level, when it
+				// has one.
+				lv := 1 + r.Intn(d.Levels-1)
 				for w := 0; w < n; w++ {
-					if w != u && d.ClusterID(1, w) == d.ClusterID(1, u) {
+					if w != u && d.ClusterID(lv, w) == d.ClusterID(lv, u) {
 						v = w
 						break
 					}
@@ -263,27 +261,23 @@ func TestIntraSpansEqualDescentProperty(t *testing.T) {
 				v = (u + 1) % n
 			}
 			ei := g.AddEdge(u, v, r.Range(0.5, 2))
-			if k == 30 {
-				// Between AddEdge and Register: the build must skip ei.
-				s.IndexIntra(1 + r.Intn(d.Levels-1))
-			}
-			shared := d.SharedLevel(u, v)
-			for l := shared; l > 0 && l < d.Levels; l++ {
-				if s.spans[l].off != nil {
-					stale++
-					break
+			for l := 1; l < d.Levels; l++ {
+				if at[l] == k && levels[l].Level() == 0 {
+					// Between AddEdge and Register: the build must skip ei.
+					levels[l].Index(l)
 				}
-			}
-			s.Register(ei)
-			if !check() {
-				return false
+				if levels[l].Level() == l && levels[l].SameCluster(u, v) {
+					internal++
+				}
+				levels[l].Register(ei)
+				if r.Intn(3) == 0 && !check(l) {
+					return false
+				}
 			}
 		}
 		for l := 1; l < d.Levels; l++ {
-			for v := 0; v < n; v++ {
-				if !slices.Equal(s.IntraClusterEdges(l, v), descent(s, l, d.ClusterID(l, v))) {
-					return false
-				}
+			if !check(l) {
+				return false
 			}
 		}
 		return true
@@ -291,7 +285,7 @@ func TestIntraSpansEqualDescentProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
-	if stale == 0 {
-		t.Fatal("no registration landed at or below a materialized span level; the stream exercises no invalidation")
+	if internal == 0 {
+		t.Fatal("no registration landed inside a cluster of an indexed level; the stream exercises no span rebuild")
 	}
 }

@@ -2,9 +2,13 @@ package sketch
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
+	"ingrass/internal/gen"
 	"ingrass/internal/graph"
+	"ingrass/internal/grass"
 	"ingrass/internal/krylov"
 	"ingrass/internal/lrd"
 )
@@ -25,36 +29,41 @@ func grid(r, c int) *graph.Graph {
 	return g
 }
 
-func build(t *testing.T, g *graph.Graph) (*lrd.Decomposition, *Structure) {
+func decompose(t *testing.T, g *graph.Graph) *lrd.Decomposition {
 	t.Helper()
 	d, err := lrd.Build(g, lrd.Config{Krylov: krylov.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d
+}
+
+// indexed returns a structure over g indexed at level l of d.
+func indexed(t *testing.T, d *lrd.Decomposition, g *graph.Graph, l int) *Structure {
+	t.Helper()
 	s, err := New(d, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, s
+	s.Index(l)
+	return s
 }
 
 func TestNewRejectsMismatch(t *testing.T) {
-	g := grid(4, 4)
-	d, err := lrd.Build(g, lrd.Config{Krylov: krylov.Config{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, grid(4, 4))
 	if _, err := New(d, grid(3, 3)); err == nil {
 		t.Fatal("expected node-count mismatch error")
 	}
 }
 
-// Brute-force check of pair connectivity against the definition.
+// Brute-force check of pair connectivity against the definition, at every
+// level: each listed edge connects the queried cluster pair, and the list
+// holds every such edge.
 func TestPairIndexMatchesBruteForce(t *testing.T) {
 	g := grid(6, 6)
-	d, s := build(t, g)
+	d := decompose(t, g)
 	for l := 1; l < d.Levels; l++ {
-		// Brute force: recompute pair counts by scanning all edges.
+		s := indexed(t, d, g, l)
 		want := map[uint64]int{}
 		for _, e := range g.All() {
 			cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V)
@@ -62,43 +71,23 @@ func TestPairIndexMatchesBruteForce(t *testing.T) {
 				want[pairKey(cu, cv)]++
 			}
 		}
-		if len(want) != s.LevelPairs(l) {
-			t.Fatalf("level %d: %d pairs indexed, want %d", l, s.LevelPairs(l), len(want))
-		}
 		for _, e := range g.All() {
 			cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V)
-			if cu != cv {
-				if got := s.PairCount(l, e.U, e.V); got != want[pairKey(cu, cv)] {
-					t.Fatalf("level %d pair (%d,%d): count %d want %d", l, cu, cv, got, want[pairKey(cu, cv)])
+			got := s.PairEdges(e.U, e.V)
+			if cu == cv {
+				if got != nil {
+					t.Fatalf("level %d: same-cluster pair lists edges %v", l, got)
 				}
-				if _, ok := s.ConnectingEdge(l, e.U, e.V); !ok {
-					t.Fatalf("level %d: connecting edge missing for a connected pair", l)
-				}
-			} else if s.PairCount(l, e.U, e.V) != 0 {
-				t.Fatal("same-cluster pair must report count 0")
-			}
-		}
-	}
-}
-
-func TestConnectingEdgeIsValid(t *testing.T) {
-	g := grid(5, 5)
-	d, s := build(t, g)
-	for l := 1; l < d.Levels; l++ {
-		for _, e := range g.All() {
-			if s.SameCluster(l, e.U, e.V) {
 				continue
 			}
-			ei, ok := s.ConnectingEdge(l, e.U, e.V)
-			if !ok {
-				t.Fatal("existing edge not found")
+			if len(got) != want[pairKey(cu, cv)] {
+				t.Fatalf("level %d pair (%d,%d): %d edges, want %d", l, cu, cv, len(got), want[pairKey(cu, cv)])
 			}
-			rep := g.Edge(ei)
-			// The representative must connect the same cluster pair.
-			cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V)
-			ru, rv := d.ClusterID(l, rep.U), d.ClusterID(l, rep.V)
-			if pairKey(cu, cv) != pairKey(ru, rv) {
-				t.Fatalf("representative edge connects (%d,%d), want (%d,%d)", ru, rv, cu, cv)
+			for _, ei := range got {
+				pe := g.Edge(ei)
+				if pairKey(d.ClusterID(l, pe.U), d.ClusterID(l, pe.V)) != pairKey(cu, cv) {
+					t.Fatalf("level %d: edge %d listed for pair (%d,%d) connects another pair", l, ei, cu, cv)
+				}
 			}
 		}
 	}
@@ -109,12 +98,12 @@ func TestConnectingEdgeIsValid(t *testing.T) {
 // edge of a connected graph.
 func TestIntraClusterEdgesTopLevel(t *testing.T) {
 	g := grid(5, 5)
-	d, s := build(t, g)
+	d := decompose(t, g)
 	top := d.Levels - 1
 	if d.NumClusters[top] != 1 {
 		t.Skip("grid did not contract to one cluster")
 	}
-	all := s.IntraClusterEdges(top, 0)
+	all := indexed(t, d, g, top).IntraClusterEdges(0)
 	seen := map[int32]bool{}
 	for _, ei := range all {
 		if seen[ei] {
@@ -130,11 +119,12 @@ func TestIntraClusterEdgesTopLevel(t *testing.T) {
 // Intra edges of a cluster must have both endpoints inside that cluster.
 func TestIntraClusterEdgesMembership(t *testing.T) {
 	g := grid(6, 6)
-	d, s := build(t, g)
+	d := decompose(t, g)
 	for l := 1; l < d.Levels; l++ {
+		s := indexed(t, d, g, l)
 		for v := 0; v < d.N; v += 5 {
 			target := d.ClusterID(l, v)
-			for _, ei := range s.IntraClusterEdges(l, v) {
+			for _, ei := range s.IntraClusterEdges(v) {
 				e := g.Edge(int(ei))
 				if d.ClusterID(l, e.U) != target || d.ClusterID(l, e.V) != target {
 					t.Fatalf("level %d: edge %d leaks outside cluster %d", l, ei, target)
@@ -144,52 +134,132 @@ func TestIntraClusterEdgesMembership(t *testing.T) {
 	}
 }
 
-// Registering a new sparsifier edge updates pair indexes at every level
-// where the endpoints are in different clusters.
+// Registering a new sparsifier edge appends it to the pair list at every
+// level where its endpoints are in different clusters, and to the span of
+// its cluster at its shared level.
 func TestRegisterNewEdge(t *testing.T) {
 	g := grid(6, 6)
-	d, s := build(t, g)
-	// Add a long-range edge between opposite corners.
+	d := decompose(t, g)
+	// A long-range edge between opposite corners.
 	p, q := 0, 35
-	ei := g.AddEdge(p, q, 2)
 	lShared := d.SharedLevel(p, q)
 	if lShared <= 1 {
 		t.Skip("corners co-clustered too early for this test")
 	}
-	before := make([]int, d.Levels)
+	levels := make([]*Structure, lShared+1)
+	before := make([]int, lShared)
+	for l := 1; l <= lShared; l++ {
+		levels[l] = indexed(t, d, g, l)
+		if l < lShared {
+			before[l] = len(levels[l].PairEdges(p, q))
+		}
+	}
+	ei := g.AddEdge(p, q, 2)
+	for l := 1; l <= lShared; l++ {
+		levels[l].Register(ei)
+	}
 	for l := 1; l < lShared; l++ {
-		before[l] = s.PairCount(l, p, q)
-	}
-	s.Register(ei)
-	for l := 1; l < lShared; l++ {
-		if got := s.PairCount(l, p, q); got != before[l]+1 {
-			t.Fatalf("level %d pair count %d, want %d", l, got, before[l]+1)
-		}
-		if _, ok := s.ConnectingEdge(l, p, q); !ok {
-			t.Fatalf("level %d: new edge not indexed", l)
+		got := levels[l].PairEdges(p, q)
+		if len(got) != before[l]+1 || got[len(got)-1] != ei {
+			t.Fatalf("level %d pair list %v, want %d edges ending in %d", l, got, before[l]+1, ei)
 		}
 	}
-	// At the shared level it must appear as an intra edge.
-	found := false
-	for _, x := range s.IntraClusterEdges(lShared, p) {
-		if int(x) == ei {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("new edge missing from intra index at its shared level")
+	if !slices.Contains(levels[lShared].IntraClusterEdges(p), int32(ei)) {
+		t.Fatal("new edge missing from the span of its cluster at its shared level")
 	}
 }
 
 func TestAccessors(t *testing.T) {
 	g := grid(4, 4)
-	d, s := build(t, g)
-	if s.Decomposition() != d || s.Sparsifier() != g {
-		t.Fatal("accessors broken")
+	d := decompose(t, g)
+	s, err := New(d, g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.MemoryFootprint() <= 0 {
-		t.Fatal("memory footprint should be positive")
+	if s.Level() != 0 || s.MemoryFootprint() != 0 {
+		t.Fatalf("unindexed structure: level %d, footprint %d; want 0, 0", s.Level(), s.MemoryFootprint())
 	}
+	s.Index(1)
+	if s.Level() != 1 || s.MemoryFootprint() <= 0 {
+		t.Fatalf("indexed structure: level %d, footprint %d; want 1 and positive", s.Level(), s.MemoryFootprint())
+	}
+}
+
+// Index builds one level, once, and the footprint counts exactly that
+// level's entries: its connected cluster pairs and one span entry per edge
+// internal to a cluster. An edge inside a cluster marks the spans stale (no
+// span entries) until the next query rebuilds them; an edge crossing two
+// clusters leaves them in place.
+func TestIndexBuildsOneLevel(t *testing.T) {
+	g := grid(6, 6)
+	d := decompose(t, g)
+	if d.Levels < 3 {
+		t.Skip("grid hierarchy too shallow")
+	}
+	for _, l := range []int{0, -1} {
+		s, _ := New(d, g)
+		if !panics(func() { s.Index(l) }) {
+			t.Fatalf("Index(%d) did not panic", l)
+		}
+	}
+	s := indexed(t, d, g, 2)
+	if !panics(func() { s.Index(2) }) || !panics(func() { s.Index(1) }) {
+		t.Fatal("a second Index did not panic")
+	}
+	// entries counts level 2's connected cluster pairs and internal edges.
+	entries := func() (pairs, internal int) {
+		seen := map[uint64]bool{}
+		for _, e := range g.All() {
+			if cu, cv := d.ClusterID(2, e.U), d.ClusterID(2, e.V); cu == cv {
+				internal++
+			} else if k := pairKey(cu, cv); !seen[k] {
+				seen[k] = true
+				pairs++
+			}
+		}
+		return pairs, internal
+	}
+	if pairs, internal := entries(); s.MemoryFootprint() != pairs+internal {
+		t.Fatalf("footprint %d, want level-2 pairs plus internal edges %d", s.MemoryFootprint(), pairs+internal)
+	}
+	// Two nodes in one level-2 cluster, then two that never share one below
+	// level 3.
+	var in, cross [2]int
+	in[0], cross[0] = -1, -1
+	for u := 0; u < d.N; u++ {
+		for v := u + 1; v < d.N; v++ {
+			switch l := d.SharedLevel(u, v); {
+			case l >= 1 && l <= 2 && in[0] < 0:
+				in = [2]int{u, v}
+			case l >= 3 && cross[0] < 0:
+				cross = [2]int{u, v}
+			}
+		}
+	}
+	if in[0] < 0 || cross[0] < 0 {
+		t.Skip("grid hierarchy lacks an internal or a crossing pair at level 2")
+	}
+	s.Register(g.AddEdge(cross[0], cross[1], 1))
+	if pairs, internal := entries(); s.MemoryFootprint() != pairs+internal {
+		t.Fatalf("footprint %d after a crossing edge, want %d: the spans must stay", s.MemoryFootprint(), pairs+internal)
+	}
+	ei := g.AddEdge(in[0], in[1], 1)
+	s.Register(ei)
+	if pairs, _ := entries(); s.MemoryFootprint() != pairs {
+		t.Fatalf("footprint %d after an internal edge, want the %d pairs alone: the spans must be stale", s.MemoryFootprint(), pairs)
+	}
+	if !slices.Contains(s.IntraClusterEdges(in[0]), int32(ei)) {
+		t.Fatal("the rebuilt span lacks the internal edge")
+	}
+	if pairs, internal := entries(); s.MemoryFootprint() != pairs+internal {
+		t.Fatalf("footprint %d after the rebuild, want %d", s.MemoryFootprint(), pairs+internal)
+	}
+}
+
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
 }
 
 func TestPairKeySymmetry(t *testing.T) {
@@ -202,10 +272,10 @@ func TestPairKeySymmetry(t *testing.T) {
 }
 
 // Register accepts only the next unregistered edge index: a duplicate or a
-// gap would make a pair level built later differ from one kept current.
+// gap would make an index built later differ from one kept current.
 func TestRegisterRejectsOutOfOrder(t *testing.T) {
 	g := grid(4, 4)
-	_, s := build(t, g)
+	s := indexed(t, decompose(t, g), g, 1)
 	next := g.NumEdges()
 	g.AddEdge(0, 15, 1)
 	g.AddEdge(3, 12, 1)
@@ -221,77 +291,48 @@ func TestRegisterRejectsOutOfOrder(t *testing.T) {
 			s.Register(ei)
 		}()
 	}
-	before := s.MemoryFootprint()
 	s.Register(next)
 	s.Register(next + 1)
-	if got := s.MemoryFootprint(); got != before+2 {
-		t.Fatalf("footprint %d after two in-order registrations, want %d", got, before+2)
+	if !panics(func() { s.Register(next + 1) }) {
+		t.Fatal("registering an edge twice did not panic")
 	}
-}
-
-func TestIndexPairsMaterializesOnce(t *testing.T) {
-	g := grid(6, 6)
-	d, s := build(t, g)
-	if s.IndexPairs(0) || s.IndexPairs(d.Levels) {
-		t.Fatal("levels without a pair index must not be built")
-	}
-	if s.MemoryFootprint() != g.NumEdges() {
-		t.Fatalf("fresh footprint %d, want one intra entry per edge (%d)", s.MemoryFootprint(), g.NumEdges())
-	}
-	if !s.IndexPairs(1) || s.IndexPairs(1) {
-		t.Fatal("IndexPairs(1) must build the level once")
-	}
-	if got, want := s.MemoryFootprint(), g.NumEdges()+s.LevelPairs(1); got != want {
-		t.Fatalf("footprint %d, want intra entries plus level-1 pairs %d", got, want)
-	}
-	if d.Levels > 2 && !s.IndexPairs(2) {
-		t.Fatal("IndexPairs(1) must not build level 2")
-	}
-}
-
-// A span level is built once, counted in the footprint, dropped by an edge
-// that becomes internal at or below it, and kept by an edge that crosses
-// its clusters.
-func TestIndexIntraMaterializesOnce(t *testing.T) {
-	g := grid(6, 6)
-	d, s := build(t, g)
-	if d.Levels < 3 {
-		t.Skip("grid hierarchy too shallow")
-	}
-	if s.IndexIntra(0) || s.IndexIntra(d.Levels) {
-		t.Fatal("levels without a span index must not be built")
-	}
-	before := s.MemoryFootprint()
-	if !s.IndexIntra(1) || s.IndexIntra(1) {
-		t.Fatal("IndexIntra(1) must build the level once")
-	}
-	if got, want := s.MemoryFootprint(), before+len(s.spans[1].edges); got != want || got == before {
-		t.Fatalf("footprint %d, want intra entries plus level-1 span entries %d", got, want)
-	}
-	// Two nodes in different level-1 clusters: the edge crosses level 1.
-	p, q := -1, -1
-	for u := 0; u < d.N && p < 0; u++ {
-		for v := u + 1; v < d.N; v++ {
-			if l := d.SharedLevel(u, v); l >= 2 {
-				p, q = u, v
-				break
-			}
+	for _, ei := range []int{next, next + 1} {
+		e := g.Edge(ei)
+		if s.SameCluster(e.U, e.V) && !slices.Contains(s.IntraClusterEdges(e.U), int32(ei)) ||
+			!s.SameCluster(e.U, e.V) && !slices.Contains(s.PairEdges(e.U, e.V), ei) {
+			t.Fatalf("in-order registration %d missing from the index", ei)
 		}
 	}
-	if p < 0 {
-		t.Skip("no node pair separated at level 1")
+}
+
+// TestIndexRetainedHeap holds the heap a structure retains once indexed at
+// the filter level to a bound set from measurement. The fixture is the
+// stream-mesh setup at a quarter of its size: H(0) at density 0.10 of a
+// 16,384-node Delaunay mesh, filter level for a target condition number of
+// 100. The structure retains 240,624 bytes there (Go 1.24, amd64); one that
+// also kept every level's cluster edge lists and the containment tree
+// retained 1,285,696.
+func TestIndexRetainedHeap(t *testing.T) {
+	const bound = 320_000
+	g, err := gen.Delaunay(16384, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.Register(g.AddEdge(p, q, 1))
-	if s.IndexIntra(1) {
-		t.Fatal("an edge crossing level 1 dropped its spans")
+	init, err := grass.InitialSparsifier(g, 0.10, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	lShared := d.SharedLevel(p, q)
-	s.IndexIntra(lShared)
-	s.Register(g.AddEdge(p, q, 1))
-	if !s.IndexIntra(lShared) {
-		t.Fatal("an edge internal at the span level must drop its spans")
+	d := decompose(t, init.H)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := indexed(t, d, init.H, d.FilterLevel(100))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("level %d of %d: %d index entries, %d bytes retained (bound %d)", s.Level(), d.Levels, s.MemoryFootprint(), retained, bound)
+	if retained > bound {
+		t.Fatalf("an indexed structure retains %d bytes, over the bound of %d", retained, bound)
 	}
-	if s.IndexIntra(1) {
-		t.Fatal("an edge internal above level 1 dropped level 1's spans")
-	}
+	runtime.KeepAlive(s)
 }

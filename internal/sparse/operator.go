@@ -248,10 +248,6 @@ func (l *LapOperator) applyBlockSpMV(dst, x [][]float64) {
 	l.kern.LapMulMulti(l.CSR, l.part, dst, x)
 }
 
-// Diagonal returns the Laplacian diagonal (weighted degrees), which the
-// Jacobi preconditioner consumes.
-func (l *LapOperator) Diagonal() []float64 { return l.CSR.Degree }
-
 // Jacobi returns the operator's frozen diagonal preconditioner.
 func (l *LapOperator) Jacobi() *Jacobi { return l.jac }
 
