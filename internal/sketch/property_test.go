@@ -190,15 +190,85 @@ func newReference(d *lrd.Decomposition, h *graph.Graph, l int) reference {
 	return ref
 }
 
+// Property: indexing a level late gives, element for element, the index
+// that keeping it current from the start gives. Per level, three structures
+// see the same registration stream: one indexed before it, one after it,
+// and one midway, between an edge's append and its registration. All three
+// must list the same edges, in the same order, for every cluster pair, and
+// the same spans for every cluster.
+func TestLazyPairLevelsEqualEagerProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		const n = 40
+		g := randomConnected(seed, n, 50)
+		d, err := lrd.Build(g, lrd.Config{Krylov: krylov.Config{Seed: seed}})
+		if err != nil {
+			return false
+		}
+		var eager, lazy, mid []*Structure
+		for range d.Levels {
+			for _, ss := range []*[]*Structure{&eager, &lazy, &mid} {
+				s, err := New(d, g)
+				if err != nil {
+					return false
+				}
+				*ss = append(*ss, s)
+			}
+		}
+		for l := 1; l < d.Levels; l++ {
+			eager[l].Index(l)
+		}
+		r := vecmath.NewRNG(seed ^ 0x5)
+		const stream = 60
+		for k := range stream {
+			u, v := r.Intn(n), r.Intn(n)
+			if u == v {
+				v = (u + 1) % n
+			}
+			ei := g.AddEdge(u, v, r.Range(0.5, 2))
+			if k == stream/2 {
+				// Between AddEdge and Register: the build must skip ei.
+				for l := 1; l < d.Levels; l++ {
+					mid[l].Index(l)
+				}
+			}
+			for l := 1; l < d.Levels; l++ {
+				for _, s := range []*Structure{eager[l], lazy[l], mid[l]} {
+					s.Register(ei)
+				}
+			}
+		}
+		for l := 1; l < d.Levels; l++ {
+			lazy[l].Index(l)
+			for _, s := range []*Structure{lazy[l], mid[l]} {
+				for u := range n {
+					if !slices.Equal(s.IntraClusterEdges(u), eager[l].IntraClusterEdges(u)) {
+						return false
+					}
+					for v := range n {
+						if !slices.Equal(s.PairEdges(u, v), eager[l].PairEdges(u, v)) {
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: at every level, a structure indexed at any point of a stream
 // of registrations answers every query as the reference built from the
-// decomposition and H alone does. The stream mixes random edges with edges
+// decomposition and H alone does: its spans are the recursive descent, its
+// pair lists a scan of H. The stream mixes random edges with edges
 // inside one cluster of a random level, so registrations land inside
 // clusters of levels already indexed (the delete-path promotion and swap
 // catch-up case) and must make the spans rebuild. One structure per level
 // is indexed at a random step, sometimes between an edge's append and its
 // registration, which the build must skip.
-func TestIndexMatchesReferenceProperty(t *testing.T) {
+func TestIntraSpansEqualDescentProperty(t *testing.T) {
 	internal := 0
 	f := func(seed uint64) bool {
 		const n = 40

@@ -57,8 +57,8 @@ func TestNewRejectsMismatch(t *testing.T) {
 }
 
 // Brute-force check of pair connectivity against the definition, at every
-// level: each listed edge connects the queried cluster pair, and the list
-// holds every such edge.
+// level: each crossing edge's cluster pair lists as many edges as a scan of
+// the graph finds, and a same-cluster pair lists none.
 func TestPairIndexMatchesBruteForce(t *testing.T) {
 	g := grid(6, 6)
 	d := decompose(t, g)
@@ -83,10 +83,30 @@ func TestPairIndexMatchesBruteForce(t *testing.T) {
 			if len(got) != want[pairKey(cu, cv)] {
 				t.Fatalf("level %d pair (%d,%d): %d edges, want %d", l, cu, cv, len(got), want[pairKey(cu, cv)])
 			}
-			for _, ei := range got {
-				pe := g.Edge(ei)
-				if pairKey(d.ClusterID(l, pe.U), d.ClusterID(l, pe.V)) != pairKey(cu, cv) {
-					t.Fatalf("level %d: edge %d listed for pair (%d,%d) connects another pair", l, ei, cu, cv)
+		}
+	}
+}
+
+// Every edge listed for a cluster pair connects that pair, at every level,
+// and a crossing edge is listed for its own pair.
+func TestConnectingEdgeIsValid(t *testing.T) {
+	g := grid(5, 5)
+	d := decompose(t, g)
+	for l := 1; l < d.Levels; l++ {
+		s := indexed(t, d, g, l)
+		for ei, e := range g.All() {
+			if s.SameCluster(e.U, e.V) {
+				continue
+			}
+			got := s.PairEdges(e.U, e.V)
+			if !slices.Contains(got, ei) {
+				t.Fatalf("level %d: crossing edge %d missing from its pair's list %v", l, ei, got)
+			}
+			cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V)
+			for _, x := range got {
+				pe := g.Edge(x)
+				if ru, rv := d.ClusterID(l, pe.U), d.ClusterID(l, pe.V); pairKey(ru, rv) != pairKey(cu, cv) {
+					t.Fatalf("level %d: edge %d listed for pair (%d,%d) connects (%d,%d)", l, x, cu, cv, ru, rv)
 				}
 			}
 		}
@@ -185,12 +205,26 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-// Index builds one level, once, and the footprint counts exactly that
-// level's entries: its connected cluster pairs and one span entry per edge
-// internal to a cluster. An edge inside a cluster marks the spans stale (no
-// span entries) until the next query rebuilds them; an edge crossing two
-// clusters leaves them in place.
-func TestIndexBuildsOneLevel(t *testing.T) {
+// levelEntries counts level l's connected cluster pairs and the edges of g
+// internal to a level-l cluster: what an indexed structure's footprint
+// counts while its spans are current.
+func levelEntries(d *lrd.Decomposition, g *graph.Graph, l int) (pairs, internal int) {
+	seen := map[uint64]bool{}
+	for _, e := range g.All() {
+		if cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V); cu == cv {
+			internal++
+		} else if k := pairKey(cu, cv); !seen[k] {
+			seen[k] = true
+			pairs++
+		}
+	}
+	return pairs, internal
+}
+
+// Index builds one level, once: a level below 1 or a second call panics,
+// and the footprint counts exactly that level's entries, its connected
+// cluster pairs and one span entry per edge internal to a cluster.
+func TestIndexPairsMaterializesOnce(t *testing.T) {
 	g := grid(6, 6)
 	d := decompose(t, g)
 	if d.Levels < 3 {
@@ -206,22 +240,21 @@ func TestIndexBuildsOneLevel(t *testing.T) {
 	if !panics(func() { s.Index(2) }) || !panics(func() { s.Index(1) }) {
 		t.Fatal("a second Index did not panic")
 	}
-	// entries counts level 2's connected cluster pairs and internal edges.
-	entries := func() (pairs, internal int) {
-		seen := map[uint64]bool{}
-		for _, e := range g.All() {
-			if cu, cv := d.ClusterID(2, e.U), d.ClusterID(2, e.V); cu == cv {
-				internal++
-			} else if k := pairKey(cu, cv); !seen[k] {
-				seen[k] = true
-				pairs++
-			}
-		}
-		return pairs, internal
-	}
-	if pairs, internal := entries(); s.MemoryFootprint() != pairs+internal {
+	if pairs, internal := levelEntries(d, g, 2); s.MemoryFootprint() != pairs+internal {
 		t.Fatalf("footprint %d, want level-2 pairs plus internal edges %d", s.MemoryFootprint(), pairs+internal)
 	}
+}
+
+// The spans are built once and kept by an edge that crosses two clusters.
+// An edge inside a cluster marks them stale (no span entries) until the
+// next query rebuilds them.
+func TestIndexIntraMaterializesOnce(t *testing.T) {
+	g := grid(6, 6)
+	d := decompose(t, g)
+	if d.Levels < 3 {
+		t.Skip("grid hierarchy too shallow")
+	}
+	s := indexed(t, d, g, 2)
 	// Two nodes in one level-2 cluster, then two that never share one below
 	// level 3.
 	var in, cross [2]int
@@ -240,18 +273,18 @@ func TestIndexBuildsOneLevel(t *testing.T) {
 		t.Skip("grid hierarchy lacks an internal or a crossing pair at level 2")
 	}
 	s.Register(g.AddEdge(cross[0], cross[1], 1))
-	if pairs, internal := entries(); s.MemoryFootprint() != pairs+internal {
+	if pairs, internal := levelEntries(d, g, 2); s.MemoryFootprint() != pairs+internal {
 		t.Fatalf("footprint %d after a crossing edge, want %d: the spans must stay", s.MemoryFootprint(), pairs+internal)
 	}
 	ei := g.AddEdge(in[0], in[1], 1)
 	s.Register(ei)
-	if pairs, _ := entries(); s.MemoryFootprint() != pairs {
+	if pairs, _ := levelEntries(d, g, 2); s.MemoryFootprint() != pairs {
 		t.Fatalf("footprint %d after an internal edge, want the %d pairs alone: the spans must be stale", s.MemoryFootprint(), pairs)
 	}
 	if !slices.Contains(s.IntraClusterEdges(in[0]), int32(ei)) {
 		t.Fatal("the rebuilt span lacks the internal edge")
 	}
-	if pairs, internal := entries(); s.MemoryFootprint() != pairs+internal {
+	if pairs, internal := levelEntries(d, g, 2); s.MemoryFootprint() != pairs+internal {
 		t.Fatalf("footprint %d after the rebuild, want %d", s.MemoryFootprint(), pairs+internal)
 	}
 }
