@@ -97,6 +97,39 @@ func TestServiceDurabilityRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSingleNodeCheckpointReopens saves a one-node service, checkpoints it
+// and reopens the data directory. The one node's hierarchy has no level 1,
+// so the checkpoint's filter level is the one setup picks, not a level of
+// the hierarchy.
+func TestSingleNodeCheckpointReopens(t *testing.T) {
+	dir := t.TempDir()
+	opts := ServiceOptions{
+		Options: Options{InitialDensity: 0.1, Seed: 1},
+		DataDir: dir,
+		Fsync:   FsyncNever,
+	}
+	svc, err := NewService(NewGraph(1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckGen, err := svc.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := svc.Stats()
+	svc.Close()
+
+	re, err := LoadService(ServiceOptions{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got := re.Stats()
+	if re.Generation() != ckGen || got.Nodes != 1 || got.GraphEdges != want.GraphEdges || got.SparsifierEdges != want.SparsifierEdges {
+		t.Fatalf("reopened at generation %d with %+v; checkpoint at %d with %+v", re.Generation(), got, ckGen, want)
+	}
+}
+
 func TestLoadServiceErrors(t *testing.T) {
 	if _, err := LoadService(ServiceOptions{}); err == nil {
 		t.Fatal("want error without DataDir")

@@ -167,8 +167,8 @@ func setupHashes(t *testing.T, name string, scale float64) goldenHashes {
 		for v := 0; v < dec.N; v++ {
 			putU64(hs, uint64(dec.ClusterID(l, v)))
 		}
-		for _, d := range dec.Diameter[l] {
-			putF64(hs, d)
+		for c := range dec.NumClusters[l] {
+			putF64(hs, dec.Diameter(l, int32(c)))
 		}
 	}
 	out.LRD = hs.Sum64()

@@ -79,9 +79,12 @@ func RestoreSparsifier(st PersistentState) (*Sparsifier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restore LRD: %w", err)
 	}
-	if st.FilterLevel < 1 || st.FilterLevel >= dec.Levels {
-		return nil, fmt.Errorf("core: restore: filter level %d outside hierarchy [1, %d)",
-			st.FilterLevel, dec.Levels)
+	// Setup picks the filter level from (HBase, Config) alone, so restore
+	// accepts exactly that level. A one-node basis has no level 1, yet setup
+	// picks level 1 for it, so the check is not a hierarchy range.
+	if want := st.Config.filterLevel(dec); st.FilterLevel != want {
+		return nil, fmt.Errorf("core: restore: filter level %d, but setup picks level %d for this basis and config",
+			st.FilterLevel, want)
 	}
 	sk, err := sketch.New(dec, st.H)
 	if err != nil {

@@ -177,4 +177,43 @@ func TestRestoreValidation(t *testing.T) {
 	if _, err := RestoreSparsifier(bad); err == nil {
 		t.Fatal("want error on filter level 0")
 	}
+
+	// A level inside the hierarchy that setup would not pick.
+	bad = good
+	bad.FilterLevel = good.FilterLevel%(live.Decomposition().Levels-1) + 1
+	if bad.FilterLevel == good.FilterLevel {
+		t.Fatalf("hierarchy of %d levels has no second filter level", live.Decomposition().Levels)
+	}
+	if _, err := RestoreSparsifier(bad); err == nil {
+		t.Fatalf("want error on filter level %d, setup picks %d", bad.FilterLevel, good.FilterLevel)
+	}
+}
+
+// TestRestoreSingleNode round-trips a one-node sparsifier. Its hierarchy
+// has one level and no level 1, yet setup indexes filter level 1, and
+// restore must accept the level setup picks.
+func TestRestoreSingleNode(t *testing.T) {
+	live, err := NewSparsifier(graph.New(1, 0), graph.New(1, 0), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Decomposition().Levels != 1 || live.FilterLevel() != 1 {
+		t.Fatalf("one node: %d levels, filter level %d", live.Decomposition().Levels, live.FilterLevel())
+	}
+	restored, err := RestoreSparsifier(live.PersistentState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.FilterLevel() != live.FilterLevel() || restored.Stats() != live.Stats() {
+		t.Fatalf("restored filter level %d, stats %+v; live %d, %+v",
+			restored.FilterLevel(), restored.Stats(), live.FilterLevel(), live.Stats())
+	}
+	graphsBitEqual(t, "G", restored.G, live.G)
+	graphsBitEqual(t, "H", restored.H, live.H)
+
+	bad := live.PersistentState()
+	bad.FilterLevel = 2
+	if _, err := RestoreSparsifier(bad); err == nil {
+		t.Fatal("want error on filter level 2 for a one-node basis")
+	}
 }

@@ -8,12 +8,14 @@
 // the merged cluster's resistance diameter stays within the level's budget.
 // Contracted clusters become supernodes of the next level and the budget
 // grows geometrically, so after O(log N) levels every connected component
-// is a single cluster. Recording each node's cluster index at every level
-// yields the O(log N)-dimensional resistance embedding: the resistance
-// between any two nodes is estimated by the diameter of the first cluster
-// they share. The diameters are sums of Krylov resistance estimates, so
-// this is an estimate, not a bound: it can fall below the exact
-// resistance.
+// is a single cluster. Each node's cluster index at every level is the
+// O(log N)-dimensional resistance embedding: the resistance between any two
+// nodes is estimated by the diameter of the first cluster they share. The
+// clusters are nested, so the hierarchy is stored as a cluster tree, one
+// parent map per level, and a node's embedding vector is read by walking
+// the tree up from the node. The diameters are sums of Krylov resistance
+// estimates, so this is an estimate, not a bound: it can fall below the
+// exact resistance.
 package lrd
 
 import (
@@ -54,56 +56,107 @@ func (c Config) withDefaults(n int) Config {
 	return c
 }
 
-// Decomposition is the multilevel clustering result. Level 0 is the
-// singleton level (every node its own cluster with diameter 0); level
-// Levels-1 merges whole connected components.
+// Decomposition is the multilevel clustering result, stored as a cluster
+// tree. Level 0 is the singleton level: cluster v is node v, with diameter
+// 0. Level Levels-1 merges whole connected components. Cluster ids at each
+// level are dense in [0, NumClusters[l]), and they ascend with each
+// cluster's lowest node id: Build renumbers every level in first-seen
+// order.
 type Decomposition struct {
 	N      int
 	Levels int
-	// clusterID[l][v] is node v's cluster index at level l. Cluster indices
-	// at each level are dense in [0, NumClusters[l]).
-	clusterID [][]int32
-	// NumClusters[l] is the cluster count at level l.
-	NumClusters []int
-	// Diameter[l][c] is the tracked resistance-diameter estimate of cluster
-	// c at level l: the sum of the Krylov-estimated resistances along the
+	// up[l][c] is the level-(l+1) cluster that holds level-l cluster c.
+	up [][]int32
+	// diam[l-1][c] is the tracked resistance-diameter estimate of cluster c
+	// at level l >= 1: the sum of the Krylov-estimated resistances along the
 	// contractions that formed it. It is not an upper bound on the exact
 	// diameter.
-	Diameter [][]float64
+	diam [][]float64
+	// NumClusters[l] is the cluster count at level l.
+	NumClusters []int
 	// Budget[l] is the diameter budget that produced level l (0 for level 0,
 	// +Inf for the final component level).
 	Budget []float64
-	// ClusterSize[l][c] is the node count of cluster c at level l.
-	ClusterSize [][]int32
-	// MaxClusterSize[l] caches max over ClusterSize[l].
+	// MaxClusterSize[l] is the node count of the largest cluster at level l.
 	MaxClusterSize []int
 }
 
-// ClusterID returns node v's cluster index at level l.
-func (d *Decomposition) ClusterID(l, v int) int32 { return d.clusterID[l][v] }
+// Up returns the parent map of level l, for l in [0, Levels-1): entry c is
+// the level-(l+1) cluster that holds level-l cluster c. Callers must not
+// modify it.
+func (d *Decomposition) Up(l int) []int32 { return d.up[l] }
+
+// Diameter returns the tracked resistance-diameter estimate of cluster c at
+// level l: 0 at level 0, else the sum of the Krylov-estimated resistances
+// along the contractions that formed the cluster. It is not an upper bound
+// on the exact diameter.
+func (d *Decomposition) Diameter(l int, c int32) float64 {
+	if l == 0 {
+		return 0
+	}
+	return d.diam[l-1][c]
+}
+
+// ClusterID returns node v's cluster index at level l. It walks l parent
+// maps, so it costs O(l); a caller that reads one level for many nodes
+// should take Labels(l) once.
+func (d *Decomposition) ClusterID(l, v int) int32 {
+	c := int32(v)
+	for _, up := range d.up[:l] {
+		c = up[c]
+	}
+	return c
+}
+
+// Labels returns every node's cluster index at level l, in a new slice of
+// length N. It costs O(N·l).
+func (d *Decomposition) Labels(l int) []int32 {
+	out := make([]int32, d.N)
+	for v := range out {
+		out[v] = int32(v)
+	}
+	for _, up := range d.up[:l] {
+		for v, c := range out {
+			out[v] = up[c]
+		}
+	}
+	return out
+}
 
 // EmbeddingVector returns the per-level cluster indices of node v — the
 // node's resistance-embedding vector from the paper's Fig. 2.
 func (d *Decomposition) EmbeddingVector(v int) []int32 {
 	out := make([]int32, d.Levels)
-	for l := 0; l < d.Levels; l++ {
-		out[l] = d.clusterID[l][v]
+	out[0] = int32(v)
+	for l, up := range d.up {
+		out[l+1] = up[out[l]]
 	}
 	return out
+}
+
+// Meet walks p and q up the cluster tree together and returns the lowest
+// level at which they share a cluster, and that cluster. It returns
+// (0, p) when p == q and (-1, -1) if they never share one (different
+// connected components).
+func (d *Decomposition) Meet(p, q int) (level int, cluster int32) {
+	cp, cq := int32(p), int32(q)
+	if cp == cq {
+		return 0, cp
+	}
+	for l, up := range d.up {
+		cp, cq = up[cp], up[cq]
+		if cp == cq {
+			return l + 1, cp
+		}
+	}
+	return -1, -1
 }
 
 // SharedLevel returns the lowest level at which p and q belong to the same
 // cluster, or -1 if they never do (different connected components).
 func (d *Decomposition) SharedLevel(p, q int) int {
-	if p == q {
-		return 0
-	}
-	for l := 1; l < d.Levels; l++ {
-		if d.clusterID[l][p] == d.clusterID[l][q] {
-			return l
-		}
-	}
-	return -1
+	l, _ := d.Meet(p, q)
+	return l
 }
 
 // ResistanceBound returns the hierarchy's estimate of the effective
@@ -111,15 +164,11 @@ func (d *Decomposition) SharedLevel(p, q int) int {
 // cluster. Despite the name it is not an upper bound; it can fall below the
 // exact resistance. It returns +Inf for disconnected pairs.
 func (d *Decomposition) ResistanceBound(p, q int) float64 {
-	l := d.SharedLevel(p, q)
-	switch {
-	case l < 0:
+	l, c := d.Meet(p, q)
+	if l < 0 {
 		return math.Inf(1)
-	case l == 0:
-		return 0
-	default:
-		return d.Diameter[l][d.clusterID[l][p]]
 	}
+	return d.Diameter(l, c)
 }
 
 // FilterLevel selects the update-phase filtering level for a target
@@ -147,22 +196,8 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 	}
 	cfg = cfg.withDefaults(n)
 
-	d := &Decomposition{N: n}
-	// Level 0: singletons.
-	lvl0 := make([]int32, n)
-	for i := range lvl0 {
-		lvl0[i] = int32(i)
-	}
-	size0 := make([]int32, n)
-	for i := range size0 {
-		size0[i] = 1
-	}
-	d.clusterID = append(d.clusterID, lvl0)
-	d.NumClusters = append(d.NumClusters, n)
-	d.Diameter = append(d.Diameter, make([]float64, n))
-	d.Budget = append(d.Budget, 0)
-	d.ClusterSize = append(d.ClusterSize, size0)
-	d.MaxClusterSize = append(d.MaxClusterSize, 1)
+	// Level 0, the singletons, is implicit: it keeps no per-node array.
+	d := &Decomposition{N: n, NumClusters: []int{n}, Budget: []float64{0}, MaxClusterSize: []int{1}}
 
 	// The contracted graph at the current top level, plus each supernode's
 	// carried diameter and node count.
@@ -225,7 +260,9 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			merged = true
 		}
 
-		// Dense-renumber the new clusters in first-seen node order. rootID
+		// Dense-renumber the new clusters in first-seen node order. The
+		// nodes here are the clusters below in id order, so by induction ids
+		// at every level ascend with each cluster's lowest node id. rootID
 		// is indexed by union-find root; -1 marks a root not yet seen.
 		rootID := make([]int32, cur.NumNodes())
 		for i := range rootID {
@@ -257,17 +294,12 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			}
 		}
 
-		// Per-node cluster ids at this level: compose previous level's map.
-		prev := d.clusterID[len(d.clusterID)-1]
-		lvl := make([]int32, n)
-		for v := 0; v < n; v++ {
-			lvl[v] = newID[prev[v]]
-		}
-		d.clusterID = append(d.clusterID, lvl)
+		// newID maps each cluster of the level below to its cluster here:
+		// it is the parent map, the level's edge of the cluster tree.
+		d.up = append(d.up, newID)
+		d.diam = append(d.diam, newDiam)
 		d.NumClusters = append(d.NumClusters, int(count))
-		d.Diameter = append(d.Diameter, newDiam)
 		d.Budget = append(d.Budget, budget)
-		d.ClusterSize = append(d.ClusterSize, newSize)
 		d.MaxClusterSize = append(d.MaxClusterSize, maxSize)
 
 		if int(count) == 1 || final {
@@ -317,7 +349,7 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 		budget *= cfg.Growth
 	}
 
-	d.Levels = len(d.clusterID)
+	d.Levels = len(d.up) + 1
 	return d, nil
 }
 

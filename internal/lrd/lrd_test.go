@@ -69,13 +69,22 @@ func TestBuildBasicHierarchy(t *testing.T) {
 	// Sizes at each level sum to N.
 	for l := 0; l < d.Levels; l++ {
 		var sum int32
-		for _, s := range d.ClusterSize[l] {
+		for _, s := range clusterSizes(d, l) {
 			sum += s
 		}
 		if int(sum) != 64 {
 			t.Fatalf("level %d sizes sum to %d", l, sum)
 		}
 	}
+}
+
+// clusterSizes counts the nodes of each level-l cluster from Labels.
+func clusterSizes(d *Decomposition, l int) []int32 {
+	size := make([]int32, d.NumClusters[l])
+	for _, c := range d.Labels(l) {
+		size[c]++
+	}
+	return size
 }
 
 func TestHierarchyIsNested(t *testing.T) {
@@ -274,7 +283,7 @@ func TestDiameterMonotonicity(t *testing.T) {
 	for v := 0; v < d.N; v += 7 {
 		prev := 0.0
 		for l := 1; l < d.Levels; l++ {
-			cur := d.Diameter[l][d.ClusterID(l, v)]
+			cur := d.Diameter(l, d.ClusterID(l, v))
 			if cur < prev-1e-12 {
 				t.Fatalf("diameter shrank at level %d for node %d: %v -> %v", l, v, prev, cur)
 			}

@@ -1,6 +1,8 @@
 package lrd
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -100,14 +102,15 @@ func TestClusterAccountingProperty(t *testing.T) {
 			return false
 		}
 		for l := 0; l < d.Levels; l++ {
-			var sum int32
-			for _, s := range d.ClusterSize[l] {
+			var sum, largest int32
+			for _, s := range clusterSizes(d, l) {
 				if s <= 0 {
 					return false
 				}
 				sum += s
+				largest = max(largest, s)
 			}
-			if int(sum) != d.N {
+			if int(sum) != d.N || int(largest) != d.MaxClusterSize[l] {
 				return false
 			}
 			for v := 0; v < d.N; v++ {
@@ -155,6 +158,110 @@ func TestSharedLevelConsistencyProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the tree queries equal a per-node table built the old way, by
+// composing the Up maps level by level: Meet, SharedLevel and
+// ResistanceBound on every pair, ClusterID, Labels and EmbeddingVector on
+// every node. Cluster ids ascend with each cluster's lowest node id, the
+// order the sketch's span layout reads the Up maps in. Some graphs have two
+// components, so pairs that never meet are covered too.
+func TestTreeQueriesMatchPerNodeTableProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		n := 24 + int(seed%17)
+		g := randomConnected(seed, n, n)
+		if seed%3 == 0 {
+			// A second component of 8 nodes, appended past the first.
+			h := graph.New(n+8, g.NumEdges()+8)
+			for _, e := range g.All() {
+				h.AddEdge(e.U, e.V, e.W)
+			}
+			for v := n + 1; v < n+8; v++ {
+				h.AddEdge(v-1, v, 1+float64(v%3))
+			}
+			g, n = h, n+8
+		}
+		d, err := Build(g, Config{Krylov: krylov.Config{Seed: seed}})
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		table := make([][]int32, d.Levels)
+		table[0] = make([]int32, n)
+		for v := range table[0] {
+			table[0][v] = int32(v)
+		}
+		for l := 1; l < d.Levels; l++ {
+			up := d.Up(l - 1)
+			if len(up) != d.NumClusters[l-1] {
+				t.Logf("seed %d: level %d parent map has %d entries for %d clusters", seed, l-1, len(up), d.NumClusters[l-1])
+				return false
+			}
+			table[l] = make([]int32, n)
+			for v, c := range table[l-1] {
+				table[l][v] = up[c]
+			}
+		}
+		for l, row := range table {
+			// First-seen order: scanning nodes upward meets ids 0, 1, 2, ...
+			next := int32(0)
+			for _, c := range row {
+				if c == next {
+					next++
+				} else if c > next {
+					t.Logf("seed %d: level %d meets cluster %d before %d", seed, l, c, next)
+					return false
+				}
+			}
+			if int(next) != d.NumClusters[l] {
+				t.Logf("seed %d: level %d has %d ids, %d clusters", seed, l, next, d.NumClusters[l])
+				return false
+			}
+			if !slices.Equal(d.Labels(l), row) {
+				t.Logf("seed %d: Labels(%d) differs from the table", seed, l)
+				return false
+			}
+			for v, c := range row {
+				if d.ClusterID(l, v) != c {
+					t.Logf("seed %d: ClusterID(%d, %d) = %d, table %d", seed, l, v, d.ClusterID(l, v), c)
+					return false
+				}
+			}
+		}
+		for v := range n {
+			ev := d.EmbeddingVector(v)
+			for l := range table {
+				if ev[l] != table[l][v] {
+					t.Logf("seed %d: EmbeddingVector(%d) = %v differs at level %d", seed, v, ev, l)
+					return false
+				}
+			}
+		}
+		for p := range n {
+			for q := range n {
+				wantL, wantC, wantR := -1, int32(-1), math.Inf(1)
+				for l := range table {
+					if table[l][p] == table[l][q] {
+						wantL, wantC, wantR = l, table[l][p], d.Diameter(l, table[l][p])
+						break
+					}
+				}
+				l, c := d.Meet(p, q)
+				if l != wantL || c != wantC || d.SharedLevel(p, q) != wantL {
+					t.Logf("seed %d: Meet(%d, %d) = (%d, %d), SharedLevel %d, table (%d, %d)", seed, p, q, l, c, d.SharedLevel(p, q), wantL, wantC)
+					return false
+				}
+				if r := d.ResistanceBound(p, q); r != wantR {
+					t.Logf("seed %d: ResistanceBound(%d, %d) = %v, table %v", seed, p, q, r, wantR)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

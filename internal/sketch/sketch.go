@@ -51,6 +51,10 @@ type Structure struct {
 
 	// level is the indexed level; 0 until Index.
 	level int
+	// labels[v] is node v's cluster at the indexed level, so a query reads
+	// one array instead of walking the cluster tree; nil until Index, and
+	// for a level above the hierarchy.
+	labels []int32
 	// pairs maps a cluster-pair key to the sparsifier edges connecting the
 	// pair, in index order.
 	pairs map[uint64][]int
@@ -90,9 +94,10 @@ func (s *Structure) Index(l int) {
 	if l >= s.d.Levels {
 		return
 	}
+	s.labels = s.d.Labels(l)
 	for ei := range s.registered {
 		e := s.h.Edge(ei)
-		if cu, cv := s.d.ClusterID(l, e.U), s.d.ClusterID(l, e.V); cu != cv {
+		if cu, cv := s.labels[e.U], s.labels[e.V]; cu != cv {
 			k := pairKey(cu, cv)
 			s.pairs[k] = append(s.pairs[k], ei)
 		}
@@ -142,7 +147,7 @@ func (s *Structure) Register(ei int) {
 		return
 	}
 	e := s.h.Edge(ei)
-	if cu, cv := s.d.ClusterID(s.level, e.U), s.d.ClusterID(s.level, e.V); cu != cv {
+	if cu, cv := s.labels[e.U], s.labels[e.V]; cu != cv {
 		k := pairKey(cu, cv)
 		s.pairs[k] = append(s.pairs[k], ei)
 	} else {
@@ -152,7 +157,7 @@ func (s *Structure) Register(ei int) {
 
 // SameCluster reports whether p and q share a cluster at the indexed level.
 func (s *Structure) SameCluster(p, q int) bool {
-	return s.d.ClusterID(s.level, p) == s.d.ClusterID(s.level, q)
+	return s.labels[p] == s.labels[q]
 }
 
 // PairEdges returns every sparsifier edge connecting the clusters of p and
@@ -162,7 +167,7 @@ func (s *Structure) SameCluster(p, q int) bool {
 // overweight that edge relative to the original graph and collapse the
 // pencil's smallest eigenvalue. Callers must not modify the result.
 func (s *Structure) PairEdges(p, q int) []int {
-	cu, cv := s.d.ClusterID(s.level, p), s.d.ClusterID(s.level, q)
+	cu, cv := s.labels[p], s.labels[q]
 	if cu == cv {
 		return nil
 	}
@@ -179,7 +184,7 @@ func (s *Structure) IntraClusterEdges(p int) []int32 {
 	if s.off == nil {
 		s.buildSpans()
 	}
-	c := s.d.ClusterID(s.level, p)
+	c := s.labels[p]
 	lo, hi := s.off[c], s.off[c+1]
 	return s.spans[lo:hi:hi]
 }
@@ -189,7 +194,10 @@ func (s *Structure) IntraClusterEdges(p int) []int32 {
 // are numbered in one id space. Each registered edge has a home, the
 // cluster in which its endpoints first meet. Counting the edges under each
 // cluster fixes where its pre-order subtree starts, and each edge then goes
-// straight to its slot. It reads only the decomposition and the sparsifier.
+// straight to its slot. It reads the decomposition's parent maps in cluster
+// id order; ids ascend with each cluster's lowest node id (lrd.Build
+// renumbers in first-seen order), so that is also the child order of the
+// spans.
 func (s *Structure) buildSpans() {
 	d, l := s.d, s.level
 	// Level k's cluster c is node base[k]+c.
@@ -205,29 +213,25 @@ func (s *Structure) buildSpans() {
 	for ei := range home {
 		e := s.h.Edge(ei)
 		home[ei] = -1
-		if k := d.SharedLevel(e.U, e.V); k >= 1 && k <= l {
-			home[ei] = base[k] + d.ClusterID(k, e.U)
+		if s.labels[e.U] != s.labels[e.V] {
+			continue // the endpoints first meet above level l
+		}
+		if k, c := d.Meet(e.U, e.V); k >= 1 {
+			home[ei] = base[k] + c
 			own[home[ei]]++
 		}
 	}
-	// sub counts the edges in each node's subtree. A node's parent is the
-	// level-up cluster of any member, so a node adds its subtree to its
-	// parent's when the member scan first meets it, level by level upward.
+	// sub counts the edges in each node's subtree: level by level upward,
+	// each cluster adds its subtree to its parent's.
 	sub := append([]int32(nil), own...)
-	seen := make([]bool, nodes)
 	for k := 1; k < l; k++ {
-		for v := range d.N {
-			if c := base[k] + d.ClusterID(k, v); !seen[c] {
-				seen[c] = true
-				sub[base[k+1]+d.ClusterID(k+1, v)] += sub[c]
-			}
+		for c, parent := range d.Up(k) {
+			sub[base[k+1]+parent] += sub[base[k]+int32(c)]
 		}
 	}
 	// Level-l clusters take consecutive spans in id order. Top down, each
 	// node's own edges start its span (at) and its children follow from
-	// next, taken in the order the member scan meets them, which is the
-	// order of their lowest node ids. The upward pass set seen for every
-	// node below level l; here it marks the nodes not yet placed.
+	// next, in id order.
 	off := make([]int32, d.NumClusters[l]+1)
 	at := make([]int32, nodes)
 	next := make([]int32, nodes)
@@ -237,13 +241,10 @@ func (s *Structure) buildSpans() {
 		off[c+1] = off[c] + sub[x]
 	}
 	for k := l; k > 1; k-- {
-		for v := range d.N {
-			if c := base[k-1] + d.ClusterID(k-1, v); seen[c] {
-				seen[c] = false
-				p := base[k] + d.ClusterID(k, v)
-				at[c], next[c] = next[p], next[p]+own[c]
-				next[p] += sub[c]
-			}
+		for c, parent := range d.Up(k - 1) {
+			x, p := base[k-1]+int32(c), base[k]+parent
+			at[x], next[x] = next[p], next[p]+own[x]
+			next[p] += sub[x]
 		}
 	}
 	spans := make([]int32, off[len(off)-1])

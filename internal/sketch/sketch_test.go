@@ -342,9 +342,9 @@ func TestRegisterRejectsOutOfOrder(t *testing.T) {
 // the filter level to a bound set from measurement. The fixture is the
 // stream-mesh setup at a quarter of its size: H(0) at density 0.10 of a
 // 16,384-node Delaunay mesh, filter level for a target condition number of
-// 100. The structure retains 240,624 bytes there (Go 1.24, amd64); one that
-// also kept every level's cluster edge lists and the containment tree
-// retained 1,285,696.
+// 100. The structure retains 306,176 bytes there (Go 1.24, amd64), 65,536
+// of them the filter level's per-node labels; one that also kept every
+// level's cluster edge lists and the containment tree retained 1,285,696.
 func TestIndexRetainedHeap(t *testing.T) {
 	const bound = 320_000
 	g, err := gen.Delaunay(16384, 1)
