@@ -111,7 +111,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: binary total weight: %w", err)
 	}
 	n, m := int(n64), int(m64)
-	var edges []Edge
+	var edges []edge32
 	for i := 0; i < m; i++ {
 		u64, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -128,11 +128,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if u64 >= n64 || v64 >= n64 || u64 == v64 {
 			return nil, fmt.Errorf("graph: binary edge %d endpoints (%d, %d) invalid for %d nodes", i, u64, v64, n)
 		}
-		u, v, w := int(u64), int(v64), math.Float64frombits(wBits)
+		w := math.Float64frombits(wBits)
 		if !(w > 0) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("graph: binary edge %d weight %v not positive finite", i, w)
 		}
-		edges = append(edges, Edge{U: u, V: v, W: w})
+		edges = append(edges, edge32{U: int32(u64), V: int32(v64), W: w})
 	}
 	// Build storage directly instead of AddEdge: the cached totalWeight
 	// must come from the file, not from re-accumulation, so that graphs
@@ -152,9 +152,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	g.npages = g.carveNodePages(pagesFor(n, nodePageShift))
 	carveLists(n, func(u int) int { return int(deg[u]) }, g.slot)
 	for i, e := range edges {
-		hu, hv := g.slot(e.U), g.slot(e.V)
-		*hu = append(*hu, Arc{To: int32(e.V), Edge: int32(i)})
-		*hv = append(*hv, Arc{To: int32(e.U), Edge: int32(i)})
+		hu, hv := g.slot(int(e.U)), g.slot(int(e.V))
+		*hu = append(*hu, Arc{To: e.V, Edge: int32(i)})
+		*hv = append(*hv, Arc{To: e.U, Edge: int32(i)})
 	}
 	g.totalWeight = math.Float64frombits(twBits)
 	return g, nil

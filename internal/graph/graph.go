@@ -8,7 +8,9 @@
 // in the mutable representation (the Laplacian treats them as conductances
 // in parallel, i.e. weights add); self-loops are rejected because they do
 // not affect Laplacian quadratic forms. A graph holds at most math.MaxInt32
-// nodes and math.MaxInt32 edges, so an adjacency Arc fits in 8 bytes.
+// nodes and math.MaxInt32 edges, so an adjacency Arc fits in 8 bytes and a
+// stored edge in 16: two int32 endpoints and the weight. Edge, the form
+// every reader sees, keeps int endpoints and is widened from the record.
 //
 // Edges and adjacency headers live in fixed-size pages behind two page
 // tables (see page.go). Snapshot copies the tables, not the pages: after
@@ -121,7 +123,7 @@ func (g *Graph) Edge(i int) Edge {
 	if uint(i) >= uint(g.m) {
 		i = -1
 	}
-	return g.epages[i>>edgePageShift].e[i&edgePageMask]
+	return g.epages[i>>edgePageShift].e[i&edgePageMask].edge()
 }
 
 // All iterates over the edges in index order, as (index, edge) pairs. It
@@ -132,7 +134,7 @@ func (g *Graph) All() iter.Seq2[int, Edge] {
 		for k := 0; k<<edgePageShift < m; k++ {
 			base := k << edgePageShift
 			for j, e := range pages[k].e[:min(edgePageSize, m-base)] {
-				if !yield(base+j, e) {
+				if !yield(base+j, e.edge()) {
 					return
 				}
 			}
@@ -144,13 +146,15 @@ func (g *Graph) All() iter.Seq2[int, Edge] {
 func (g *Graph) AppendEdges(dst []Edge) []Edge {
 	dst = slices.Grow(dst, g.m)
 	for k := 0; k<<edgePageShift < g.m; k++ {
-		dst = append(dst, g.edgePage(k)...)
+		for _, e := range g.edgePage(k) {
+			dst = append(dst, e.edge())
+		}
 	}
 	return dst
 }
 
 // edgePage returns the used slots of edge page k.
-func (g *Graph) edgePage(k int) []Edge {
+func (g *Graph) edgePage(k int) []edge32 {
 	return g.epages[k].e[:min(edgePageSize, g.m-k<<edgePageShift)]
 }
 
@@ -232,7 +236,7 @@ func (g *Graph) AddEdge(u, v int, w float64) int {
 		panic(fmt.Sprintf("graph: AddEdge past the limit of %d edges", math.MaxInt32))
 	}
 	g.own()
-	g.edgePageFor(idx>>edgePageShift, idx&edgePageMask).e[idx&edgePageMask] = Edge{U: u, V: v, W: w}
+	g.edgePageFor(idx>>edgePageShift, idx&edgePageMask).e[idx&edgePageMask] = edge32{U: int32(u), V: int32(v), W: w}
 	g.m++
 	hu := g.header(u)
 	*hu = append(*hu, Arc{To: int32(v), Edge: int32(idx)})

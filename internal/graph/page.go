@@ -43,10 +43,20 @@ const (
 	nodePageMask = nodePageSize - 1
 )
 
+// edge32 is the stored form of an Edge: the node limit lets both endpoints
+// fit in an int32, so a record takes 16 bytes instead of Edge's 24.
+type edge32 struct {
+	U, V int32
+	W    float64
+}
+
+// edge widens a stored record to an Edge.
+func (e edge32) edge() Edge { return Edge{U: int(e.U), V: int(e.V), W: e.W} }
+
 // edgePage holds edges [k·edgePageSize, (k+1)·edgePageSize) of a graph.
 type edgePage struct {
 	owner, appender uint64
-	e               [edgePageSize]Edge
+	e               [edgePageSize]edge32
 }
 
 // nodePage holds the adjacency headers of nodes [k·nodePageSize,

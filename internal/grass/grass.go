@@ -43,12 +43,11 @@ type Config struct {
 	TargetDensity float64
 	// Tree selects the backbone algorithm.
 	Tree TreeKind
-	// SimilarityFilter enables cycle-coverage filtering of redundant edges.
+	// SimilarityFilter enables cycle-coverage filtering: a candidate whose
+	// whole tree path is covered by the paths of candidates admitted before
+	// it is skipped as redundant (and only backfilled if the budget would
+	// otherwise go unmet).
 	SimilarityFilter bool
-	// CoverLimit is the number of admitted edges that may cover a tree edge
-	// before further candidates crossing it are considered redundant.
-	// Default 1; ignored unless SimilarityFilter.
-	CoverLimit int
 	// Seed drives the randomized low-stretch tree.
 	Seed uint64
 }
@@ -73,9 +72,6 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 	if cfg.TargetDensity < 0 || cfg.TargetDensity > 1 {
 		return nil, fmt.Errorf("grass: target density %v out of [0,1]", cfg.TargetDensity)
-	}
-	if cfg.CoverLimit <= 0 {
-		cfg.CoverLimit = 1
 	}
 
 	var st *tree.SpanningTree
@@ -105,9 +101,9 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 	res := &Result{TreeEdges: len(st.EdgeIdx)}
 	keep := append([]int(nil), st.EdgeIdx...)
 
-	var cover []int
+	var cover *pathCover
 	if cfg.SimilarityFilter {
-		cover = make([]int, g.NumEdges())
+		cover = newPathCover(st)
 	}
 	admit := func(c cand) {
 		keep = append(keep, c.edge)
@@ -116,28 +112,16 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 
 	var skipped []cand
-	var path []int
 	for _, c := range cands {
 		if res.OffTree >= budget {
 			break
 		}
-		if cfg.SimilarityFilter {
+		if cover != nil {
 			e := g.Edge(c.edge)
-			path = oracle.AppendPathEdges(path[:0], e.U, e.V)
-			covered := len(path) > 0
-			for _, te := range path {
-				if cover[te] < cfg.CoverLimit {
-					covered = false
-					break
-				}
-			}
-			if covered {
+			if !cover.add(e.U, e.V, oracle.LCA(e.U, e.V)) {
 				res.SkippedRedundant++
 				skipped = append(skipped, c)
 				continue
-			}
-			for _, te := range path {
-				cover[te]++
 			}
 		}
 		admit(c)
@@ -153,6 +137,53 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 
 	res.H = g.Subgraph(keep)
 	return res, nil
+}
+
+// pathCover records which tree edges the paths of admitted candidates
+// cover. A tree edge is either covered or not and cover only grows, so it
+// keeps, per node x, jump[x]: an ancestor-or-self of x such that every
+// parent edge from x up to it is covered. Following jump to its fixed point
+// (find) gives x's nearest ancestor-or-self whose parent edge is uncovered,
+// or its root; path halving keeps the chains short.
+type pathCover struct {
+	parent, depth, jump []int
+}
+
+func newPathCover(st *tree.SpanningTree) *pathCover {
+	jump := make([]int, len(st.Parent))
+	for x := range jump {
+		jump[x] = x
+	}
+	return &pathCover{parent: st.Parent, depth: st.Depth, jump: jump}
+}
+
+func (c *pathCover) find(x int) int {
+	for c.jump[x] != x {
+		c.jump[x] = c.jump[c.jump[x]]
+		x = c.jump[x]
+	}
+	return x
+}
+
+// add reports whether the tree path between u and v, whose LCA is l, has
+// an uncovered edge, and if so covers the whole path. A pair in different
+// components (l < 0) has no path: it is reported new and covers nothing.
+func (c *pathCover) add(u, v, l int) bool {
+	if l < 0 {
+		return true
+	}
+	fu, fv := c.find(u), c.find(v)
+	if c.depth[fu] <= c.depth[l] && c.depth[fv] <= c.depth[l] {
+		return false
+	}
+	for _, x := range [2]int{fu, fv} {
+		for c.depth[x] > c.depth[l] {
+			p := c.parent[x]
+			c.jump[x] = p
+			x = c.find(p)
+		}
+	}
+	return true
 }
 
 // cand is an off-tree edge ranked for admission.

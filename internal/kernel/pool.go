@@ -178,11 +178,14 @@ func (p *Pool) Close() {
 }
 
 // run executes fn's shares for all workers and returns when every share is
-// complete. The caller must hold p.mu and have filled p.job.
+// complete. The caller must hold p.mu and have filled p.job. The job is
+// cleared after the join, so a pool that outlives its callers (Shared) does
+// not keep the last operation's matrix and vectors reachable.
 func (p *Pool) run(fn kernelFn) {
 	p.forks.Add(1)
 	if p.workers == 1 {
 		fn(p, 0)
+		p.job = job{}
 		return
 	}
 	p.fn = fn
@@ -202,6 +205,7 @@ func (p *Pool) run(fn kernelFn) {
 	// finish; consuming it completes the join, after which no worker will
 	// touch p.job until the next publication.
 	<-p.finish
+	p.job = job{}
 }
 
 // finishShare runs worker w's share of the current job and signals the join

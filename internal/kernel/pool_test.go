@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/vecmath"
@@ -343,4 +344,27 @@ func BenchmarkPooledSpMV(b *testing.B) {
 			p.LapMul(csr, part, dst, x)
 		}
 	})
+}
+
+// TestPoolReleasesOperandsAfterJoin checks that a pool keeps no reference to
+// a finished operation's operands: after one pooled LapMul the CSR is
+// collectable while the pool lives on.
+func TestPoolReleasesOperandsAfterJoin(t *testing.T) {
+	withProcs(t, 2)
+	for _, workers := range []int{1, 2} {
+		p := New(workers)
+		ptr := func() weak.Pointer[graph.CSR] {
+			csr := graph.NewCSR(grid(100, 100))
+			x := make([]float64, csr.N)
+			fillSin(x, 0)
+			p.LapMul(csr, csr.NNZPartition(p.Workers()), make([]float64, csr.N), x)
+			return weak.Make(csr)
+		}()
+		runtime.GC()
+		runtime.GC()
+		if ptr.Value() != nil {
+			t.Errorf("workers=%d: the pool still pins the last job's CSR", workers)
+		}
+		p.Close()
+	}
 }

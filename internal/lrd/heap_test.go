@@ -12,7 +12,7 @@ import (
 // TestDecompositionRetainedHeap bounds the heap a decomposition keeps after
 // Build, on the sparsifier the sketch's retained-heap gate uses: H(0) at
 // density 0.10 of a 16,384-node Delaunay mesh, 16 levels. The cluster tree
-// (a parent map and a diameter per cluster) retains 310,688–316,736 bytes
+// (a parent map and a diameter per cluster) retains 310,048–318,544 bytes
 // there over six runs (Go 1.24, amd64); the per-node table it replaced, an
 // n-length cluster id array per level plus per-cluster sizes, retained
 // 1,490,848–1,497,968. A tree that also kept per-cluster sizes would hold
@@ -28,12 +28,6 @@ func TestDecompositionRetainedHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := init.H
-	// The shared kernel pool keeps its last job's operands, a CSR of the
-	// graph, until its next job. A warm-up build puts one there before the
-	// count, so the count sees the decomposition alone.
-	if _, err := Build(h, Config{Krylov: krylov.Config{Seed: 1}}); err != nil {
-		t.Fatal(err)
-	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

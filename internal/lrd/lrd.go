@@ -228,12 +228,6 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 				return nil, fmt.Errorf("lrd: level %d embedding: %w", level, err)
 			}
 			resist = emb.EstimateEdges(cur, kcfg.Workers)
-			if budget == 0 {
-				budget = 2 * median(resist)
-				if budget <= 0 {
-					budget = 1
-				}
-			}
 		}
 
 		order := make([]edgeResist, cur.NumEdges())
@@ -241,6 +235,14 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			order[i] = edgeResist{r: r, edge: i}
 		}
 		slices.SortFunc(order, byResist)
+		if budget == 0 {
+			if len(order) > 0 {
+				budget = 2 * order[len(order)/2].r // twice the median
+			}
+			if budget <= 0 {
+				budget = 1
+			}
+		}
 
 		uf := graph.NewUnionFind(cur.NumNodes())
 		diam := append([]float64(nil), carriedDiam...)
@@ -369,13 +371,4 @@ func byResist(a, b edgeResist) int {
 		return 1
 	}
 	return cmp.Compare(a.edge, b.edge)
-}
-
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := slices.Clone(v)
-	slices.Sort(s)
-	return s[len(s)/2]
 }

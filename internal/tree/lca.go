@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // PathOracle answers tree-path effective-resistance queries in O(1) after
 // O(N log N) preprocessing, using an Euler tour with a sparse-table range
@@ -166,29 +163,4 @@ func (o *PathOracle) Resistance(u, v int) float64 {
 		return math.Inf(1)
 	}
 	return o.resToRoot[u] + o.resToRoot[v] - 2*o.resToRoot[l]
-}
-
-// AppendPathEdges appends the host-graph edge indices along the tree path
-// from u to v to buf and returns the extended slice. It appends nothing for
-// u == v or for nodes in different components. It is O(path length) and
-// allocation-free once buf has grown to the longest path, which is what the
-// similarity filter needs when it walks one path per candidate edge.
-func (o *PathOracle) AppendPathEdges(buf []int, u, v int) []int {
-	if u == v {
-		return buf
-	}
-	l := o.LCA(u, v)
-	if l < 0 {
-		return buf
-	}
-	for x := u; x != l; x = o.t.Parent[x] {
-		buf = append(buf, o.t.ParentEdge[x])
-	}
-	// Collect v's side, then reverse it so edges run u -> v.
-	start := len(buf)
-	for x := v; x != l; x = o.t.Parent[x] {
-		buf = append(buf, o.t.ParentEdge[x])
-	}
-	slices.Reverse(buf[start:])
-	return buf
 }

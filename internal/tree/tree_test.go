@@ -243,40 +243,6 @@ func TestPathOracleLCABasics(t *testing.T) {
 	}
 }
 
-func TestPathEdges(t *testing.T) {
-	// Star: 0 center, leaves 1..3.
-	g := graph.New(4, 3)
-	e01 := g.AddEdge(0, 1, 1)
-	e02 := g.AddEdge(0, 2, 1)
-	g.AddEdge(0, 3, 1)
-	st := New(g, []int{0, 1, 2})
-	o := NewPathOracle(st)
-	p := o.AppendPathEdges([]int{-1}, 1, 2)
-	if len(p) != 3 || p[0] != -1 || p[1] != e01 || p[2] != e02 {
-		t.Fatalf("path appended to [-1] = %v", p)
-	}
-	if len(o.AppendPathEdges(nil, 2, 2)) != 0 {
-		t.Fatal("self path must be empty")
-	}
-}
-
-func TestPathEdgesResistanceConsistency(t *testing.T) {
-	g := randomConnected(30, 50, 3)
-	st := MaxWeight(g)
-	o := NewPathOracle(st)
-	r := vecmath.NewRNG(4)
-	for trial := 0; trial < 30; trial++ {
-		u, v := r.Intn(30), r.Intn(30)
-		var sum float64
-		for _, ei := range o.AppendPathEdges(nil, u, v) {
-			sum += 1 / g.Edge(ei).W
-		}
-		if math.Abs(sum-o.Resistance(u, v)) > 1e-9 {
-			t.Fatalf("path edges resistance %v != oracle %v", sum, o.Resistance(u, v))
-		}
-	}
-}
-
 // Property: tree-path resistance is an upper bound on the true effective
 // resistance (Rayleigh monotonicity), and both agree on tree edges of a
 // tree-only graph.
