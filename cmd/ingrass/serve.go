@@ -258,8 +258,9 @@ type edgesRequest struct {
 }
 
 // solveRequest carries the right-hand side plus the unified solve options.
-// Tol/MaxIter/InnerTol/InnerIters flow unchanged down to the innermost CG
-// loop; DeadlineMS bounds wall-clock time via a context deadline.
+// Tol/MaxIter flow unchanged down to the CG loop; InnerTol/InnerIters are
+// accepted and ignored (see ingrass.SolveOptions); DeadlineMS bounds
+// wall-clock time via a context deadline.
 type solveRequest struct {
 	B          []float64 `json:"b"`
 	Tol        float64   `json:"tol,omitempty"`

@@ -36,10 +36,10 @@ const (
 	// scheduler: queue wait from Submit to group execution, then the
 	// blocked solve itself.
 	SpanBatchGroup
-	// SpanSolveOuter is the outer (flexible) CG solve for one column.
+	// SpanSolveOuter is the CG solve for one column.
 	SpanSolveOuter
-	// SpanSolveInner is one preconditioner application: the factor sweeps
-	// over H, or a truncated inner solve on H.
+	// SpanSolveInner is one application of H's exact factor (a forward and
+	// a backward sweep); the Jacobi regime records none.
 	SpanSolveInner
 	// SpanWALAppend covers encoding + writing one WAL batch record.
 	SpanWALAppend

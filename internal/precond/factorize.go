@@ -13,12 +13,11 @@ import (
 // preconditioner, in one of two regimes fixed by H at factorize time:
 //
 //   - exact: an LDLᵀ factor of the grounded L_H (see factorLDL), applied
-//     by one forward and one backward sweep per preconditioner
-//     application. Only the factor is kept: no frozen operator of H.
-//   - fallback: when elimination meets a pivot of degree above
-//     maxPivotDegree, the frozen CSR view of H, its projected operator
-//     and Jacobi diagonal, which back a truncated inner Jacobi-PCG on L_H
-//     per application.
+//     by one forward and one backward sweep per CG iteration.
+//   - Jacobi: when elimination meets a pivot of degree above
+//     maxPivotDegree, no factor is kept and solves precondition with the
+//     system operator's own Jacobi diagonal, exactly as
+//     sparse.LaplacianSolver does.
 //
 // It also holds the engine-level solve defaults. Everything it holds is
 // read-only after Factorize, so one Factorization can back any number of
@@ -31,22 +30,17 @@ import (
 // SolveBlock, so warm solves allocate nothing.
 type Factorization struct {
 	n    int
-	ldl  *ldl                      // exact regime; nil in the fallback
-	hop  *sparse.LapOperator       // fallback regime; nil when exact
-	proj *sparse.ProjectedOperator // fallback regime; nil when exact
-	opts solver.Options            // defaults applied; Workers frozen here
+	ldl  *ldl           // exact regime; nil in the Jacobi regime
+	opts solver.Options // defaults applied
 	bp   blockStatePool
 }
 
 // Factorize freezes the sparsifier h into a reusable preconditioner
 // factorization: an exact LDLᵀ factor of L_H when minimum-degree
-// elimination stays within the pivot-degree cap, and H's frozen operator
-// for the truncated inner solve otherwise. opts supplies the engine-level
-// defaults every solve against this factorization starts from — InnerTol /
-// InnerIters for the fallback's truncated inner solve and Workers / Format
-// for its Laplacian application (frozen at factorize time; per-request
-// Workers overrides are ignored on shared factorizations because the
-// operator is shared across concurrent solves).
+// elimination stays within the pivot-degree cap, and the Jacobi regime
+// otherwise. opts supplies the engine-level defaults every solve against
+// this factorization starts from (Tol, MaxIter, and the Workers / Format
+// SolveGraph freezes its one-shot operator with).
 func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
 	if h.NumNodes() == 0 {
 		return nil, fmt.Errorf("precond: empty sparsifier")
@@ -55,12 +49,6 @@ func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
 		n:    h.NumNodes(),
 		ldl:  factorLDL(h),
 		opts: opts.WithDefaults(h.NumNodes()),
-	}
-	if f.ldl == nil {
-		f.hop = sparse.NewLapOperator(h)
-		f.hop.SetWorkers(opts.Workers)
-		f.hop.SetFormat(opts.Format)
-		f.proj = &sparse.ProjectedOperator{Inner: f.hop}
 	}
 	f.bp.p.New = func() any {
 		return &blockSolveState{f: f, ws: solver.NewWorkspace(f.n)}
@@ -71,12 +59,12 @@ func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
 // Dim returns the node count of the factorized sparsifier.
 func (f *Factorization) Dim() int { return f.n }
 
-// Factored reports whether the exact LDLᵀ factor serves preconditioner
-// applications (false: the truncated inner solve on H's operator does).
+// Factored reports whether the exact LDLᵀ factor preconditions solves
+// (false: the system operator's Jacobi diagonal does).
 func (f *Factorization) Factored() bool { return f.ldl != nil }
 
 // FactorNNZ returns the entries stored in the LDLᵀ factor (L's
-// off-diagonal entries plus D's pivots), or 0 in the fallback regime.
+// off-diagonal entries plus D's pivots), or 0 in the Jacobi regime.
 func (f *Factorization) FactorNNZ() int {
 	if f.ldl == nil {
 		return 0
@@ -84,35 +72,25 @@ func (f *Factorization) FactorNNZ() int {
 	return f.ldl.nnz()
 }
 
-// Operator returns the frozen Laplacian operator of the factorized
-// sparsifier in the fallback regime, and nil when the factor is exact
-// (which keeps no operator of H). Callers may inspect its format/arena
-// stats or install an SpMV observer before the factorization is shared;
-// the operator itself is read-only.
-func (f *Factorization) Operator() *sparse.LapOperator { return f.hop }
-
-// Options returns the factorization's effective (defaults-applied) options.
-func (f *Factorization) Options() solver.Options { return f.opts }
-
-// Solve runs flexible CG on sys x = b preconditioned by solves of L_H
-// (exact, or truncated in the fallback regime): a width-1 SolveBlock whose
-// column headers and result slot live in the pooled solve state. b is
-// mean-centered internally (Laplacian systems are only consistent on the
-// complement of ones); the solution written into x is mean-zero. sys must
-// have dimension Dim; if it is not already a *sparse.ProjectedOperator it
-// is projected in place without allocating.
+// Solve runs preconditioned CG on L_G x = b, where sys is G's frozen
+// Laplacian operator: preconditioned by L_H^+ through the exact factor, or
+// by sys's own Jacobi diagonal in the Jacobi regime, where the result is
+// bit-identical to sparse.LaplacianSolver over sys. It is a width-1
+// SolveBlock whose column headers and result slot live in the pooled solve
+// state. b is mean-centered internally (Laplacian systems are only
+// consistent on the complement of ones); the solution written into x is
+// mean-zero. sys must have dimension Dim; it is projected onto the
+// complement of ones in place, without allocating.
 //
 // opts overrides the factorization defaults field-wise for this request
-// (Tol, MaxIter, and InnerTol / InnerIters in the fallback regime; Workers
-// is frozen — see Factorize). ctx aborts the outer loop (and truncates a
-// fallback inner solve) within one iteration of cancellation, returning
-// partial stats alongside a solver.ErrCancelled-wrapped error; the
-// column's own outcome (ErrNoConvergence, a breakdown) is returned as the
-// error otherwise.
+// (Tol, MaxIter; Workers and Format are frozen into sys). ctx aborts the
+// loop within one iteration of cancellation, returning partial stats
+// alongside a solver.ErrCancelled-wrapped error; the column's own outcome
+// (ErrNoConvergence, a breakdown) is returned as the error otherwise.
 //
 // Safe for any number of concurrent callers; each call checks a private
 // solve state out of the factorization's pool.
-func (f *Factorization) Solve(ctx context.Context, sys sparse.Operator, x, b []float64, opts solver.Options) (SolveResult, error) {
+func (f *Factorization) Solve(ctx context.Context, sys *sparse.LapOperator, x, b []float64, opts solver.Options) (SolveResult, error) {
 	st := f.bp.get()
 	defer f.bp.put(st)
 	st.x1[0], st.b1[0] = x, b

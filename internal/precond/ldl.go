@@ -10,8 +10,8 @@ import (
 
 // maxPivotDegree caps the elimination: factorization stops at the first
 // pivot whose current degree exceeds it, which bounds factor work by
-// maxPivotDegree²·n. A stopped factorization keeps no factor and the
-// preconditioner falls back to the truncated inner solve.
+// maxPivotDegree²·n. A stopped factorization keeps no factor, and solves
+// precondition with G's Jacobi diagonal instead.
 const maxPivotDegree = 64
 
 // ldl is an exact LDLᵀ factor of a sparsifier Laplacian grounded at one

@@ -2,6 +2,7 @@ package precond
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -43,13 +44,11 @@ func complete(n int, seed uint64) *graph.Graph {
 	return g
 }
 
-// applyPrecond runs one preconditioner application of f on the columns
-// of src through a pooled solve state, as the outer solver does.
+// applyPrecond runs one application of f's exact factor on the columns of
+// src through a pooled solve state, as BlockCG does.
 func applyPrecond(f *Factorization, src [][]float64) [][]float64 {
 	st := f.bp.get()
 	defer f.bp.put(st)
-	st.ctx = context.Background()
-	st.inner = f.opts.Inner()
 	dst := make([][]float64, len(src))
 	for j := range dst {
 		dst[j] = make([]float64, f.n)
@@ -88,8 +87,8 @@ func TestLDLMatchesPseudoInverse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !f.Factored() || f.Operator() != nil {
-				t.Fatalf("n=%d seed=%d: want the exact regime without an H operator", tc.n, seed)
+			if !f.Factored() {
+				t.Fatalf("n=%d seed=%d: want the exact regime", tc.n, seed)
 			}
 			lap := sparse.DenseLaplacian(h)
 			for _, b := range randomRHS(tc.n, 2, seed+10) {
@@ -161,6 +160,43 @@ func TestLDLTwoComponents(t *testing.T) {
 	for i := range lx {
 		if math.IsNaN(x[i]) || math.Abs(lx[i]-rhs[i]) > 1e-8 {
 			t.Fatalf("entry %d: (Lx)=%g b=%g x=%g", i, lx[i], rhs[i], x[i])
+		}
+	}
+}
+
+// TestDisconnectedSparsifierStopsEarly: a sparsifier split into two
+// components under a connected G gives a singular preconditioner, which
+// leaves one direction CG cannot reach. Once r'z stops being positive the
+// solve must report it, long before the iteration budget runs out.
+func TestDisconnectedSparsifierStopsEarly(t *testing.T) {
+	const n = 200
+	g := ring(n)
+	h := graph.New(n, g.NumEdges())
+	for _, e := range g.All() {
+		if (e.U < n/2) == (e.V < n/2) {
+			h.AddEdge(e.U, e.V, e.W)
+		}
+	}
+	f, err := Factorize(h, solver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Factored() || len(f.ldl.ground) != 2 {
+		t.Fatalf("factored=%v, want the exact regime with two grounds", f.Factored())
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		x := make([]float64, n)
+		res, err := f.SolveGraph(context.Background(), g, x, randomRHS(n, 1, seed)[0], solver.Options{Tol: 1e-10})
+		if err == nil || errors.Is(err, solver.ErrNoConvergence) || res.Outer.Converged {
+			t.Fatalf("seed %d: res=%+v err=%v, want a not-positive preconditioner error", seed, res.Outer, err)
+		}
+		if res.Outer.Iterations >= n {
+			t.Fatalf("seed %d: ran %d iterations before stopping", seed, res.Outer.Iterations)
+		}
+		for i := range x {
+			if math.IsNaN(x[i]) {
+				t.Fatalf("seed %d: NaN in the returned iterate at %d", seed, i)
+			}
 		}
 	}
 }
@@ -258,52 +294,62 @@ func TestFactorizeDeterministic(t *testing.T) {
 	}
 }
 
-// TestFallbackRegimeMatchesTruncatedJacobiPCG: K70's first pivot has
-// degree 69, above the cap, so the factorization keeps H's operator and
-// each application is the truncated Jacobi-PCG on L_H, bit for bit.
-func TestFallbackRegimeMatchesTruncatedJacobiPCG(t *testing.T) {
-	h := complete(70, 11)
-	f, err := Factorize(h, solver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Factored() || f.FactorNNZ() != 0 || f.Operator() == nil {
-		t.Fatalf("factored=%v nnz=%d: want the fallback regime with H's operator", f.Factored(), f.FactorNNZ())
-	}
-	bs := randomRHS(70, 3, 12)
-	got := applyPrecond(f, bs)
-
-	// Reference: a blocked Jacobi-PCG on L_H from zero, capped by the
-	// default inner options, then centered.
-	hop := sparse.NewLapOperator(h)
-	want := make([][]float64, len(bs))
-	rhs := make([][]float64, len(bs))
-	for j := range bs {
-		want[j] = make([]float64, 70)
-		rhs[j] = append([]float64(nil), bs[j]...)
-		vecmath.CenterMean(rhs[j])
-	}
-	out := make([]sparse.ColumnResult, len(bs))
-	_ = sparse.BlockCG(context.Background(), &sparse.ProjectedOperator{Inner: hop},
-		sparse.BlockSpec{X: want, B: rhs, Out: out}, hop.Jacobi(), nil, nil,
-		solver.Options{}.WithDefaults(70).Inner())
-	for j := range bs {
-		vecmath.CenterMean(want[j])
-		if !sameBits(got[j], want[j]) {
-			t.Fatalf("column %d: fallback application differs from the reference truncated Jacobi-PCG", j)
-		}
+// TestJacobiRegimeMatchesLaplacianSolver: when H's elimination stops at
+// the pivot-degree cap, Solve is Jacobi-PCG on G, bit for bit the solve
+// sparse.LaplacianSolver runs over the same operator. K70's first pivot has
+// degree 69; the power-law sparsifier's hubs stop it as well.
+func TestJacobiRegimeMatchesLaplacianSolver(t *testing.T) {
+	socialG, socialH := sparsifierOf(t, "social_ba", 0.25)
+	for _, tc := range []struct {
+		name string
+		g, h *graph.Graph
+	}{
+		{"K70", complete(70, 1), complete(70, 11)},
+		{"social_ba@0.25", socialG, socialH},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := Factorize(tc.h, solver.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Factored() || f.FactorNNZ() != 0 {
+				t.Fatalf("factored=%v nnz=%d: want the Jacobi regime", f.Factored(), f.FactorNNZ())
+			}
+			n := tc.g.NumNodes()
+			gop := sparse.NewLapOperator(tc.g)
+			opts := solver.Options{Tol: 1e-8}
+			ref := sparse.NewLaplacianSolverFromOperator(gop, opts)
+			for k, b := range randomRHS(n, 3, 12) {
+				got := make([]float64, n)
+				res, err := f.Solve(context.Background(), gop, got, b, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, n)
+				wres, err := ref.Solve(context.Background(), want, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Outer != wres || res.InnerUses != 0 {
+					t.Fatalf("rhs %d: %+v (%d factor applications) vs LaplacianSolver %+v", k, res.Outer, res.InnerUses, wres)
+				}
+				if !sameBits(got, want) {
+					t.Fatalf("rhs %d: solution differs from LaplacianSolver", k)
+				}
+			}
+		})
 	}
 }
 
 // sparsifierOf builds a named test graph at scale and its GRASS sparsifier
 // with the settings the serving stack uses (10% off-tree density).
-func sparsifierOf(tb testing.TB, name string, scale float64) *graph.Graph {
+func sparsifierOf(tb testing.TB, name string, scale float64) (g, h *graph.Graph) {
 	tb.Helper()
 	tc, err := gen.Lookup(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g, err := tc.Build(scale, 1)
+	g, err = tc.Build(scale, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -311,7 +357,7 @@ func sparsifierOf(tb testing.TB, name string, scale float64) *graph.Graph {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return init.H
+	return g, init.H
 }
 
 var factorSink *Factorization
@@ -324,7 +370,7 @@ func BenchmarkFactorize(b *testing.B) {
 		name  string
 		scale float64
 	}{{"fe_4elt2", 0.25}, {"fe_4elt2", 1}, {"social_ba", 1}} {
-		h := sparsifierOf(b, c.name, c.scale)
+		_, h := sparsifierOf(b, c.name, c.scale)
 		b.Run(fmt.Sprintf("%s@%g", c.name, c.scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f, err := Factorize(h, solver.Options{})
@@ -340,5 +386,40 @@ func BenchmarkFactorize(b *testing.B) {
 			b.ReportMetric(factored, "factored")
 			b.ReportMetric(float64(factorSink.FactorNNZ()), "nnz")
 		})
+	}
+}
+
+// BenchmarkSolveOverCap times serial (Workers 1) solves of L_G x = b
+// through a cached factorization of G's sparsifier, at tolerances 1e-5 and
+// 1e-8, on graphs whose sparsifier stops elimination at the pivot-degree
+// cap. It reports the regime (factored 0 means G's Jacobi diagonal
+// preconditions) and the CG iterations of the last solve. Run it with
+// -benchtime 1x -count N for N timed solves per case.
+func BenchmarkSolveOverCap(b *testing.B) {
+	for _, name := range []string{"delaunay_n16", "g3_circuit", "fe_ocean", "social_ba"} {
+		g, h := sparsifierOf(b, name, 1)
+		f, err := Factorize(h, solver.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gop := sparse.NewLapOperator(g)
+		rhs := randomRHS(g.NumNodes(), 1, 5)[0]
+		x := make([]float64, g.NumNodes())
+		for _, tol := range []float64{1e-5, 1e-8} {
+			b.Run(fmt.Sprintf("%s/tol=%g", name, tol), func(b *testing.B) {
+				var res SolveResult
+				for i := 0; i < b.N; i++ {
+					if res, err = f.Solve(context.Background(), gop, x, rhs, solver.Options{Tol: tol}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				factored := 0.0
+				if f.Factored() {
+					factored = 1
+				}
+				b.ReportMetric(factored, "factored")
+				b.ReportMetric(float64(res.Outer.Iterations), "iters")
+			})
+		}
 	}
 }

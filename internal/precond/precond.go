@@ -9,20 +9,22 @@
 // minimum-degree elimination of L_H keeps every pivot's degree at
 // maxPivotDegree or below, it keeps an exact LDLᵀ factor (grounded at one
 // node per component), and each preconditioner application is one forward
-// and one backward sweep. Otherwise each application runs a truncated
-// blocked Jacobi-PCG on H's frozen operator, which makes the
-// preconditioner mildly nonlinear. Either way the outer solve is
-// sparse.BlockFlexibleCG. Factorization is the shared, immutable half;
-// each Solve (one right-hand side, a width-1 block) or SolveBlock call
-// checks a pooled, goroutine-confined solve state (workspace, headers,
-// counters) out of the factorization, so the warm solve path allocates
-// nothing.
+// and one backward sweep. Otherwise it keeps nothing, and solves
+// precondition with G's own Jacobi diagonal. Either way the solve is
+// sparse.BlockCG, the stack's one CG loop: the exact factor is a fixed
+// preconditioner, so no flexible variant is needed. Factorization is the
+// shared, immutable half; each Solve (one right-hand side, a width-1 block)
+// or SolveBlock call checks a pooled, goroutine-confined solve state
+// (workspace, headers, counters) out of the factorization, so the warm
+// solve path allocates nothing.
 package precond
 
 import "ingrass/internal/sparse"
 
 // SolveResult reports a preconditioned solve.
 type SolveResult struct {
-	Outer     sparse.CGResult
+	Outer sparse.CGResult
+	// InnerUses counts applications of the exact factor (sparsifier
+	// solves); 0 in the Jacobi regime.
 	InnerUses int
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ingrass/internal/batch"
 	"ingrass/internal/core"
 	"ingrass/internal/graph"
 	"ingrass/internal/krylov"
@@ -102,10 +103,11 @@ func TestWarmSolveAllocationFreeSELL(t *testing.T) {
 }
 
 // TestWarmSolveAllocationFreeFallback pins the zero-allocation budget on
-// the preconditioner's fallback regime: on a complete graph the first pivot
-// has degree n-1, above the elimination cap, so the factorization keeps H's
-// frozen operator and every application runs the truncated inner solve on
-// it. Both storage formats of that operator stay under the gate.
+// the preconditioner's fallback, the Jacobi regime: on a complete graph the
+// first pivot has degree n-1, above the elimination cap, so the
+// factorization keeps no factor and every solve preconditions with G's
+// Jacobi diagonal. Both storage formats of G's operator stay under the
+// gate.
 func TestWarmSolveAllocationFreeFallback(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are not meaningful")
@@ -117,12 +119,11 @@ func TestWarmSolveAllocationFreeFallback(t *testing.T) {
 			if err := snap.ensureFactorized(); err != nil {
 				t.Fatal(err)
 			}
-			hop := snap.fact.Operator()
-			if snap.fact.Factored() || hop == nil {
-				t.Fatal("complete-graph sparsifier was factored exactly; want the fallback regime")
+			if snap.fact.Factored() {
+				t.Fatal("complete-graph sparsifier was factored exactly; want the Jacobi regime")
 			}
-			if hop.Format() != format {
-				t.Fatalf("H operator froze %v, want forced %v", hop.Format(), format)
+			if got := snap.gop.Format(); got != format {
+				t.Fatalf("G operator froze %v, want forced %v", got, format)
 			}
 			n := snap.G.NumNodes()
 			rhs := warmRHS(n)
@@ -130,8 +131,12 @@ func TestWarmSolveAllocationFreeFallback(t *testing.T) {
 			ctx := context.Background()
 			opts := solver.Options{Tol: 1e-8}
 			for i := 0; i < 3; i++ {
-				if _, err := snap.SolveInto(ctx, x, rhs, opts); err != nil {
+				st, err := snap.SolveInto(ctx, x, rhs, opts)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if st.PrecondUses != 0 {
+					t.Fatalf("Jacobi-regime solve reported %d sparsifier solves", st.PrecondUses)
 				}
 			}
 			allocs := testing.AllocsPerRun(50, func() {
@@ -140,7 +145,7 @@ func TestWarmSolveAllocationFreeFallback(t *testing.T) {
 				}
 			})
 			if allocs > 1.0 {
-				t.Fatalf("warm fallback SolveInto allocates %.2f objects/op, want ~0", allocs)
+				t.Fatalf("warm Jacobi-regime SolveInto allocates %.2f objects/op, want ~0", allocs)
 			}
 		})
 	}
@@ -205,27 +210,30 @@ func TestWarmSolveAllocationFreeWithWAL(t *testing.T) {
 	}
 }
 
-// TestWarmResistanceAllocationFree covers the second read path that used
-// to allocate rhs/solution vectors per query.
+// TestWarmResistanceAllocationFree covers the resistance read path: the
+// executor's run of a pair group draws the basis right-hand side and the
+// solution column from the snapshot's pooled workspaces, so once warm it
+// allocates nothing.
 func TestWarmResistanceAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are not meaningful")
 	}
 	e := newEngine(t, 12, 12, Options{})
 	snap := e.Current()
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := snap.EffectiveResistance(ctx, 0, 5); err != nil {
-			t.Fatal(err)
+	r := &batch.Req{Ctx: context.Background(), Kind: batch.KindPair, U: 0, V: 5}
+	group := []*batch.Req{r}
+	run := func() {
+		e.execGroup(snap, group)
+		if r.Err != nil || !(r.Resistance > 0) {
+			t.Fatalf("resistance %g, err %v", r.Resistance, r.Err)
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := snap.EffectiveResistance(ctx, 0, 5); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(50, run)
 	if allocs > 1.0 {
-		t.Fatalf("warm EffectiveResistance allocates %.2f objects/op, want ~0", allocs)
+		t.Fatalf("warm pair group allocates %.2f objects/op, want ~0", allocs)
 	}
 }
 
@@ -245,7 +253,7 @@ func TestSolveCancelledContext(t *testing.T) {
 	if st.Iterations != 0 {
 		t.Fatalf("cancelled solve reported %d iterations", st.Iterations)
 	}
-	if _, err := snap.EffectiveResistance(ctx, 0, 1); !errors.Is(err, solver.ErrCancelled) {
+	if _, err := e.ResistanceCoalesced(ctx, snap, 0, 1); !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("resistance on cancelled ctx: want ErrCancelled, got %v", err)
 	}
 	if _, err := snap.ConditionNumber(ctx, 1); !errors.Is(err, solver.ErrCancelled) {

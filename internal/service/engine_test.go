@@ -350,10 +350,13 @@ func TestPrecondCachePerGeneration(t *testing.T) {
 	}
 }
 
+// TestEffectiveResistance checks the scheduled resistance path every
+// library and HTTP query takes.
 func TestEffectiveResistance(t *testing.T) {
 	e := newEngine(t, 6, 6, Options{})
 	snap := e.Current()
-	r, err := snap.EffectiveResistance(context.Background(), 0, 1)
+	ctx := context.Background()
+	r, err := e.ResistanceCoalesced(ctx, snap, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,17 +364,17 @@ func TestEffectiveResistance(t *testing.T) {
 		// Adjacent unit-weight grid nodes: parallel paths force R < 1.
 		t.Fatalf("resistance %v out of (0, 1)", r)
 	}
-	rBack, err := snap.EffectiveResistance(context.Background(), 1, 0)
+	rBack, err := e.ResistanceCoalesced(ctx, snap, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r-rBack) > 1e-6 {
 		t.Fatalf("asymmetric resistance: %v vs %v", r, rBack)
 	}
-	if same, err := snap.EffectiveResistance(context.Background(), 3, 3); err != nil || same != 0 {
+	if same, err := e.ResistanceCoalesced(ctx, snap, 3, 3); err != nil || same != 0 {
 		t.Fatalf("self resistance: %v, %v", same, err)
 	}
-	if _, err := snap.EffectiveResistance(context.Background(), -1, 2); err == nil {
+	if _, err := e.ResistanceCoalesced(ctx, snap, -1, 2); err == nil {
 		t.Fatal("out-of-range endpoint accepted")
 	}
 }

@@ -30,7 +30,7 @@ func (e *Engine) initHistograms(reg *obs.Registry) {
 	e.stats.blockDur = reg.Histogram("ingrass_solve_block_duration_seconds",
 		"wall-clock latency of blocked multi-RHS solve executions", obs.ScaleSeconds)
 	e.stats.solveIterH = reg.Histogram("ingrass_solve_iterations",
-		"outer FCG iterations per solve column", obs.ScaleNone)
+		"CG iterations per solve column", obs.ScaleNone)
 	blockFill := reg.Histogram("ingrass_batch_block_fill",
 		"right-hand sides per executed blocked group", obs.ScaleNone)
 	e.opts.Batch.OnGroup = func(w int) { blockFill.Observe(int64(w)) }
@@ -53,7 +53,7 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 		reg.CounterFunc(name, help, func() float64 { return float64(load()) }, labels...)
 	}
 	ctr("ingrass_solves_total", "completed Laplacian solve columns", e.stats.solves.Load)
-	ctr("ingrass_solve_iterations_total", "cumulative outer FCG iterations", e.stats.solveIters.Load)
+	ctr("ingrass_solve_iterations_total", "cumulative CG iterations", e.stats.solveIters.Load)
 	ctr("ingrass_solve_failures_total", "solves by failure mode",
 		e.stats.solveNoConv.Load, obs.Label{Key: "mode", Value: "no_convergence"})
 	ctr("ingrass_solve_failures_total", "solves by failure mode",
@@ -110,7 +110,7 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 		func() float64 { return float64(e.stats.maintLastGen.Load()) })
 	reg.GaugeFunc("ingrass_maintenance_target_cond", "target condition number of the current setup basis (density knob position)",
 		func() float64 { return math.Float64frombits(e.stats.maintTargetCond.Load()) })
-	reg.GaugeFunc("ingrass_maintenance_iteration_trend", "mean outer FCG iterations per solve over the latest evaluation window",
+	reg.GaugeFunc("ingrass_maintenance_iteration_trend", "mean CG iterations per solve over the latest evaluation window",
 		func() float64 { return math.Float64frombits(e.stats.maintIterTrend.Load()) })
 	reg.GaugeFunc("ingrass_maintenance_kappa", "latest periodic condition-number estimate",
 		func() float64 { return math.Float64frombits(e.stats.maintKappa.Load()) })
@@ -131,14 +131,14 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 		opFmt(solver.FormatSELL), obs.Label{Key: "format", Value: "sell"})
 	reg.GaugeFunc("ingrass_operator_sell_padding_ratio", "padding fraction of the SELL-frozen operator (0 under CSR)",
 		func() float64 { return math.Float64frombits(e.stats.opPadding.Load()) })
-	reg.GaugeFunc("ingrass_precond_factored", "1 when the served generation preconditions with an exact LDLT factor of H, 0 for the truncated inner solve",
+	reg.GaugeFunc("ingrass_precond_factored", "1 when the served generation preconditions with an exact LDLT factor of H, 0 when it uses the Jacobi diagonal of G",
 		func() float64 {
 			if e.stats.precondFactored.Load() {
 				return 1
 			}
 			return 0
 		})
-	reg.GaugeFunc("ingrass_precond_factor_nnz", "entries stored in the served generation's LDLT factor of H (0 for the truncated inner solve)",
+	reg.GaugeFunc("ingrass_precond_factor_nnz", "entries stored in the served generation's LDLT factor of H (0 in the Jacobi regime)",
 		func() float64 { return float64(e.stats.precondFactorNNZ.Load()) })
 	reg.GaugeFunc("ingrass_operator_arena_reserved_bytes", "arena bytes reserved by the served generation's frozen operators",
 		func() float64 { return float64(e.stats.arenaBytes.Load()) })

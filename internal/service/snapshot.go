@@ -6,13 +6,11 @@ import (
 	"sync"
 	"time"
 
-	"ingrass/internal/batch"
 	"ingrass/internal/cond"
 	"ingrass/internal/graph"
 	"ingrass/internal/precond"
 	"ingrass/internal/solver"
 	"ingrass/internal/sparse"
-	"ingrass/internal/vecmath"
 )
 
 // Snapshot is one immutable generation of the service's state: copy-on-write
@@ -32,12 +30,11 @@ type Snapshot struct {
 	stats *Stats
 	sopts solver.Options
 
-	// The factorized preconditioner and the frozen, projected system
-	// operator are built on first use and shared by every subsequent solve
-	// on this generation — the "skip setup on repeated solves" cache.
+	// The factorized preconditioner and the frozen system operator are
+	// built on first use and shared by every subsequent solve on this
+	// generation — the "skip setup on repeated solves" cache.
 	once    sync.Once
 	gop     *sparse.LapOperator
-	proj    *sparse.ProjectedOperator
 	fact    *precond.Factorization
 	factErr error
 }
@@ -59,16 +56,9 @@ func (s *Snapshot) ensureFactorized() error {
 			gop.SetSpMVObserver(f)
 		}
 		s.gop = gop
-		s.proj = &sparse.ProjectedOperator{Inner: gop}
 		s.fact, s.factErr = precond.Factorize(s.H, s.sopts)
 		if s.factErr == nil {
-			hop := s.fact.Operator() // nil when H is factored exactly
-			if hop != nil {
-				if f := s.stats.spmvObserver(hop.Format()); f != nil {
-					hop.SetSpMVObserver(f)
-				}
-			}
-			s.stats.noteOperators(gop, hop)
+			s.stats.noteOperator(gop)
 			s.stats.notePrecond(s.fact)
 		}
 		s.stats.precondBuilds.Add(1)
@@ -89,14 +79,15 @@ type SolveStats struct {
 }
 
 // SolveInto computes x = L_G^+ b against this snapshot via sparsifier-
-// preconditioned flexible CG, writing the solution into the caller-provided
-// x. It is a width-1 call into the same blocked solver SolveBlockInto runs,
-// so column j of any block equals a SolveInto of b[j] bit for bit. It is
-// safe to call from any number of goroutines; each call checks a pooled,
-// goroutine-confined solve state out of the shared factorization, so the
-// warm path allocates nothing. opts overrides the engine solve defaults
-// field-wise for this request; ctx aborts the solve within one iteration
-// of cancellation (partial stats are still returned).
+// preconditioned CG (see precond.Factorization.Solve), writing the
+// solution into the caller-provided x. It is a width-1 call into the same
+// blocked solver SolveBlockInto runs, so column j of any block equals a
+// SolveInto of b[j] bit for bit. It is safe to call from any number of
+// goroutines; each call checks a pooled, goroutine-confined solve state out
+// of the shared factorization, so the warm path allocates nothing. opts
+// overrides the engine solve defaults field-wise for this request; ctx
+// aborts the solve within one iteration of cancellation (partial stats are
+// still returned).
 func (s *Snapshot) SolveInto(ctx context.Context, x, b []float64, opts solver.Options) (SolveStats, error) {
 	if err := s.checkColumn(x, b); err != nil {
 		return SolveStats{}, err
@@ -105,7 +96,7 @@ func (s *Snapshot) SolveInto(ctx context.Context, x, b []float64, opts solver.Op
 		return SolveStats{}, err
 	}
 	start := time.Now()
-	res, err := s.fact.Solve(ctx, s.proj, x, b, opts)
+	res, err := s.fact.Solve(ctx, s.gop, x, b, opts)
 	s.recordSolve(res.Outer.Iterations, time.Since(start), err)
 	return SolveStats{
 		Generation:  s.Gen,
@@ -142,17 +133,17 @@ func (s *Snapshot) recordSolve(iters int, elapsed time.Duration, err error) {
 // BlockSolveStats reports the group-level outcome of one blocked solve.
 type BlockSolveStats struct {
 	Generation uint64
-	// InnerUses counts blocked preconditioner applications — each one is a
-	// sparsifier solve (factor sweeps, or a truncated inner solve) shared by
-	// the whole active column set.
+	// InnerUses counts blocked applications of H's exact factor — each one
+	// a sparsifier solve (one sweep pair) shared by the whole active column
+	// set; 0 when the generation preconditions with G's Jacobi diagonal.
 	InnerUses int
 }
 
 // SolveBlockInto computes x[j] = L_G^+ b[j] for a whole block of right-hand
-// sides in one blocked flexible-CG solve against this snapshot: G's
-// operator and H's factor (or, in the fallback regime, H's operator) are
-// traversed once per iteration for all columns instead of once per column,
-// which is where the batched query engine's throughput comes from.
+// sides in one blocked CG solve against this snapshot: G's operator and
+// H's factor are traversed once per iteration for all columns instead of
+// once per column, which is where the batched query engine's throughput
+// comes from.
 // Per-column outcomes land in out; colCtx optionally cancels single
 // columns (masked without aborting the group — see sparse.BlockSpec).
 // Column j's result is bit-identical to an independent SolveInto of b[j]
@@ -178,7 +169,7 @@ func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out [
 		return BlockSolveStats{}, err
 	}
 	start := time.Now()
-	inner, err := s.fact.SolveBlock(ctx, s.proj, xs, bs, out, colCtx, opts)
+	inner, err := s.fact.SolveBlock(ctx, s.gop, xs, bs, out, colCtx, opts)
 	elapsed := time.Since(start)
 	s.stats.blockDur.Observe(int64(elapsed))
 	for j := 0; j < w; j++ {
@@ -189,31 +180,6 @@ func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out [
 		s.recordSolve(out[j].Iterations, elapsed, cerr)
 	}
 	return BlockSolveStats{Generation: s.Gen, InnerUses: inner}, err
-}
-
-// EffectiveResistance computes the effective resistance between u and v on
-// this snapshot's original graph as a width-1 solve against the cached
-// preconditioner. Scratch comes from the snapshot operator's workspace
-// pool, so warm queries allocate nothing.
-func (s *Snapshot) EffectiveResistance(ctx context.Context, u, v int) (float64, error) {
-	r := batch.Req{U: u, V: v}
-	if !s.pairNeedsSolve(&r) {
-		return 0, r.Err
-	}
-	s.stats.resistQueries.Add(1)
-	if err := s.ensureFactorized(); err != nil {
-		return 0, err
-	}
-	pool := s.gop.Workspaces()
-	ws := pool.Get()
-	defer pool.Put(ws)
-	b := ws.Take()
-	x := ws.Take()
-	vecmath.Basis(b, u, v)
-	if _, err := s.fact.Solve(ctx, s.proj, x, b, solver.Options{}); err != nil {
-		return 0, err
-	}
-	return x[u] - x[v], nil
 }
 
 // ConditionNumber estimates kappa(L_G, L_H) for this snapshot — the

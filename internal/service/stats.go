@@ -67,15 +67,15 @@ type Stats struct {
 
 	// Frozen-operator shape of the generation currently served, recorded at
 	// factorization time: the storage format of the G operator, its SELL
-	// padding ratio (Float64bits), and the arena bytes reserved across the
-	// G and H operators (0 when CSR-frozen, which allocates on the heap).
+	// padding ratio (Float64bits), and the arena bytes it reserves (0 when
+	// CSR-frozen, which allocates on the heap).
 	opFormat   atomic.Uint32
 	opPadding  atomic.Uint64
 	arenaBytes atomic.Uint64
 
 	// Preconditioner regime of the generation currently served, recorded at
 	// factorization time: whether an exact LDLᵀ factor of H serves reads
-	// (false: the truncated inner solve), and the factor's stored entries.
+	// (false: G's Jacobi diagonal does), and the factor's stored entries.
 	precondFactored  atomic.Bool
 	precondFactorNNZ atomic.Uint64
 
@@ -93,7 +93,7 @@ type Stats struct {
 	// a few predicted branches.
 	solveDur   *obs.Histogram // per single-RHS solve, ns
 	blockDur   *obs.Histogram // per blocked multi-RHS execution, ns
-	solveIterH *obs.Histogram // outer FCG iterations per solve column
+	solveIterH *obs.Histogram // CG iterations per solve column
 
 	// Per-format SpMV duration histograms; frozen operators of each format
 	// feed their own series, so /metrics attributes kernel time to the
@@ -121,17 +121,12 @@ func (s *Stats) noteMaintTrigger(r MaintReason) {
 	}
 }
 
-// noteOperators records the frozen shape of a generation's operators after
-// factorization. hop is nil when H is factored exactly and keeps no
-// operator.
-func (s *Stats) noteOperators(gop, hop *sparse.LapOperator) {
+// noteOperator records the frozen shape of a generation's operator of G
+// after factorization.
+func (s *Stats) noteOperator(gop *sparse.LapOperator) {
 	s.opFormat.Store(uint32(gop.Format()))
 	s.opPadding.Store(math.Float64bits(gop.PaddingRatio()))
 	_, reserved, _ := gop.ArenaStats()
-	if hop != nil {
-		_, hr, _ := hop.ArenaStats()
-		reserved += hr
-	}
 	s.arenaBytes.Store(uint64(reserved))
 }
 
@@ -176,8 +171,8 @@ func (s *Stats) recordSolveOutcome(err error) {
 type StatsView struct {
 	// Generation is the snapshot generation currently being served.
 	Generation uint64 `json:"generation"`
-	// Solves counts completed Laplacian solves; SolveIters their total
-	// outer FCG iterations.
+	// Solves counts completed Laplacian solves; SolveIters their total CG
+	// iterations.
 	Solves     uint64 `json:"solves"`
 	SolveIters uint64 `json:"solve_iters"`
 	// PrecondBuilds counts preconditioner factorizations; PrecondReuses
@@ -212,15 +207,17 @@ type StatsView struct {
 	// OperatorFormat names the frozen sparse layout ("csr" or "sell") of the
 	// generation currently served; OperatorPaddingRatio its SELL padding
 	// fraction (0 for CSR) and OperatorArenaBytes the arena bytes reserved
-	// across the G and H operators (0 when CSR-frozen; H has no operator
-	// when it is factored exactly).
+	// by the G operator (0 when CSR-frozen; H keeps no operator, only its
+	// factor).
 	OperatorFormat       string  `json:"operator_format"`
 	OperatorPaddingRatio float64 `json:"operator_padding_ratio"`
 	OperatorArenaBytes   uint64  `json:"operator_arena_bytes"`
 	// PrecondFactored is true when the generation currently served
-	// preconditions reads with an exact LDLᵀ factor of H, false when it
-	// runs the truncated inner solve; PrecondFactorNNZ is the factor's
-	// stored entries (0 for the truncated inner solve).
+	// preconditions reads with an exact LDLᵀ factor of H, false when
+	// elimination stopped at the pivot-degree cap and reads precondition
+	// with G's Jacobi diagonal (PrecondUses then reads 0);
+	// PrecondFactorNNZ is the factor's stored entries (0 in that Jacobi
+	// regime).
 	PrecondFactored  bool   `json:"precond_factored"`
 	PrecondFactorNNZ uint64 `json:"precond_factor_nnz"`
 	// WALAppends / WALBytes count batches logged to the write-ahead log and

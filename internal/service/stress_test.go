@@ -117,7 +117,7 @@ func TestStressConcurrentReadersLiveWriter(t *testing.T) {
 					solvesDone.Add(1)
 				case 2:
 					u, v := (id*7+iter)%n, (id*13+iter*3)%n
-					res, err := snap.EffectiveResistance(context.Background(), u, v)
+					res, err := e.ResistanceCoalesced(context.Background(), snap, u, v)
 					if err != nil || (u != v && !(res > 0)) || math.IsNaN(res) {
 						readErrors.Add(1)
 						return

@@ -8,7 +8,7 @@
 // point:
 //
 //   - a context.Context (cancellation / deadline, checked once per
-//     iteration by CG, flexible CG, and Lanczos),
+//     iteration by CG and Lanczos),
 //   - an Options value (tolerances, iteration budgets, worker counts),
 //   - a *Workspace checked out from a Pool owned by the long-lived
 //     operator or factorization the solve runs against.
@@ -51,27 +51,17 @@ func CheckCancel(ctx context.Context) error {
 }
 
 // Options is the one knob set for the whole solver stack. A zero value
-// means "all defaults". The same struct configures the outer solve (Tol,
-// MaxIter), the preconditioner's truncated inner solve (InnerTol,
-// InnerIters — used only when the sparsifier is not factored exactly, see
-// package precond), and operator parallelism (Workers), so a request body
-// like {"tol": 1e-6, "max_iter": 500} reaches the innermost loop without
-// translation layers.
+// means "all defaults". The same struct configures the CG loop (Tol,
+// MaxIter) and operator parallelism and layout (Workers, Format), so a
+// request body like {"tol": 1e-6, "max_iter": 500} reaches the CG loop
+// without translation layers.
 type Options struct {
 	// Tol is the relative residual target ||r|| <= Tol*||b||. Default 1e-8.
 	Tol float64
-	// MaxIter bounds outer iterations. If 0, a default of 10*n clamped to
+	// MaxIter bounds CG iterations. If 0, a default of 10*n clamped to
 	// [50, 20000] is derived; an explicit caller-supplied value is used
 	// verbatim and never clamped.
 	MaxIter int
-	// InnerTol is the relative-residual target of the preconditioner's
-	// truncated inner solve, which runs only when the sparsifier is not
-	// factored exactly. Default 1e-2 — the outer flexible CG tolerates
-	// loose inner solves.
-	InnerTol float64
-	// InnerIters caps the inner solve's iterations per preconditioner
-	// application. Default 25.
-	InnerIters int
 	// Workers bounds goroutines for parallel operator application; 0 means
 	// serial. It is honored at operator/factorization construction time:
 	// shared factorizations freeze their worker count, so a per-request
@@ -139,12 +129,6 @@ func (o Options) WithDefaults(n int) Options {
 		}
 		o.MaxIter = m
 	}
-	if o.InnerTol <= 0 {
-		o.InnerTol = 1e-2
-	}
-	if o.InnerIters <= 0 {
-		o.InnerIters = 25
-	}
 	return o
 }
 
@@ -157,12 +141,6 @@ func (o Options) Override(req Options) Options {
 	if req.MaxIter > 0 {
 		o.MaxIter = req.MaxIter
 	}
-	if req.InnerTol > 0 {
-		o.InnerTol = req.InnerTol
-	}
-	if req.InnerIters > 0 {
-		o.InnerIters = req.InnerIters
-	}
 	if req.Workers > 0 {
 		o.Workers = req.Workers
 	}
@@ -170,11 +148,4 @@ func (o Options) Override(req Options) Options {
 		o.Format = req.Format
 	}
 	return o
-}
-
-// Inner derives the option set for the preconditioner's truncated inner
-// solve. Call it on an Options that already has defaults applied, so
-// InnerIters/InnerTol are set.
-func (o Options) Inner() Options {
-	return Options{Tol: o.InnerTol, MaxIter: o.InnerIters, Workers: o.Workers, Format: o.Format}
 }

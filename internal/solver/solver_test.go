@@ -15,9 +15,6 @@ func TestWithDefaultsDerived(t *testing.T) {
 	if o.MaxIter != 1000 {
 		t.Fatalf("derived MaxIter %d, want 1000", o.MaxIter)
 	}
-	if o.InnerTol != 1e-2 || o.InnerIters != 25 {
-		t.Fatalf("inner defaults %g/%d", o.InnerTol, o.InnerIters)
-	}
 	if got := (Options{}).WithDefaults(2).MaxIter; got != 50 {
 		t.Fatalf("small-n floor %d, want 50", got)
 	}
@@ -40,15 +37,14 @@ func TestWithDefaultsExplicitMaxIterNotClamped(t *testing.T) {
 	}
 }
 
-func TestOverrideAndInner(t *testing.T) {
-	base := Options{Tol: 1e-8, MaxIter: 100, InnerTol: 1e-2, InnerIters: 25, Workers: 4}
-	eff := base.Override(Options{Tol: 1e-4, InnerIters: 7})
-	if eff.Tol != 1e-4 || eff.MaxIter != 100 || eff.InnerIters != 7 || eff.Workers != 4 {
+func TestOverride(t *testing.T) {
+	base := Options{Tol: 1e-8, MaxIter: 100, Workers: 4, Format: FormatCSR}
+	eff := base.Override(Options{Tol: 1e-4, Format: FormatSELL})
+	if eff.Tol != 1e-4 || eff.MaxIter != 100 || eff.Workers != 4 || eff.Format != FormatSELL {
 		t.Fatalf("override merge wrong: %+v", eff)
 	}
-	in := eff.Inner()
-	if in.Tol != 1e-2 || in.MaxIter != 7 || in.Workers != 4 {
-		t.Fatalf("inner derivation wrong: %+v", in)
+	if eff = base.Override(Options{}); eff != base {
+		t.Fatalf("zero request changed the defaults: %+v", eff)
 	}
 }
 

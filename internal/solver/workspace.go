@@ -7,9 +7,9 @@ import (
 
 // Workspace is a bump allocator over scratch vectors of one fixed length.
 // Solver layers Take vectors as they need them and Release back to a Mark
-// when their frame ends, so nested solves (outer FCG -> preconditioner ->
-// inner CG) reuse the same backing slots on every application instead of
-// growing without bound.
+// when their frame ends, so nested frames (a centered right-hand side, then
+// the CG loop's residual and direction vectors) reuse the same backing
+// slots on every solve instead of growing without bound.
 //
 // A Workspace is goroutine-confined: exactly one solve call tree may use it
 // at a time. Check workspaces out of a Pool for concurrent use.

@@ -27,24 +27,25 @@ type CGResult struct {
 	Converged  bool
 }
 
-// MaxBlockWidth is the widest multi-RHS block the blocked solvers iterate in
+// MaxBlockWidth is the widest multi-RHS block BlockCG iterates in
 // lockstep — bounded by the multi-vector SpMV's per-row accumulator width.
 // Callers with more right-hand sides chunk them into blocks of this size.
 const MaxBlockWidth = graph.MaxMulti
 
 // BlockOperator is implemented by operators that can apply themselves to a
-// whole block of vectors in one structure traversal. The blocked solvers
-// probe for it; operators without it are applied column-by-column.
+// whole block of vectors in one structure traversal. BlockCG probes for
+// it; operators without it are applied column-by-column.
 type BlockOperator interface {
 	Operator
 	ApplyBlock(dst, x [][]float64)
 }
 
-// BlockPreconditioner applies an SPD-like map dst[j] = M^{-1} src[j] to
-// every column of a block. The blocked flexible CG hands its whole active
-// column set to one application, which is what lets an iterative
-// preconditioner (precond's truncated inner solve) amortize its own SpMVs
-// across the block.
+// BlockPreconditioner applies a fixed symmetric positive (semi-)definite
+// map dst[j] = M^{-1} src[j] to every column of a block. BlockCG hands its
+// whole active column set to one application, so a preconditioner that
+// traverses a structure (precond's factor sweeps) does so once for the
+// block. The map must not change between applications: BlockCG's
+// Fletcher-Reeves beta assumes a constant M.
 type BlockPreconditioner interface {
 	PrecondBlock(dst, src [][]float64)
 }
@@ -52,8 +53,8 @@ type BlockPreconditioner interface {
 // ActiveColumnsAware is optionally implemented by a BlockPreconditioner
 // that needs to know which original columns the next PrecondBlock
 // application covers — the active set is compacted as columns converge or
-// cancel, so positional indices alone lose column identity. The blocked
-// solvers call SetActiveColumns immediately before each application with
+// cancel, so positional indices alone lose column identity. BlockCG calls
+// SetActiveColumns immediately before each application with
 // the original column index of each active position; the slice is only
 // valid for the duration of that application. precond's blocked state uses
 // this to attribute inner-solve trace spans to the right request.
@@ -93,7 +94,7 @@ type BlockScratch struct {
 	cctx              []context.Context
 	col               []int // active slot -> original column index
 
-	normB, target, rz, rnSq, alpha, beta, s1, s2 []float64
+	normB, target, rz, rnSq, alpha, beta, s1 []float64
 }
 
 func (sc *BlockScratch) ensure(w int) {
@@ -108,11 +109,11 @@ func (sc *BlockScratch) ensure(w int) {
 	sc.ap = make([][]float64, w)
 	sc.cctx = make([]context.Context, w)
 	sc.col = make([]int, w)
-	f := make([]float64, 8*w)
+	f := make([]float64, 7*w)
 	sc.normB, sc.target = f[0:w], f[w:2*w]
 	sc.rz, sc.rnSq = f[2*w:3*w], f[3*w:4*w]
 	sc.alpha, sc.beta = f[4*w:5*w], f[5*w:6*w]
-	sc.s1, sc.s2 = f[6*w:7*w], f[7*w:8*w]
+	sc.s1 = f[6*w : 7*w]
 }
 
 // drop swaps active slot i with the last active slot and shrinks the active
@@ -135,7 +136,6 @@ func (sc *BlockScratch) drop(i, m int) int {
 	sc.alpha[i], sc.alpha[l] = sc.alpha[l], sc.alpha[i]
 	sc.beta[i], sc.beta[l] = sc.beta[l], sc.beta[i]
 	sc.s1[i], sc.s1[l] = sc.s1[l], sc.s1[i]
-	sc.s2[i], sc.s2[l] = sc.s2[l], sc.s2[i]
 	return l
 }
 
@@ -155,30 +155,30 @@ func blockApply(a Operator) func(dst, x [][]float64) {
 // workspace against an operator and returns the width. Every rejection
 // wraps ErrDimension, so a mis-sized input is an error, never a panic
 // inside the SpMV.
-func checkBlock(name string, a Operator, spec BlockSpec, ws *solver.Workspace) (int, error) {
+func checkBlock(a Operator, spec BlockSpec, ws *solver.Workspace) (int, error) {
 	n := a.Dim()
 	w := len(spec.X)
 	if len(spec.B) != w || len(spec.Out) != w {
-		return 0, fmt.Errorf("%w: %s block widths X=%d B=%d Out=%d", ErrDimension, name, w, len(spec.B), len(spec.Out))
+		return 0, fmt.Errorf("%w: BlockCG block widths X=%d B=%d Out=%d", ErrDimension, w, len(spec.B), len(spec.Out))
 	}
 	if w > MaxBlockWidth {
-		return 0, fmt.Errorf("%w: %s width %d exceeds MaxBlockWidth=%d", ErrDimension, name, w, MaxBlockWidth)
+		return 0, fmt.Errorf("%w: BlockCG width %d exceeds MaxBlockWidth=%d", ErrDimension, w, MaxBlockWidth)
 	}
 	if spec.ColCtx != nil && len(spec.ColCtx) != w {
-		return 0, fmt.Errorf("%w: %s ColCtx length %d != width %d", ErrDimension, name, len(spec.ColCtx), w)
+		return 0, fmt.Errorf("%w: BlockCG ColCtx length %d != width %d", ErrDimension, len(spec.ColCtx), w)
 	}
 	if ws != nil && ws.Dim() != n {
-		return 0, fmt.Errorf("%w: %s workspace dim %d != n=%d", ErrDimension, name, ws.Dim(), n)
+		return 0, fmt.Errorf("%w: BlockCG workspace dim %d != n=%d", ErrDimension, ws.Dim(), n)
 	}
 	for j := 0; j < w; j++ {
 		if len(spec.X[j]) != n || len(spec.B[j]) != n {
-			return 0, fmt.Errorf("%w: %s column %d dims x=%d b=%d n=%d", ErrDimension, name, j, len(spec.X[j]), len(spec.B[j]), n)
+			return 0, fmt.Errorf("%w: BlockCG column %d dims x=%d b=%d n=%d", ErrDimension, j, len(spec.X[j]), len(spec.B[j]), n)
 		}
 	}
 	return w, nil
 }
 
-// enterBlock runs the shared solve prologue: per-column norms, zero-rhs
+// enterBlock runs the solve prologue: per-column norms, zero-rhs
 // short-circuits, scratch take-out, and the initial residual block
 // r[j] = b[j] - A x[j]. It returns the active column count (compacted into
 // sc's slot arrays).
@@ -269,7 +269,7 @@ func BlockCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPrecondit
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	w, err := checkBlock("BlockCG", a, spec, ws)
+	w, err := checkBlock(a, spec, ws)
 	if err != nil {
 		return err
 	}
@@ -373,164 +373,19 @@ func BlockCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPrecondit
 		} else {
 			copy(sc.s1[:m], sc.rnSq[:m]) // z aliases r: z'r is the norm just computed
 		}
-		for i := 0; i < m; i++ {
-			sc.beta[i] = sc.s1[i] / sc.rz[i]
-			sc.rz[i] = sc.s1[i]
-		}
-		kp.XPBYIntoMulti(sc.p[:m], sc.z[:m], sc.beta[:m])
-	}
-	for i := 0; i < m; i++ {
-		spec.Out[sc.col[i]].Err = ErrNoConvergence
-	}
-	return nil
-}
-
-// BlockFlexibleCG is flexible (Polak-Ribiere) preconditioned conjugate
-// gradients over a block of right-hand sides in lockstep — the package's
-// one flexible-CG implementation. Unlike standard PCG it tolerates an
-// inexact, iteration-varying preconditioner (a truncated CG on a
-// sparsifier Laplacian, exactly the setting of sparsifier-preconditioned
-// solvers), and it hands that preconditioner the whole active column set
-// per application, so a truncated inner solve (precond's inner BlockCG)
-// traverses its sparsifier CSR once per inner iteration for the entire
-// block. Column independence, masking, arguments, and context semantics
-// match BlockCG.
-func BlockFlexibleCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPreconditioner, ws *solver.Workspace, sc *BlockScratch, opts solver.Options) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w, err := checkBlock("BlockFlexibleCG", a, spec, ws)
-	if err != nil {
-		return err
-	}
-	if w == 0 {
-		return nil
-	}
-	if err := solver.CheckCancel(ctx); err != nil {
-		for j := range spec.Out {
-			spec.Out[j] = ColumnResult{Err: err}
-		}
-		return err
-	}
-	o := opts.WithDefaults(a.Dim())
-	kp := KernelsOf(a)
-	apply := blockApply(a)
-	if ws == nil {
-		ws = solver.NewWorkspace(a.Dim())
-	}
-	if sc == nil {
-		sc = &BlockScratch{}
-	}
-	sc.ensure(w)
-
-	colsAware, _ := pre.(ActiveColumnsAware)
-	applyPre := func(dst, src [][]float64, cols []int) {
-		if pre != nil {
-			if colsAware != nil {
-				colsAware.SetActiveColumns(cols)
-			}
-			pre.PrecondBlock(dst, src)
-		} else {
-			for j := range dst {
-				copy(dst[j], src[j])
-			}
-		}
-	}
-
-	mark := ws.Mark()
-	defer ws.Release(mark)
-
-	m := enterBlock(a, spec, ws, sc, o.Tol, false)
-	if m == 0 {
-		return nil
-	}
-
-	applyPre(sc.z[:m], sc.r[:m], sc.col[:m])
-	for i := 0; i < m; i++ {
-		copy(sc.p[i], sc.z[i])
-	}
-	kp.DotNormMulti(sc.z[:m], sc.r[:m], sc.rz[:m], sc.rnSq[:m])
-	for i := m - 1; i >= 0; i-- {
-		rn := math.Sqrt(sc.rnSq[i])
-		out := &spec.Out[sc.col[i]]
-		out.Residual = rn / sc.normB[i]
-		if rn <= sc.target[i] {
-			out.Converged = true
-			m = sc.drop(i, m)
-		}
-	}
-
-	for k := 0; k < o.MaxIter && m > 0; k++ {
-		if err := solver.CheckCancel(ctx); err != nil {
-			failBlock(spec, sc, m, err)
-			return err
-		}
-		if m = maskCancelled(spec, sc, m); m == 0 {
-			break
-		}
-		apply(sc.ap[:m], sc.p[:m])
-		kp.DotMulti(sc.p[:m], sc.ap[:m], sc.s1[:m])
 		for i := m - 1; i >= 0; i-- {
-			pap := sc.s1[i]
-			if pap <= 0 || math.IsNaN(pap) {
-				out := &spec.Out[sc.col[i]]
-				out.Iterations = k
-				out.Residual = math.Sqrt(sc.rnSq[i]) / sc.normB[i]
-				// A cancellation landing inside the iterative preconditioner
-				// leaves a degenerate direction; classify it as cancellation,
-				// not breakdown.
-				if c := sc.cctx[i]; c != nil && solver.CheckCancel(c) != nil {
-					out.Err = solver.CheckCancel(c)
-				} else if err := solver.CheckCancel(ctx); err != nil {
-					out.Err = err
-				} else {
-					out.Err = fmt.Errorf("sparse: BlockFlexibleCG breakdown, p'Ap = %g at iteration %d (column %d)", pap, k, sc.col[i])
-				}
+			rz := sc.s1[i]
+			if rz <= 0 || math.IsNaN(rz) {
+				// A singular preconditioner (an exact factor of a
+				// disconnected sparsifier under a connected system) leaves
+				// directions CG cannot reach: stop instead of spinning to
+				// MaxIter.
+				spec.Out[sc.col[i]].Err = fmt.Errorf("sparse: BlockCG preconditioner not positive, r'z = %g at iteration %d (column %d)", rz, k, sc.col[i])
 				m = sc.drop(i, m)
 				continue
 			}
-			sc.alpha[i] = sc.rz[i] / pap
-		}
-		if m == 0 {
-			break
-		}
-		kp.AXPY2Multi(sc.x[:m], sc.r[:m], sc.alpha[:m], sc.p[:m], sc.ap[:m], sc.rnSq[:m])
-		for i := m - 1; i >= 0; i-- {
-			rn := math.Sqrt(sc.rnSq[i])
-			out := &spec.Out[sc.col[i]]
-			out.Iterations = k + 1
-			out.Residual = rn / sc.normB[i]
-			if rn <= sc.target[i] {
-				out.Converged = true
-				m = sc.drop(i, m)
-			}
-		}
-		if m == 0 {
-			break
-		}
-		applyPre(sc.z[:m], sc.r[:m], sc.col[:m])
-		// Polak-Ribiere per column: r - rPrev = -alpha*ap by construction,
-		// so beta = -alpha * z'ap / (z_prev' r_prev) — one fused pass yields
-		// both products, and no rPrev copy is ever kept.
-		kp.Dot2Multi(sc.z[:m], sc.ap[:m], sc.r[:m], sc.s1[:m], sc.s2[:m])
-		for i := m - 1; i >= 0; i-- {
-			beta := -sc.alpha[i] * sc.s1[i] / sc.rz[i]
-			if beta < 0 {
-				beta = 0 // restart direction on loss of conjugacy
-			}
-			sc.beta[i] = beta
-			sc.rz[i] = sc.s2[i]
-			if sc.rz[i] <= 0 || math.IsNaN(sc.rz[i]) {
-				out := &spec.Out[sc.col[i]]
-				if c := sc.cctx[i]; c != nil && solver.CheckCancel(c) != nil {
-					out.Err = solver.CheckCancel(c)
-				} else if err := solver.CheckCancel(ctx); err != nil {
-					out.Err = err
-				} else {
-					out.Err = fmt.Errorf("sparse: BlockFlexibleCG preconditioner not positive at iteration %d (column %d)", k, sc.col[i])
-				}
-				m = sc.drop(i, m)
-			}
+			sc.beta[i] = rz / sc.rz[i]
+			sc.rz[i] = rz
 		}
 		if m == 0 {
 			break

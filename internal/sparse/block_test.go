@@ -42,29 +42,25 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// cg1 runs a width-1 BlockCG (or BlockFlexibleCG) of a x = b and returns
-// the column's stats with the error a single right-hand-side caller sees:
-// the structural or whole-block error if any, else the column's own.
-func cg1(ctx context.Context, flexible bool, a Operator, x, b []float64, pre BlockPreconditioner, opts solver.Options) (CGResult, error) {
+// cg1 runs a width-1 BlockCG of a x = b and returns the column's stats
+// with the error a single right-hand-side caller sees: the structural or
+// whole-block error if any, else the column's own.
+func cg1(ctx context.Context, a Operator, x, b []float64, pre BlockPreconditioner, opts solver.Options) (CGResult, error) {
 	out := make([]ColumnResult, 1)
-	run := BlockCG
-	if flexible {
-		run = BlockFlexibleCG
-	}
-	err := run(ctx, a, BlockSpec{X: [][]float64{x}, B: [][]float64{b}, Out: out}, pre, nil, nil, opts)
+	err := BlockCG(ctx, a, BlockSpec{X: [][]float64{x}, B: [][]float64{b}, Out: out}, pre, nil, nil, opts)
 	if err == nil {
 		err = out[0].Err
 	}
 	return out[0].CGResult, err
 }
 
-// columnsMatchWidthOne is the one-path acceptance property: column j of a
-// width-w block must be bit-for-bit the solve a width-1 block of b[j]
-// produces — same iterate, same iteration count, same residual, same
-// outcome. The graphs straddle the pooled-SpMV cutover (the 80x80 grid is
-// above it), so with workers > 1 the width-1 pooled LapMul route is checked
-// against the pooled multi-column kernel.
-func columnsMatchWidthOne(t *testing.T, flexible bool) {
+// TestBlockCGWidthOneBitIdentical is the one-path acceptance property:
+// column j of a width-w block must be bit-for-bit the solve a width-1 block
+// of b[j] produces — same iterate, same iteration count, same residual,
+// same outcome. The graphs straddle the pooled-SpMV cutover (the 80x80 grid
+// is above it), so with workers > 1 the width-1 pooled LapMul route is
+// checked against the pooled multi-column kernel.
+func TestBlockCGWidthOneBitIdentical(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	const w = 5
@@ -83,16 +79,12 @@ func columnsMatchWidthOne(t *testing.T, flexible bool) {
 				bs := blockRHS(n, w, uint64(gi+1))
 				xs := zeroBlock(n, w)
 				out := make([]ColumnResult, w)
-				run := BlockCG
-				if flexible {
-					run = BlockFlexibleCG
-				}
-				if err := run(context.Background(), proj, BlockSpec{X: xs, B: bs, Out: out}, pre, nil, nil, opts); err != nil {
+				if err := BlockCG(context.Background(), proj, BlockSpec{X: xs, B: bs, Out: out}, pre, nil, nil, opts); err != nil {
 					t.Fatalf("graph %d workers %d pre %v: block solve: %v", gi, workers, usePre, err)
 				}
 				for j := 0; j < w; j++ {
 					solo := make([]float64, n)
-					res, err := cg1(context.Background(), flexible, proj, solo, bs[j], pre, opts)
+					res, err := cg1(context.Background(), proj, solo, bs[j], pre, opts)
 					if !bitsEqual(solo, xs[j]) {
 						t.Fatalf("graph %d workers %d pre %v column %d: iterate differs from width-1 solve", gi, workers, usePre, j)
 					}
@@ -111,14 +103,6 @@ func columnsMatchWidthOne(t *testing.T, flexible bool) {
 		}
 	}
 }
-
-// TestBlockCGWidthOneBitIdentical: every column of a BlockCG block equals
-// the width-1 BlockCG of its right-hand side, bit for bit.
-func TestBlockCGWidthOneBitIdentical(t *testing.T) { columnsMatchWidthOne(t, false) }
-
-// TestBlockFlexibleCGWidthOneBitIdentical pins the same property for the
-// flexible variant (the outer loop of every preconditioned service solve).
-func TestBlockFlexibleCGWidthOneBitIdentical(t *testing.T) { columnsMatchWidthOne(t, true) }
 
 // TestBlockCGMaskedMatchesIndependent is the masking property: columns of a
 // blocked solve with per-column convergence masking must match independent
@@ -157,7 +141,7 @@ func TestBlockCGMaskedMatchesIndependent(t *testing.T) {
 			iters[out[j].Iterations] = true
 
 			solo := make([]float64, n)
-			res, err := cg1(context.Background(), false, proj, solo, bs[j], op.Jacobi(), opts)
+			res, err := cg1(context.Background(), proj, solo, bs[j], op.Jacobi(), opts)
 			if err != nil {
 				t.Fatalf("seed %d column %d solo: %v", seed, j, err)
 			}
@@ -268,12 +252,10 @@ func TestBlockSolversRejectMisSizedWorkspace(t *testing.T) {
 	g := gridGraph(5, 5)
 	proj := &ProjectedOperator{Inner: NewLapOperator(g)}
 	n := g.NumNodes()
-	for _, run := range []func(context.Context, Operator, BlockSpec, BlockPreconditioner, *solver.Workspace, *BlockScratch, solver.Options) error{BlockCG, BlockFlexibleCG} {
-		out := make([]ColumnResult, 1)
-		spec := BlockSpec{X: zeroBlock(n, 1), B: blockRHS(n, 1, 2), Out: out}
-		err := run(context.Background(), proj, spec, nil, solver.NewWorkspace(n-3), nil, solver.Options{})
-		if !errors.Is(err, ErrDimension) {
-			t.Fatalf("mis-sized workspace: want ErrDimension, got %v", err)
-		}
+	out := make([]ColumnResult, 1)
+	spec := BlockSpec{X: zeroBlock(n, 1), B: blockRHS(n, 1, 2), Out: out}
+	err := BlockCG(context.Background(), proj, spec, nil, solver.NewWorkspace(n-3), nil, solver.Options{})
+	if !errors.Is(err, ErrDimension) {
+		t.Fatalf("mis-sized workspace: want ErrDimension, got %v", err)
 	}
 }

@@ -44,7 +44,7 @@ func TestCGCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	x := make([]float64, op.Dim())
-	res, err := cg1(ctx, false, op, x, b, nil, solver.Options{})
+	res, err := cg1(ctx, op, x, b, nil, solver.Options{})
 	if !errors.Is(err, solver.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCancelled/context.Canceled, got %v", err)
 	}
@@ -62,7 +62,7 @@ func TestCGCancelMidSolve(t *testing.T) {
 	// Apply #1 is the initial residual; apply #4 lands inside iteration 3.
 	co := &cancellingOperator{inner: op, cancel: cancel, at: 4}
 	x := make([]float64, op.Dim())
-	res, err := cg1(ctx, false, co, x, b, nil, solver.Options{Tol: 1e-14})
+	res, err := cg1(ctx, co, x, b, nil, solver.Options{Tol: 1e-14})
 	if !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
@@ -71,74 +71,6 @@ func TestCGCancelMidSolve(t *testing.T) {
 	}
 	if res.Iterations == 0 {
 		t.Fatal("BlockCG should have completed the in-flight iterations before the cancel")
-	}
-}
-
-func TestFlexibleCGCancelMidSolve(t *testing.T) {
-	op, b := slowGrid(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	co := &cancellingOperator{inner: op, cancel: cancel, at: 4}
-	x := make([]float64, op.Dim())
-	res, err := cg1(ctx, true, co, x, b, nil, solver.Options{Tol: 1e-14})
-	if !errors.Is(err, solver.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
-	}
-	if res.Iterations > 4 {
-		t.Fatalf("BlockFlexibleCG ran %d iterations past a cancel at apply 4", res.Iterations)
-	}
-}
-
-func TestFlexibleCGCancelledBeforeStart(t *testing.T) {
-	op, b := slowGrid(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x := make([]float64, op.Dim())
-	res, err := cg1(ctx, true, op, x, b, nil, solver.Options{})
-	if !errors.Is(err, solver.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
-	}
-	if res.Iterations != 0 {
-		t.Fatalf("pre-cancelled BlockFlexibleCG ran %d iterations", res.Iterations)
-	}
-}
-
-// cancellingPrecond mimics a truncated inner solve whose context is
-// cancelled mid-application: it cancels and leaves dst zeroed, exactly
-// what precond's inner solve produces when the inner BlockCG aborts before
-// its first iteration.
-type cancellingPrecond struct {
-	cancel context.CancelFunc
-	at     int
-	count  int
-}
-
-func (c *cancellingPrecond) PrecondBlock(dst, src [][]float64) {
-	c.count++
-	for j := range dst {
-		if c.count >= c.at {
-			c.cancel()
-			vecmath.Zero(dst[j])
-			continue
-		}
-		copy(dst[j], src[j])
-	}
-}
-
-// TestFlexibleCGCancelInsidePreconditioner is the regression test for the
-// misclassification bug: a cancellation landing inside the preconditioner
-// leaves z = 0, which used to surface as a spurious "preconditioner not
-// positive" breakdown (mapped to HTTP 422) instead of ErrCancelled
-// (408/499). Run as a width-1 BlockFlexibleCG.
-func TestFlexibleCGCancelInsidePreconditioner(t *testing.T) {
-	op, b := slowGrid(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	pre := &cancellingPrecond{cancel: cancel, at: 3}
-	x := make([]float64, op.Dim())
-	_, err := cg1(ctx, true, op, x, b, pre, solver.Options{Tol: 1e-14})
-	if !errors.Is(err, solver.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
 	}
 }
 

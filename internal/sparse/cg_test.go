@@ -46,7 +46,7 @@ func TestCGSolvesSPDDense(t *testing.T) {
 	b := make([]float64, n)
 	vecmath.NewRNG(1).FillNormal(b)
 	x := make([]float64, n)
-	res, err := cg1(context.Background(), false, op, x, b, nil, solver.Options{})
+	res, err := cg1(context.Background(), op, x, b, nil, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCGSolvesSPDDense(t *testing.T) {
 func TestCGZeroRHS(t *testing.T) {
 	op := &FuncOperator{N: 3, Fn: func(dst, x []float64) { copy(dst, x) }}
 	x := []float64{1, 2, 3}
-	res, err := cg1(context.Background(), false, op, x, make([]float64, 3), nil, solver.Options{})
+	res, err := cg1(context.Background(), op, x, make([]float64, 3), nil, solver.Options{})
 	if err != nil || !res.Converged {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -75,7 +75,7 @@ func TestCGZeroRHS(t *testing.T) {
 
 func TestCGDimensionMismatch(t *testing.T) {
 	op := &FuncOperator{N: 3, Fn: func(dst, x []float64) { copy(dst, x) }}
-	_, err := cg1(context.Background(), false, op, make([]float64, 2), make([]float64, 3), nil, solver.Options{})
+	_, err := cg1(context.Background(), op, make([]float64, 2), make([]float64, 3), nil, solver.Options{})
 	if !errors.Is(err, ErrDimension) {
 		t.Fatalf("want ErrDimension, got %v", err)
 	}
@@ -90,7 +90,7 @@ func TestCGBreakdownOnIndefinite(t *testing.T) {
 	}}
 	b := []float64{1, 0, 0, 0}
 	x := make([]float64, 4)
-	if _, err := cg1(context.Background(), false, op, x, b, nil, solver.Options{}); err == nil {
+	if _, err := cg1(context.Background(), op, x, b, nil, solver.Options{}); err == nil {
 		t.Fatal("expected breakdown error")
 	}
 }
@@ -214,9 +214,9 @@ func TestJacobiSpeedsUpCG(t *testing.T) {
 	proj := &ProjectedOperator{Inner: lop}
 
 	xPlain := make([]float64, g.NumNodes())
-	plain, errPlain := cg1(context.Background(), false, proj, xPlain, b, nil, solver.Options{Tol: 1e-10, MaxIter: 5000})
+	plain, errPlain := cg1(context.Background(), proj, xPlain, b, nil, solver.Options{Tol: 1e-10, MaxIter: 5000})
 	xPre := make([]float64, g.NumNodes())
-	pre, errPre := cg1(context.Background(), false, proj, xPre, b, lop.Jacobi(), solver.Options{Tol: 1e-10, MaxIter: 5000})
+	pre, errPre := cg1(context.Background(), proj, xPre, b, lop.Jacobi(), solver.Options{Tol: 1e-10, MaxIter: 5000})
 	if errPlain != nil || errPre != nil {
 		t.Fatalf("plain err=%v pre err=%v", errPlain, errPre)
 	}

@@ -1,10 +1,11 @@
 // Package sparse provides the iterative linear-algebra substrate: abstract
-// symmetric operators, the blocked conjugate-gradient solvers (BlockCG and
-// BlockFlexibleCG — a single right-hand side is a width-1 block) with Jacobi
-// preconditioning, and Laplacian-specific wrappers that work in the
-// orthogonal complement of the constant vector (a connected Laplacian's
-// null space). Exact effective resistances and condition-number estimates
-// are computed through these solvers.
+// symmetric operators, the one conjugate-gradient loop (BlockCG — a single
+// right-hand side is a width-1 block) with Jacobi preconditioning, and
+// Laplacian-specific wrappers that work in the orthogonal complement of the
+// constant vector (a connected Laplacian's null space). Every solve in the
+// stack runs through BlockCG: exact effective resistances, condition-number
+// estimates, and precond's sparsifier-preconditioned solves, which hand it
+// either their exact factor of L_H or G's own Jacobi diagonal.
 //
 // Every solve entry point takes the request-scoped contract from
 // internal/solver: a context (checked once per iteration), a unified
@@ -48,8 +49,8 @@ func NewJacobi(diag []float64) *Jacobi {
 }
 
 // PrecondBlock computes dst[c] = D^{-1} src[c] for every column, so Jacobi
-// serves the blocked solvers (LaplacianSolver and precond's inner solve)
-// directly.
+// serves BlockCG directly (LaplacianSolver, and precond when H's
+// elimination stops at its pivot-degree cap).
 func (j *Jacobi) PrecondBlock(dst, src [][]float64) {
 	for c := range dst {
 		d := dst[c]

@@ -38,8 +38,8 @@ func DotNormMulti(a, b [][]float64, outAB, outBB []float64) {
 	}
 }
 
-// Dot2Multi computes outAX[j], outAY[j] = Dot2(a[j], x[j], y[j]) — the
-// paired products the blocked flexible CG's Polak-Ribiere beta needs.
+// Dot2Multi computes outAX[j], outAY[j] = Dot2(a[j], x[j], y[j]): two
+// products against one shared operand in a single pass per column.
 func Dot2Multi(a, x, y [][]float64, outAX, outAY []float64) {
 	checkWidths("Dot2Multi", len(a), x, y)
 	for j := range a {

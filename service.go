@@ -599,15 +599,16 @@ type ServiceStats struct {
 	SolveLatency LatencySummary `json:"solve_latency_seconds"`
 	// Frozen-operator shape of the served generation: storage layout ("csr"
 	// or "sell", "auto" until the first factorization), SELL padding
-	// fraction, and arena bytes reserved across the G and H operators (H
-	// keeps no operator when it is factored exactly).
+	// fraction, and arena bytes reserved by the G operator (H keeps no
+	// operator, only its factor).
 	OperatorFormat       string  `json:"operator_format"`
 	OperatorPaddingRatio float64 `json:"operator_padding_ratio"`
 	OperatorArenaBytes   uint64  `json:"operator_arena_bytes"`
 	// Preconditioner regime of the served generation: true when an exact
-	// LDLᵀ factor of H preconditions solves (false: the truncated inner
-	// solve, which InnerTol / InnerIters tune), and the entries the factor
-	// stores (0 for the truncated inner solve).
+	// LDLᵀ factor of H preconditions solves, false when elimination stopped
+	// at the pivot-degree cap and solves precondition with G's Jacobi
+	// diagonal (PrecondUses then reads 0); and the entries the factor
+	// stores (0 in the Jacobi regime).
 	PrecondFactored  bool   `json:"precond_factored"`
 	PrecondFactorNNZ uint64 `json:"precond_factor_nnz"`
 	// Durability counters (zero without DataDir): logged batches, their

@@ -9,24 +9,27 @@ import (
 )
 
 // SolveOptions is the request-scoped knob set for Laplacian solves. A zero
-// value means "all defaults". The same struct configures the outer flexible
-// CG (Tol, MaxIter) and the preconditioner's truncated inner solve
-// (InnerTol, InnerIters); it flows unchanged from the public API down to
-// the innermost CG loop. The preconditioner solves the sparsifier exactly
-// by a sparse LDLᵀ factor when minimum-degree elimination keeps every
-// pivot's degree at 64 or below, and InnerTol / InnerIters then go unused. The HTTP layer defines its own wire struct
-// (cmd/ingrass solveRequest) because not every field is HTTP-settable.
+// value means "all defaults". Tol and MaxIter flow unchanged from the
+// public API down to the one CG loop (sparse.BlockCG).
+//
+// The preconditioner is the sparsifier's exact sparse LDLᵀ factor when
+// minimum-degree elimination keeps every pivot's degree at 64 or below,
+// and G's Jacobi diagonal otherwise. Neither has an inner solve, so
+// InnerTol and InnerIters are accepted and ignored; they stay until the
+// next major API change so existing callers keep compiling.
+//
+// The HTTP layer defines its own wire struct (cmd/ingrass solveRequest)
+// because not every field is HTTP-settable.
 type SolveOptions struct {
 	// Tol is the relative residual target ||r|| <= Tol*||b||. Default 1e-8.
 	Tol float64
 	// MaxIter bounds outer iterations. 0 derives 10*n clamped to 20000; an
 	// explicit value is used verbatim, never clamped.
 	MaxIter int
-	// InnerTol is the preconditioner's inner relative-residual target when
-	// the sparsifier is not factored exactly. Default 1e-2.
+	// InnerTol is accepted and ignored: no preconditioner runs an inner
+	// solve.
 	InnerTol float64
-	// InnerIters caps inner iterations per preconditioner application when
-	// the sparsifier is not factored exactly. Default 25.
+	// InnerIters is accepted and ignored, like InnerTol.
 	InnerIters int
 	// Workers bounds the parallelism of Laplacian application and the fused
 	// CG vector kernels; the count is clamped to GOMAXPROCS and dispatches
@@ -48,38 +51,39 @@ type SolveOptions struct {
 func (o SolveOptions) internal() solver.Options {
 	f, _ := solver.ParseFormat(o.Format)
 	return solver.Options{
-		Tol:        o.Tol,
-		MaxIter:    o.MaxIter,
-		InnerTol:   o.InnerTol,
-		InnerIters: o.InnerIters,
-		Workers:    o.Workers,
-		Format:     f,
+		Tol:     o.Tol,
+		MaxIter: o.MaxIter,
+		Workers: o.Workers,
+		Format:  f,
 	}
 }
 
 // SolveStats reports a preconditioned Laplacian solve.
 type SolveStats struct {
-	// Iterations is the outer FCG iteration count.
+	// Iterations is the CG iteration count.
 	Iterations int `json:"iterations"`
 	// Residual is the final relative residual.
 	Residual float64 `json:"residual"`
 	// Converged reports whether the tolerance was met.
 	Converged bool `json:"converged"`
-	// PrecondUses counts preconditioner applications (sparsifier solves).
+	// PrecondUses counts preconditioner applications that solve the
+	// sparsifier exactly (sweeps over its LDLᵀ factor); 0 when the
+	// sparsifier hit the factor's pivot-degree cap and G's Jacobi diagonal
+	// preconditioned instead.
 	PrecondUses int `json:"precond_uses"`
 	// Generation is the snapshot generation that served the solve. Only
 	// set by Service.Solve; standalone SolveLaplacian leaves it zero.
 	Generation uint64 `json:"generation"`
 }
 
-// SolveLaplacian solves the Laplacian system L_G x = b using flexible
-// conjugate gradients preconditioned by the sparsifier h — the downstream
+// SolveLaplacian solves the Laplacian system L_G x = b using conjugate
+// gradients preconditioned by the sparsifier h — the downstream
 // application (fast circuit-style solves) that motivates maintaining a
 // sparsifier in the first place. b must be mean-zero up to rounding (the
 // system is singular with the constant null space); it is centered
 // internally, and the returned solution is mean-zero.
 //
-// ctx cancellation or deadline expiry aborts the solve within one outer
+// ctx cancellation or deadline expiry aborts the solve within one
 // iteration; the error matches ErrCancelled via errors.Is and partial
 // stats are returned. A solve that exhausts opts.MaxIter returns the best
 // iterate alongside ErrNoConvergence.
