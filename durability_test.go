@@ -97,6 +97,67 @@ func TestServiceDurabilityRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsNonFiniteWeights: Service.AddEdges and AddEdgesAsync
+// return ErrInvalidEdge for a weight that is not positive and finite. No
+// generation is published and nothing is appended to the WAL; the service
+// keeps serving writes and solves, and a reload recovers only the valid
+// write.
+func TestServiceRejectsNonFiniteWeights(t *testing.T) {
+	dir := t.TempDir()
+	g := serviceGrid(t, 8, 8)
+	n := g.NumNodes()
+	svc, err := NewService(g, ServiceOptions{
+		Options:  Options{InitialDensity: 0.1, Seed: 1, TargetCond: 50},
+		MaxBatch: 1,
+		DataDir:  dir,
+		Fsync:    FsyncNever,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	for _, w := range badWeights {
+		batch := []Edge{{U: 0, V: 37, W: 2}, {U: 5, V: 60, W: w}}
+		if _, err := svc.AddEdges(ctx, batch); !errors.Is(err, ErrInvalidEdge) {
+			t.Fatalf("AddEdges weight %v: got %v, want ErrInvalidEdge", w, err)
+		}
+		if _, err := svc.AddEdgesAsync(batch); !errors.Is(err, ErrInvalidEdge) {
+			t.Fatalf("AddEdgesAsync weight %v: got %v, want ErrInvalidEdge", w, err)
+		}
+	}
+	if st := svc.Stats(); st.Generation != 0 || st.WALAppends != 0 || st.GraphEdges != g.NumEdges() {
+		t.Fatalf("rejected writes left a trace: generation %d, wal appends %d, graph edges %d (want %d)",
+			st.Generation, st.WALAppends, st.GraphEdges, g.NumEdges())
+	}
+
+	res, err := svc.AddEdges(ctx, []Edge{{U: 0, V: 37, W: 2}})
+	if err != nil {
+		t.Fatalf("valid write after rejections: %v", err)
+	}
+	if res.Generation != 1 || svc.Stats().WALAppends != 1 {
+		t.Fatalf("valid write: generation %d, wal appends %d; want 1, 1", res.Generation, svc.Stats().WALAppends)
+	}
+	b := make([]float64, n)
+	b[0], b[n-1] = 1, -1
+	if _, _, err := svc.Solve(ctx, b, SolveOptions{Tol: 1e-8}); err != nil {
+		t.Fatalf("solve after rejections: %v", err)
+	}
+	wantEdges := svc.Stats().GraphEdges
+	svc.Close()
+
+	re, err := LoadService(ServiceOptions{DataDir: dir, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Generation != 1 || st.GraphEdges != wantEdges {
+		t.Fatalf("recovered generation %d with %d edges, want 1 with %d", st.Generation, st.GraphEdges, wantEdges)
+	}
+}
+
 // TestSingleNodeCheckpointReopens saves a one-node service, checkpoints it
 // and reopens the data directory. The one node's hierarchy has no level 1,
 // so the checkpoint's filter level is the one setup picks, not a level of

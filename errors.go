@@ -3,6 +3,7 @@ package ingrass
 import (
 	"errors"
 
+	"ingrass/internal/core"
 	"ingrass/internal/repl"
 	"ingrass/internal/service"
 	"ingrass/internal/solver"
@@ -21,6 +22,13 @@ var (
 	// error (context.Canceled or context.DeadlineExceeded).
 	ErrCancelled = solver.ErrCancelled
 )
+
+// ErrInvalidEdge reports an insertion batch rejected before any mutation
+// because one of its edges has an endpoint out of range, is a self-loop, or
+// has a weight that is not positive and finite (0, a negative value, NaN or
+// ±Inf). Incremental.AddEdges and Service.AddEdges (and AddEdgesAsync)
+// return it; nothing of the batch reaches the graph or the write-ahead log.
+var ErrInvalidEdge = core.ErrInvalidEdge
 
 // ErrClosed reports a write or a scheduled read (Solve, EffectiveResistance,
 // SolveBatch, EffectiveResistanceBatch) issued after Service.Close.

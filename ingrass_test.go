@@ -2,6 +2,7 @@ package ingrass
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 )
@@ -184,6 +185,35 @@ func TestIncrementalRejectsBadEdges(t *testing.T) {
 	}
 	if _, err := inc.AddEdges([]Edge{{U: 0, V: 99, W: 1}}); err == nil {
 		t.Fatal("out-of-range must error")
+	}
+}
+
+// badWeights are the weights no insertion path may accept: the graph
+// readers' rule is positive and finite.
+var badWeights = []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1}
+
+// TestIncrementalRejectsNonFiniteWeights: Incremental.AddEdges returns
+// ErrInvalidEdge for a weight that is not positive and finite, without
+// touching G or H, and the sparsifier keeps accepting valid batches.
+func TestIncrementalRejectsNonFiniteWeights(t *testing.T) {
+	g := paperFig1Graph(t)
+	inc, err := NewIncremental(g, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gEdges, hEdges := inc.Original().NumEdges(), inc.Sparsifier().NumEdges()
+	for _, w := range badWeights {
+		// The bad edge rides behind a valid one: the whole batch is refused.
+		_, err := inc.AddEdges([]Edge{{U: 0, V: 5, W: 1}, {U: 0, V: 10, W: w}})
+		if !errors.Is(err, ErrInvalidEdge) {
+			t.Fatalf("weight %v: got %v, want ErrInvalidEdge", w, err)
+		}
+		if inc.Original().NumEdges() != gEdges || inc.Sparsifier().NumEdges() != hEdges {
+			t.Fatalf("weight %v: rejected batch changed the graphs", w)
+		}
+	}
+	if _, err := inc.AddEdges([]Edge{{U: 0, V: 10, W: 2}}); err != nil {
+		t.Fatalf("valid batch after rejections: %v", err)
 	}
 }
 

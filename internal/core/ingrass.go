@@ -23,15 +23,36 @@
 package core
 
 import (
-	"cmp"
+	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/lrd"
 	"ingrass/internal/sketch"
+	"ingrass/internal/vecmath"
 )
+
+// ErrInvalidEdge reports a new edge that UpdateBatch rejects before any
+// mutation: an endpoint out of range, a self-loop, or a weight that is not
+// positive and finite.
+var ErrInvalidEdge = errors.New("invalid edge")
+
+// CheckEdge returns an error matching ErrInvalidEdge if e cannot join a
+// graph on n nodes: an endpoint out of range, a self-loop, or a weight that
+// is not positive and finite (the graph readers' rule).
+func CheckEdge(e graph.Edge, n int) error {
+	switch {
+	case e.U < 0 || e.U >= n || e.V < 0 || e.V >= n:
+		return fmt.Errorf("endpoint out of range: (%d, %d) with %d nodes: %w", e.U, e.V, n, ErrInvalidEdge)
+	case e.U == e.V:
+		return fmt.Errorf("self-loop (%d, %d): %w", e.U, e.V, ErrInvalidEdge)
+	case !(e.W > 0) || math.IsInf(e.W, 0):
+		return fmt.Errorf("weight %v of (%d, %d) must be positive and finite: %w", e.W, e.U, e.V, ErrInvalidEdge)
+	}
+	return nil
+}
 
 // Config controls a Sparsifier.
 type Config struct {
@@ -184,25 +205,25 @@ func (s *Sparsifier) EstimateDistortion(e graph.Edge) float64 {
 }
 
 // UpdateBatch processes one iteration of newly introduced edges: appends
-// them all to G, sorts them by estimated spectral distortion (descending),
-// and applies the filtering rules to decide membership in H. It returns the
-// per-edge decisions in processing order.
+// them all to G, orders them by estimated spectral distortion (descending,
+// ties by batch position), and applies the filtering rules to decide
+// membership in H. It returns the per-edge decisions in processing order.
 //
-// Edges referencing unknown nodes are rejected with an error before any
-// mutation. Edges whose endpoints lie in different components of H(0) are
-// always included (their distortion estimate is infinite: nothing in H
-// approximates them).
+// A batch holding an edge that CheckEdge rejects fails with an error
+// matching ErrInvalidEdge before any mutation. Edges whose endpoints lie in
+// different components of H(0) are always included (their distortion
+// estimate is infinite: nothing in H approximates them).
 func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 	n := s.G.NumNodes()
 	for _, e := range batch {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V || !(e.W > 0) {
-			return nil, fmt.Errorf("core: invalid new edge %+v", e)
+		if err := CheckEdge(e, n); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
 	// Order by estimated distortion, most critical first (paper III-C1).
 	// Estimates are independent embedding lookups, so large batches fan
 	// out across workers.
-	work := make([]scored, len(batch))
+	dist := make([]float64, len(batch))
 	if w := s.cfg.Workers; w > 1 && len(batch) >= 256 {
 		var wg sync.WaitGroup
 		chunk := (len(batch) + w - 1) / w
@@ -219,45 +240,29 @@ func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 			go func(lo, hi int) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					work[i] = scored{e: batch[i], d: s.EstimateDistortion(batch[i]), pos: i}
+					dist[i] = s.EstimateDistortion(batch[i])
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
 	} else {
 		for i, e := range batch {
-			work[i] = scored{e: e, d: s.EstimateDistortion(e), pos: i}
+			dist[i] = s.EstimateDistortion(e)
 		}
 	}
-	slices.SortFunc(work, byDistortion)
+	// Descending distortion, ties by batch position. Weights are finite and
+	// positive and estimates are finite or +Inf, so no key is NaN.
+	order := vecmath.Order(dist, true)
 
-	decisions := make([]Decision, 0, len(work))
-	for _, it := range work {
-		s.G.AddEdge(it.e.U, it.e.V, it.e.W)
-		d := s.applyOne(it.e, it.d)
-		d.Pos = it.pos
+	decisions := make([]Decision, 0, len(batch))
+	for _, p := range order {
+		e := batch[p]
+		s.G.AddEdge(e.U, e.V, e.W)
+		d := s.applyOne(e, dist[p])
+		d.Pos = int(p)
 		decisions = append(decisions, d)
 	}
 	return decisions, nil
-}
-
-// scored is a new edge with its distortion estimate and batch position.
-type scored struct {
-	e   graph.Edge
-	d   float64
-	pos int
-}
-
-// byDistortion orders new edges by distortion, highest first, then by batch
-// position. It is a total order, so the unstable sort is deterministic.
-func byDistortion(a, b scored) int {
-	switch {
-	case a.d > b.d:
-		return -1
-	case a.d < b.d:
-		return 1
-	}
-	return cmp.Compare(a.pos, b.pos)
 }
 
 // applyOne runs the level-L filtering rules for a single new edge.

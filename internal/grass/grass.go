@@ -18,12 +18,11 @@
 package grass
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/tree"
+	"ingrass/internal/vecmath"
 )
 
 // TreeKind selects the spanning-tree backbone.
@@ -83,19 +82,19 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 	oracle := tree.NewPathOracle(st)
 
-	// Rank off-tree candidates by spectral distortion w * R_T.
+	// Rank off-tree candidates by spectral distortion w * R_T, highest
+	// first. off ascends, so ties fall to the lower edge index.
 	off := st.OffTreeEdges()
-	cands := make([]cand, 0, len(off))
-	for _, ei := range off {
+	dist := make([]float64, len(off))
+	for i, ei := range off {
 		e := g.Edge(ei)
-		d := e.W * oracle.Resistance(e.U, e.V)
-		cands = append(cands, cand{edge: ei, distortion: d})
+		dist[i] = e.W * oracle.Resistance(e.U, e.V)
 	}
-	slices.SortFunc(cands, byDistortion)
+	order := vecmath.Order(dist, true)
 
 	budget := int(cfg.TargetDensity * float64(g.NumEdges()))
-	if budget > len(cands) {
-		budget = len(cands)
+	if budget > len(off) {
+		budget = len(off)
 	}
 
 	res := &Result{TreeEdges: len(st.EdgeIdx)}
@@ -112,10 +111,11 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 	}
 
 	var skipped []cand
-	for _, c := range cands {
+	for _, p := range order {
 		if res.OffTree >= budget {
 			break
 		}
+		c := cand{edge: off[p], distortion: dist[p]}
 		if cover != nil {
 			e := g.Edge(c.edge)
 			if !cover.add(e.U, e.V, oracle.LCA(e.U, e.V)) {
@@ -190,18 +190,6 @@ func (c *pathCover) add(u, v, l int) bool {
 type cand struct {
 	edge       int
 	distortion float64
-}
-
-// byDistortion orders candidates by distortion, highest first, then by edge
-// index. It is a total order, so the unstable sort is deterministic.
-func byDistortion(a, b cand) int {
-	switch {
-	case a.distortion > b.distortion:
-		return -1
-	case a.distortion < b.distortion:
-		return 1
-	}
-	return cmp.Compare(a.edge, b.edge)
 }
 
 // InitialSparsifier is the convenience entry point used across the

@@ -235,53 +235,100 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 	// what Eq. (2) actually consumes; using raw chain vectors instead
 	// makes the sum basis-dependent and meaningless.
 	m := len(basis)
-	lq := make([][]float64, m)
-	for j, q := range basis {
-		lq[j] = make([]float64, n)
-		kern.LapMul(csr, part, lq[j], q)
-	}
-	t := vecmath.NewDense(m, m)
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			v := vecmath.Dot(basis[i], lq[j])
-			t.Set(i, j, v)
-			t.Set(j, i, v)
-		}
-	}
+	t := rayleighRitz(kern, csr, part, basis)
 	theta, y, err := vecmath.SymEig(t)
 	if err != nil {
 		return nil, fmt.Errorf("krylov: Rayleigh-Ritz eigensolve: %w", err)
 	}
+	coords := coordTable(basis, theta, y)
+	return &Embedding{N: n, Dims: m, coords: coords}, nil
+}
 
-	// Node-major coordinate table: coords[v][i] = (Q y_i)[v] / sqrt(theta_i).
-	// Ritz values at numerical zero are null-space remnants and are skipped.
-	// Each column accumulates contiguously, in j order, then scatters once:
-	// the sums are the ones a strided accumulation would form, bit for bit.
-	// Writing each product float64(c*q) rounds it before the add, so no
-	// architecture fuses the two into one multiply-add with other bits.
-	coords := make([]float64, n*m)
-	col := make([]float64, n)
-	for i := 0; i < m; i++ {
-		th := theta[i]
-		if th <= 1e-12 {
-			continue
-		}
-		scale := 1 / math.Sqrt(th)
-		clear(col)
+// chunk is the node-block length of the blocked setup loops below: small
+// enough that a block of every basis vector stays in cache (32 vectors of
+// 512 entries are 128 KiB), and a multiple of 4, as vecmath.Lanes needs.
+const chunk = 512
+
+// rayleighRitz returns T = Q' L Q for the orthonormal basis Q. The m
+// Laplacian products run graph.MaxMulti columns at a time through
+// kern.LapMulMulti, each column bit-identical to a LapMul of it alone.
+// Entry (i, j) is vecmath.Dot(basis[i], L basis[j]) bit for bit: the
+// m(m+1)/2 products advance together through vecmath.Lanes, one node
+// block at a time, so a block of every vector is read once for all of
+// them instead of once per product.
+func rayleighRitz(kern *kernel.Pool, csr *graph.CSR, part []int, basis [][]float64) *vecmath.Dense {
+	m, n := len(basis), len(basis[0])
+	lq := make([][]float64, m)
+	for j := range lq {
+		lq[j] = make([]float64, n)
+	}
+	for lo := 0; lo < m; lo += graph.MaxMulti {
+		hi := min(lo+graph.MaxMulti, m)
+		kern.LapMulMulti(csr, part, lq[lo:hi], basis[lo:hi])
+	}
+
+	// lanes[p] is the product of pair p = (i, j), i <= j, numbered row by
+	// row over j.
+	lanes := make([]vecmath.Lanes, m*(m+1)/2)
+	v := n &^ 3
+	for lo := 0; lo < v; lo += chunk {
+		hi := min(lo+chunk, v)
+		p := 0
 		for j := 0; j < m; j++ {
-			yji := y.At(j, i)
-			if yji == 0 {
-				continue
+			for i := 0; i <= j; i++ {
+				lanes[p].Add(basis[i][lo:hi], lq[j][lo:hi])
+				p++
 			}
-			qj := basis[j]
-			c := yji * scale
-			for v, q := range qj {
-				col[v] += float64(c * q)
-			}
-		}
-		for v, x := range col {
-			coords[v*m+i] = x
 		}
 	}
-	return &Embedding{N: n, Dims: m, coords: coords}, nil
+	t := vecmath.NewDense(m, m)
+	p := 0
+	for j := 0; j < m; j++ {
+		for i := 0; i <= j; i++ {
+			s := lanes[p].Finish(basis[i][v:], lq[j][v:])
+			t.Set(i, j, s)
+			t.Set(j, i, s)
+			p++
+		}
+	}
+	return t
+}
+
+// coordTable returns the node-major coordinate table
+// coords[v*m+i] = (Q y_i)[v] / sqrt(theta_i). Ritz values at numerical zero
+// are null-space remnants: their columns stay 0. Each entry sums its terms
+// in j order, skipping zero y entries; the table fills one node block at a
+// time, so a block of every basis vector is read from cache m times rather
+// than each whole vector from memory. Writing each product float64(c*q)
+// rounds it before the add, so no architecture fuses the two into one
+// multiply-add with other bits.
+func coordTable(basis [][]float64, theta []float64, y *vecmath.Dense) []float64 {
+	m, n := len(basis), len(basis[0])
+	coords := make([]float64, n*m)
+	col := make([]float64, chunk)
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		acc := col[:hi-lo]
+		for i, th := range theta {
+			if th <= 1e-12 {
+				continue
+			}
+			scale := 1 / math.Sqrt(th)
+			clear(acc)
+			for j, qj := range basis {
+				yji := y.At(j, i)
+				if yji == 0 {
+					continue
+				}
+				c := yji * scale
+				for v, q := range qj[lo:hi] {
+					acc[v] += float64(c * q)
+				}
+			}
+			for v, x := range acc {
+				coords[(lo+v)*m+i] = x
+			}
+		}
+	}
+	return coords
 }

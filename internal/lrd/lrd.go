@@ -19,13 +19,12 @@
 package lrd
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/krylov"
+	"ingrass/internal/vecmath"
 )
 
 // Config controls the decomposition.
@@ -230,14 +229,11 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			resist = emb.EstimateEdges(cur, kcfg.Workers)
 		}
 
-		order := make([]edgeResist, cur.NumEdges())
-		for i, r := range resist {
-			order[i] = edgeResist{r: r, edge: i}
-		}
-		slices.SortFunc(order, byResist)
+		// Ascending resistance, ties by edge index.
+		order := vecmath.Order(resist, false)
 		if budget == 0 {
 			if len(order) > 0 {
-				budget = 2 * order[len(order)/2].r // twice the median
+				budget = 2 * resist[order[len(order)/2]] // twice the median
 			}
 			if budget <= 0 {
 				budget = 1
@@ -247,13 +243,13 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 		uf := graph.NewUnionFind(cur.NumNodes())
 		diam := append([]float64(nil), carriedDiam...)
 		merged := false
-		for _, o := range order {
-			e := cur.Edge(o.edge)
+		for _, ei := range order {
+			e := cur.Edge(int(ei))
 			ru, rv := uf.Find(e.U), uf.Find(e.V)
 			if ru == rv {
 				continue
 			}
-			nd := diam[ru] + diam[rv] + o.r
+			nd := diam[ru] + diam[rv] + resist[ei]
 			if !final && nd > budget {
 				continue
 			}
@@ -314,12 +310,12 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			budget *= cfg.Growth
 			// Avoid unbounded identical levels: jump straight to the
 			// smallest merging cost next time.
-			if len(order) > 0 {
+			if len(resist) > 0 {
 				minCost := math.Inf(1)
-				for _, o := range order {
-					e := cur.Edge(o.edge)
-					if uf.Find(e.U) != uf.Find(e.V) && o.r < minCost {
-						minCost = o.r
+				for i, r := range resist {
+					e := cur.Edge(i)
+					if uf.Find(e.U) != uf.Find(e.V) && r < minCost {
+						minCost = r
 					}
 				}
 				if !math.IsInf(minCost, 1) && budget < minCost {
@@ -353,22 +349,4 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 
 	d.Levels = len(d.up) + 1
 	return d, nil
-}
-
-// edgeResist is an edge of the current level with its estimated resistance.
-type edgeResist struct {
-	r    float64
-	edge int
-}
-
-// byResist orders edges by resistance, lowest first, then by edge index.
-// It is a total order, so the unstable sort is deterministic.
-func byResist(a, b edgeResist) int {
-	switch {
-	case a.r < b.r:
-		return -1
-	case a.r > b.r:
-		return 1
-	}
-	return cmp.Compare(a.edge, b.edge)
 }

@@ -341,14 +341,8 @@ func validateAdds(edges []graph.Edge, n int) error {
 		return errEmptyBatch
 	}
 	for _, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return fmt.Errorf("service: endpoint out of range: (%d, %d) with %d nodes", e.U, e.V, n)
-		}
-		if e.U == e.V {
-			return fmt.Errorf("service: self-loop (%d, %d) rejected", e.U, e.V)
-		}
-		if !(e.W > 0) {
-			return fmt.Errorf("service: weight %v must be positive", e.W)
+		if err := core.CheckEdge(e, n); err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
 	}
 	return nil

@@ -256,6 +256,36 @@ func TestAddValidationUpFront(t *testing.T) {
 	if _, err := e.AddAsync(nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
+	for _, w := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, -1} {
+		if _, err := e.AddAsync([]graph.Edge{{U: 0, V: 5, W: w}}); !errors.Is(err, core.ErrInvalidEdge) {
+			t.Fatalf("weight %v: got %v, want core.ErrInvalidEdge", w, err)
+		}
+	}
+}
+
+// TestFlushRejectsNonFiniteWeight: an add that reaches the batcher with a
+// +Inf weight fails alone at flush with core.ErrInvalidEdge, as every
+// statically invalid add does; the coalesced valid request is applied and
+// the batcher keeps serving.
+func TestFlushRejectsNonFiniteWeight(t *testing.T) {
+	e := newEngine(t, 6, 6, Options{MaxBatch: 10_000})
+	ctx := ctxT(t)
+	release := parkWriter(t, e)
+	bad := mustEnqueue(t, e, opAdd, []graph.Edge{{U: 0, V: 5, W: math.Inf(1)}})
+	good := mustEnqueue(t, e, opAdd, []graph.Edge{{U: 0, V: 35, W: 1}})
+	release()
+	if _, err := bad.Wait(ctx); !errors.Is(err, core.ErrInvalidEdge) {
+		t.Fatalf("+Inf weight: got %v, want core.ErrInvalidEdge", err)
+	}
+	if _, err := good.Wait(ctx); err != nil {
+		t.Fatalf("coalesced valid request: %v", err)
+	}
+	if _, err := e.Add(ctx, []graph.Edge{{U: 1, V: 34, W: 2}}); err != nil {
+		t.Fatalf("write after the rejection: %v", err)
+	}
+	if st := e.Stats(); st.WriteErrors != 1 {
+		t.Fatalf("write errors = %d, want 1", st.WriteErrors)
+	}
 }
 
 func TestDeleteFlow(t *testing.T) {

@@ -24,19 +24,35 @@ package vecmath
 // The accumulators are scalar locals rather than a [4]float64: the array
 // form measured 30–40% slower, because the compiler keeps it in memory.
 
+// dot is Lanes' add over the whole multiple-of-4 prefix, then its finish:
+// Dot and the blocked products of Lanes share one body.
 func dot(a, b []float64) float64 {
-	b = b[:len(a)]
-	var l0, l1, l2, l3 float64
+	var l Lanes
 	v := len(a) &^ 3
-	for i := 0; i < v; i += 4 {
+	l.add(a[:v], b[:v])
+	return l.finish(a[v:], b[v:len(a)])
+}
+
+// add feeds the products of a and b, len(a) a multiple of 4 and len(b) at
+// least len(a), into the lanes: element i into lane i%4.
+func (l *Lanes) add(a, b []float64) {
+	b = b[:len(a)]
+	l0, l1, l2, l3 := l[0], l[1], l[2], l[3]
+	for i := 0; i < len(a); i += 4 {
 		a, b := a[i:i+4:i+4], b[i:i+4:i+4]
 		l0 += float64(a[0] * b[0])
 		l1 += float64(a[1] * b[1])
 		l2 += float64(a[2] * b[2])
 		l3 += float64(a[3] * b[3])
 	}
-	s := (l0 + l2) + (l1 + l3)
-	for i := v; i < len(a); i++ {
+	l[0], l[1], l[2], l[3] = l0, l1, l2, l3
+}
+
+// finish combines the lanes and adds the tail products left to right.
+func (l *Lanes) finish(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := (l[0] + l[2]) + (l[1] + l[3])
+	for i := range a {
 		s += float64(a[i] * b[i])
 	}
 	return s

@@ -53,6 +53,17 @@ func TestReductionKernelsMatchLaneOracle(t *testing.T) {
 			a, b := laneVec(uint64(n)+1, n), laneVec(uint64(n)+2, n)
 			return []float64{Dot(a, b)}, []float64{laneOracle(n, func(i int) float64 { return a[i] * b[i] })}
 		}},
+		{"Lanes", func(n int) (got, want []float64) {
+			// Fed in blocks of 8, as a blocked caller interleaves products.
+			a, b := laneVec(uint64(n)+1, n), laneVec(uint64(n)+2, n)
+			var l Lanes
+			v := n &^ 3
+			for lo := 0; lo < v; lo += 8 {
+				hi := min(lo+8, v)
+				l.Add(a[lo:hi], b[lo:hi])
+			}
+			return []float64{l.Finish(a[v:], b[v:])}, []float64{laneOracle(n, func(i int) float64 { return a[i] * b[i] })}
+		}},
 		{"Dot2", func(n int) (got, want []float64) {
 			a, x, y := laneVec(uint64(n)+3, n), laneVec(uint64(n)+4, n), laneVec(uint64(n)+5, n)
 			ax, ay := Dot2(a, x, y)

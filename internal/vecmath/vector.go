@@ -30,6 +30,32 @@ func Dot(a, b []float64) float64 {
 	return dot(a, b)
 }
 
+// Lanes is a dot product in progress, held in Dot's four lane
+// accumulators (generic.go). Feeding one product block by block through
+// Add, every block but the tail a multiple of 4 long, and ending with
+// Finish on the tail gives exactly Dot's bits: Dot itself runs this way in
+// one block. Many products can so share one pass over cache-sized blocks
+// of their operands.
+type Lanes [4]float64
+
+// Add feeds a·b into l: element i of a block goes to lane i%4. The slices
+// must have equal length, a multiple of 4.
+func (l *Lanes) Add(a, b []float64) {
+	if len(a) != len(b) || len(a)%4 != 0 {
+		panic(fmt.Sprintf("vecmath: Lanes.Add lengths %d/%d, want equal multiples of 4", len(a), len(b)))
+	}
+	l.add(a, b)
+}
+
+// Finish returns the dot product: the lanes combined as (l0+l2)+(l1+l3),
+// then the tail a·b, at most three elements, added left to right.
+func (l *Lanes) Finish(a, b []float64) float64 {
+	if len(a) != len(b) || len(a) > 3 {
+		panic(fmt.Sprintf("vecmath: Lanes.Finish tail lengths %d/%d, want equal and at most 3", len(a), len(b)))
+	}
+	return l.finish(a, b)
+}
+
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))
