@@ -40,7 +40,7 @@ func TestScaledGraphKappaOne(t *testing.T) {
 	g := grid(4, 4)
 	h := g.Clone()
 	for i := range h.All() {
-		h.ScaleWeight(i, 2)
+		h.SetWeight(i, h.Edge(i).W*2)
 	}
 	res, err := Estimate(context.Background(), g, h, Options{Seed: 2})
 	if err != nil {
@@ -217,7 +217,7 @@ func TestDensePencilWeightPerturbation(t *testing.T) {
 	// Strengthening one H edge by delta shifts some eigenvalue below 1.
 	g := grid(3, 3)
 	h := g.Clone()
-	h.ScaleWeight(0, 5)
+	h.SetWeight(0, h.Edge(0).W*5)
 	vals, err := DensePencil(g, h)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func TestWarmStartConverges(t *testing.T) {
 	h := g.Clone()
 	// Thin H: scale alternating edges to distort the pencil away from 1.
 	for i := 0; i < h.NumEdges(); i += 3 {
-		h.ScaleWeight(i, 0.25)
+		h.SetWeight(i, h.Edge(i).W*0.25)
 	}
 	ctx := context.Background()
 
@@ -39,7 +39,7 @@ func TestWarmStartConverges(t *testing.T) {
 	// does — then estimate warm with a tight budget vs cold with a full one.
 	h2 := h.Clone()
 	for i := 1; i < h2.NumEdges(); i += 7 {
-		h2.ScaleWeight(i, 1.1)
+		h2.SetWeight(i, h2.Edge(i).W*1.1)
 	}
 	full, err := Estimate(ctx, g, h2, Options{Seed: 4, LambdaMaxOnly: true})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestWarmStartDegenerateFallsBack(t *testing.T) {
 	g := grid(6, 6)
 	h := g.Clone()
 	for i := 0; i < h.NumEdges(); i += 2 {
-		h.ScaleWeight(i, 0.5)
+		h.SetWeight(i, h.Edge(i).W*0.5)
 	}
 	ctx := context.Background()
 	want, err := Estimate(ctx, g, h, Options{Seed: 9, LambdaMaxOnly: true})

@@ -113,7 +113,7 @@ func (s *Sparsifier) replaceIfBridge(u, v int) (int, bool) {
 		if side[e.U] == side[e.V] {
 			continue
 		}
-		d := e.W * s.dec.ResistanceBound(e.U, e.V)
+		d := e.W * s.dec.ResistanceEstimate(e.U, e.V)
 		if math.IsInf(d, 1) {
 			d = e.W * 1e18 // no estimate: strongly prefer reconnecting
 		}

@@ -198,16 +198,17 @@ func (s *Sparsifier) Stats() Stats { return s.stats }
 
 // EstimateDistortion returns the spectral-distortion estimate the update
 // phase would assign to a new edge (u, v, w): w times the embedding's
-// resistance estimate (see lrd.Decomposition.ResistanceBound), which is not
-// a bound on the exact resistance.
+// resistance estimate (see lrd.Decomposition.ResistanceEstimate), which is
+// not a bound on the exact resistance.
 func (s *Sparsifier) EstimateDistortion(e graph.Edge) float64 {
-	return e.W * s.dec.ResistanceBound(e.U, e.V)
+	return e.W * s.dec.ResistanceEstimate(e.U, e.V)
 }
 
-// UpdateBatch processes one iteration of newly introduced edges: appends
-// them all to G, orders them by estimated spectral distortion (descending,
-// ties by batch position), and applies the filtering rules to decide
-// membership in H. It returns the per-edge decisions in processing order.
+// UpdateBatch processes one iteration of newly introduced edges: orders
+// them by estimated spectral distortion (descending, ties by batch
+// position), appends them all to G in that order, and applies the filtering
+// rules to decide membership in H. It returns the per-edge decisions in
+// processing order.
 //
 // A batch holding an edge that CheckEdge rejects fails with an error
 // matching ErrInvalidEdge before any mutation. Edges whose endpoints lie in
@@ -254,11 +255,17 @@ func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 	// positive and estimates are finite or +Inf, so no key is NaN.
 	order := vecmath.Order(dist, true)
 
+	// The filter reads only H and the sketch, so G takes the whole batch,
+	// in processing order, in one append.
+	ordered := make([]graph.Edge, len(order))
+	for i, p := range order {
+		ordered[i] = batch[p]
+	}
+	s.G.AddEdges(ordered)
+
 	decisions := make([]Decision, 0, len(batch))
-	for _, p := range order {
-		e := batch[p]
-		s.G.AddEdge(e.U, e.V, e.W)
-		d := s.applyOne(e, dist[p])
+	for i, p := range order {
+		d := s.applyOne(ordered[i], dist[p])
 		d.Pos = int(p)
 		decisions = append(decisions, d)
 	}
@@ -283,18 +290,8 @@ func (s *Sparsifier) applyOne(e graph.Edge, distortion float64) Decision {
 			// hierarchy was built from a different H, fall back to include.
 			break
 		}
-		if !s.cfg.DisableWeightTransfer {
-			var total float64
-			for _, ei := range intra {
-				total += s.H.Edge(int(ei)).W
-			}
-			if total <= 0 {
-				break
-			}
-			factor := 1 + e.W/total
-			for _, ei := range intra {
-				s.H.ScaleWeight(int(ei), factor)
-			}
+		if !s.cfg.DisableWeightTransfer && !s.H.SpreadWeight(intra, e.W) {
+			break
 		}
 		dec.Action = Redistributed
 		s.stats.Redistributed++
@@ -307,21 +304,11 @@ func (s *Sparsifier) applyOne(e graph.Edge, distortion float64) Decision {
 			// proportionally to their weights. Dumping it all on one
 			// representative would overweight that edge relative to G and
 			// drive the pencil's smallest eigenvalue toward zero.
-			if !s.cfg.DisableWeightTransfer {
-				var total float64
-				for _, ei := range pairEdges {
-					total += s.H.Edge(ei).W
-				}
-				if total <= 0 {
-					break
-				}
-				factor := 1 + e.W/total
-				for _, ei := range pairEdges {
-					s.H.ScaleWeight(ei, factor)
-				}
+			if !s.cfg.DisableWeightTransfer && !s.H.SpreadWeight(pairEdges, e.W) {
+				break
 			}
 			dec.Action = Merged
-			dec.Target = pairEdges[0]
+			dec.Target = int(pairEdges[0])
 			s.stats.Merged++
 			return dec
 		}

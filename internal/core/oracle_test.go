@@ -15,7 +15,7 @@ import (
 )
 
 // TestDistortionEstimateAgainstExact checks the filter's distortion
-// estimate, w times lrd.ResistanceBound, against the exact w·R_H(u,v) on
+// estimate, w times lrd.ResistanceEstimate, against the exact w·R_H(u,v) on
 // H(0). The estimate is not an upper bound on the exact value, and this
 // test does not treat it as one: it bounds how well the estimate orders a
 // batch, how often it falls below the exact value, and that the decision

@@ -291,14 +291,14 @@ func onlyPairsAt(t *testing.T, tag string, s *Sparsifier) {
 	if want := s.cfg.filterLevel(s.dec); L != want {
 		t.Fatalf("%s: sketch holds level %d, the configuration selects %d", tag, L, want)
 	}
-	want := map[[2]int32][]int{}
+	want := map[[2]int32][]int32{}
 	key := func(u, v int) [2]int32 {
 		cu, cv := s.dec.ClusterID(L, u), s.dec.ClusterID(L, v)
 		return [2]int32{min(cu, cv), max(cu, cv)}
 	}
 	for ei, e := range s.H.All() {
 		if !s.sk.SameCluster(e.U, e.V) {
-			want[key(e.U, e.V)] = append(want[key(e.U, e.V)], ei)
+			want[key(e.U, e.V)] = append(want[key(e.U, e.V)], int32(ei))
 		}
 	}
 	for _, e := range s.H.All() {

@@ -21,7 +21,7 @@ func TestBinaryRoundTripExact(t *testing.T) {
 	// Drift the totalWeight accumulator through a mutation history so the
 	// cached value differs from a fresh re-accumulation.
 	g.SetWeight(2, 0.30000000000000004)
-	g.ScaleWeight(0, 1.0/3.0)
+	g.SetWeight(0, g.Edge(0).W*(1.0/3.0))
 	g.SetWeight(4, 1e-13)
 
 	var buf bytes.Buffer

@@ -50,6 +50,17 @@ func (f *flatGraph) setWeight(i int, w float64) {
 	f.edges[i].W = w
 }
 
+func (f *flatGraph) spreadWeight(idx []int32, w float64) {
+	var total float64
+	for _, i := range idx {
+		total += f.edges[i].W
+	}
+	factor := 1 + w/total
+	for _, i := range idx {
+		f.setWeight(int(i), f.edges[i].W*factor)
+	}
+}
+
 // diff returns the first difference between g and f, or "".
 func (f *flatGraph) diff(g *Graph) string {
 	if g.NumNodes() != len(f.adj) || g.NumEdges() != len(f.edges) {
@@ -77,8 +88,9 @@ type tracked struct {
 	ref *flatGraph
 }
 
-// TestCOWMatchesFlatReference interleaves random AddEdge, SetWeight,
-// ScaleWeight, AddNode, Snapshot, mutations of snapshots and Clone over
+// TestCOWMatchesFlatReference interleaves random AddEdge, AddEdges,
+// SetWeight, SpreadWeight, AddNode, Snapshot, mutations of snapshots and
+// Clone over
 // graphs spanning several pages, and checks every retained graph against a
 // deep copy taken when it was made: a mutation may change only the graph it
 // was applied to. Frozen snapshots are handed to reader goroutines that
@@ -195,10 +207,25 @@ func cowProperty(t *testing.T, seed uint64) {
 			w := r.Range(0.5, 4)
 			x.g.SetWeight(e, w)
 			x.ref.setWeight(e, w)
+		case op < 13:
+			idx := make([]int32, 1+r.Intn(4))
+			for j := range idx {
+				idx[j] = int32(r.Intn(x.g.NumEdges()))
+			}
+			w := r.Range(0.5, 4)
+			x.g.SpreadWeight(idx, w)
+			x.ref.spreadWeight(idx, w)
 		case op < 14:
-			e := r.Intn(x.g.NumEdges())
-			x.g.ScaleWeight(e, 1.5)
-			x.ref.setWeight(e, x.ref.edges[e].W*1.5)
+			batch := make([]Edge, 0, 1+r.Intn(32))
+			for len(batch) < cap(batch) {
+				if u, v := node(n), node(n); u != v {
+					batch = append(batch, Edge{U: u, V: v, W: r.Range(0.5, 4)})
+				}
+			}
+			x.g.AddEdges(batch)
+			for _, e := range batch {
+				x.ref.addEdge(e.U, e.V, e.W)
+			}
 		case op < 15:
 			x.g.AddNode()
 			x.ref.adj = append(x.ref.adj, nil)

@@ -222,19 +222,9 @@ func (g *Graph) AddNode() int {
 // non-positive / non-finite weights: every algorithm in this repository
 // assumes a positive conductance model.
 func (g *Graph) AddEdge(u, v int, w float64) int {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range [0, %d)", u, v, g.n))
-	}
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at node %d rejected", u))
-	}
-	if !(w > 0) || math.IsInf(w, 0) {
-		panic(fmt.Sprintf("graph: edge weight %v must be positive and finite", w))
-	}
+	g.checkEdge(u, v, w)
+	g.checkEdgeCount(1)
 	idx := g.m
-	if idx >= math.MaxInt32 {
-		panic(fmt.Sprintf("graph: AddEdge past the limit of %d edges", math.MaxInt32))
-	}
 	g.own()
 	g.edgePageFor(idx>>edgePageShift, idx&edgePageMask).e[idx&edgePageMask] = edge32{U: int32(u), V: int32(v), W: w}
 	g.m++
@@ -246,11 +236,107 @@ func (g *Graph) AddEdge(u, v int, w float64) int {
 	return idx
 }
 
-// SetWeight replaces the weight of edge i.
-func (g *Graph) SetWeight(i int, w float64) {
+// AddEdges appends edges in order, as a loop of AddEdge calls would: the
+// same edge indices, the same arcs in every adjacency list and the same
+// total weight, bit for bit. It validates every edge before it writes any,
+// with AddEdge's panics. The records go in one edge page at a time, and the
+// arcs are bucketed by node page with a stable counting sort, so each node
+// page is resolved once and its lists are extended together; a node still
+// gets its arcs in edge-index order.
+func (g *Graph) AddEdges(edges []Edge) {
+	for _, e := range edges {
+		g.checkEdge(e.U, e.V, e.W)
+	}
+	g.checkEdgeCount(len(edges))
+	if len(edges) == 0 {
+		return
+	}
+	first := g.m
+	g.own()
+	for i := 0; i < len(edges); {
+		slot := g.m & edgePageMask
+		p := g.edgePageFor(g.m>>edgePageShift, slot)
+		c := min(edgePageSize-slot, len(edges)-i)
+		for j, e := range edges[i : i+c] {
+			p.e[slot+j] = edge32{U: int32(e.U), V: int32(e.V), W: e.W}
+		}
+		g.m += c
+		i += c
+	}
+	// Bucket the arcs by the node page of the node they join, keeping edge
+	// order within each bucket. end[k] counts, then places, then ends node
+	// page k's bucket.
+	type nodeArc struct {
+		u int32
+		a Arc
+	}
+	end := make([]int32, len(g.npages)+1)
+	for _, e := range edges {
+		end[e.U>>nodePageShift+1]++
+		end[e.V>>nodePageShift+1]++
+	}
+	for k := range g.npages {
+		end[k+1] += end[k]
+	}
+	arcs := make([]nodeArc, 2*len(edges))
+	for i, e := range edges {
+		idx := int32(first + i)
+		k := e.U >> nodePageShift
+		arcs[end[k]] = nodeArc{int32(e.U), Arc{To: int32(e.V), Edge: idx}}
+		end[k]++
+		k = e.V >> nodePageShift
+		arcs[end[k]] = nodeArc{int32(e.V), Arc{To: int32(e.U), Edge: idx}}
+		end[k]++
+	}
+	lo := int32(0)
+	for k, p := range g.npages {
+		hi := end[k]
+		if lo == hi {
+			continue
+		}
+		if p.owner != g.epoch {
+			p = g.copyNodePage(k)
+		}
+		for _, x := range arcs[lo:hi] {
+			h := &p.adj[x.u&nodePageMask]
+			*h = append(*h, x.a)
+		}
+		lo = hi
+	}
+	for _, e := range edges {
+		g.totalWeight += e.W
+	}
+}
+
+// checkEdge panics unless (u, v) joins two distinct nodes of g with a
+// positive, finite weight w.
+func (g *Graph) checkEdge(u, v int, w float64) {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range [0, %d)", u, v, g.n))
+	}
+	if u == v {
+		panic(fmt.Sprintf("graph: self-loop at node %d rejected", u))
+	}
+	checkWeight(w)
+}
+
+// checkEdgeCount panics if k more edges would pass the edge limit.
+func (g *Graph) checkEdgeCount(k int) {
+	if k > math.MaxInt32-g.m {
+		panic(fmt.Sprintf("graph: AddEdge past the limit of %d edges", math.MaxInt32))
+	}
+}
+
+// checkWeight panics unless w is a positive, finite edge weight.
+func checkWeight(w float64) {
 	if !(w > 0) || math.IsInf(w, 0) {
 		panic(fmt.Sprintf("graph: edge weight %v must be positive and finite", w))
 	}
+}
+
+// SetWeight replaces the weight of edge i.
+func (g *Graph) SetWeight(i int, w float64) {
+	checkWeight(w)
 	old := g.Edge(i).W
 	g.own()
 	g.edgePageFor(i>>edgePageShift, i&edgePageMask).e[i&edgePageMask].W = w
@@ -263,9 +349,35 @@ func (g *Graph) AddWeight(i int, delta float64) {
 	g.SetWeight(i, g.Edge(i).W+delta)
 }
 
-// ScaleWeight multiplies the weight of edge i by factor.
-func (g *Graph) ScaleWeight(i int, factor float64) {
-	g.SetWeight(i, g.Edge(i).W*factor)
+// SpreadWeight adds weight w to the edges idx in proportion to their
+// weights: it sums their weights in idx order, then multiplies each by
+// 1 + w/sum, in idx order, as SetWeight would, bit for bit, with SetWeight's
+// panic on a weight that is not positive and finite. It returns false, and
+// changes nothing, if the sum is not positive (idx empty).
+func (g *Graph) SpreadWeight(idx []int32, w float64) bool {
+	var total float64
+	for _, i := range idx {
+		total += g.Edge(int(i)).W
+	}
+	if total <= 0 {
+		return false
+	}
+	factor := 1 + w/total
+	g.own()
+	for _, i := range idx {
+		k, slot := int(i)>>edgePageShift, int(i)&edgePageMask
+		p := g.epages[k]
+		if p.owner != g.epoch {
+			p = g.edgePageFor(k, slot)
+		}
+		r := &p.e[slot]
+		old := r.W
+		nw := old * factor
+		checkWeight(nw)
+		r.W = nw
+		g.totalWeight += nw - old
+	}
+	return true
 }
 
 // FindEdge returns the index of some edge between u and v and true, or

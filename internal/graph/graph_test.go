@@ -82,9 +82,8 @@ func TestWeightMutation(t *testing.T) {
 	if g.Edge(0).W != 5 {
 		t.Fatalf("after AddWeight: %v", g.Edge(0))
 	}
-	g.ScaleWeight(0, 2)
-	if g.Edge(0).W != 10 {
-		t.Fatalf("after ScaleWeight: %v", g.Edge(0))
+	if !g.SpreadWeight([]int32{0}, 5) || g.Edge(0).W != 10 {
+		t.Fatalf("after SpreadWeight: %v", g.Edge(0))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

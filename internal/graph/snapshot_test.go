@@ -23,7 +23,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	// Every mutation class on the live graph must be invisible to the snapshot.
 	g.AddEdge(0, 4, 10)
 	g.SetWeight(0, 99)
-	g.ScaleWeight(1, 3)
+	g.SetWeight(1, g.Edge(1).W*3)
 	g.AddNode()
 	g.AddEdge(5, 0, 1)
 
@@ -110,7 +110,7 @@ func TestSnapshotConcurrentReads(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		g.AddEdge(i%64, (i+7)%64, 1)
-		g.ScaleWeight(i%g.NumEdges(), 1.001)
+		g.SetWeight(i%g.NumEdges(), g.Edge(i%g.NumEdges()).W*1.001)
 	}
 	wg.Wait()
 	if err := snap.Validate(); err != nil {

@@ -158,11 +158,11 @@ func (d *Decomposition) SharedLevel(p, q int) int {
 	return l
 }
 
-// ResistanceBound returns the hierarchy's estimate of the effective
+// ResistanceEstimate returns the hierarchy's estimate of the effective
 // resistance between p and q: the tracked diameter of the first shared
-// cluster. Despite the name it is not an upper bound; it can fall below the
-// exact resistance. It returns +Inf for disconnected pairs.
-func (d *Decomposition) ResistanceBound(p, q int) float64 {
+// cluster. It is not an upper bound: it can fall below the exact
+// resistance. It returns +Inf for disconnected pairs.
+func (d *Decomposition) ResistanceEstimate(p, q int) float64 {
 	l, c := d.Meet(p, q)
 	if l < 0 {
 		return math.Inf(1)

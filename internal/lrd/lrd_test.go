@@ -151,7 +151,7 @@ func TestResistanceBoundIsUpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := d.ResistanceBound(p, q)
+		bound := d.ResistanceEstimate(p, q)
 		if math.IsInf(bound, 1) {
 			t.Fatalf("connected pair (%d,%d) got infinite bound", p, q)
 		}
@@ -202,7 +202,7 @@ func TestDisconnectedGraph(t *testing.T) {
 	if d.SharedLevel(0, 3) != -1 {
 		t.Fatal("cross-component nodes must never share a cluster")
 	}
-	if !math.IsInf(d.ResistanceBound(0, 5), 1) {
+	if !math.IsInf(d.ResistanceEstimate(0, 5), 1) {
 		t.Fatal("cross-component bound must be +Inf")
 	}
 	if d.SharedLevel(0, 2) < 0 {

@@ -74,13 +74,13 @@ func TestResistanceBoundProperty(t *testing.T) {
 		for k := 0; k < 30; k++ {
 			p, q := r.Intn(30), r.Intn(30)
 			if p == q {
-				if d.ResistanceBound(p, q) != 0 {
+				if d.ResistanceEstimate(p, q) != 0 {
 					return false
 				}
 				continue
 			}
-			b1 := d.ResistanceBound(p, q)
-			b2 := d.ResistanceBound(q, p)
+			b1 := d.ResistanceEstimate(p, q)
+			b2 := d.ResistanceEstimate(q, p)
 			if b1 != b2 || b1 <= 0 || b1 != b1 /* NaN */ {
 				return false
 			}
@@ -164,7 +164,7 @@ func TestSharedLevelConsistencyProperty(t *testing.T) {
 
 // Property: the tree queries equal a per-node table built the old way, by
 // composing the Up maps level by level: Meet, SharedLevel and
-// ResistanceBound on every pair, ClusterID, Labels and EmbeddingVector on
+// ResistanceEstimate on every pair, ClusterID, Labels and EmbeddingVector on
 // every node. Cluster ids ascend with each cluster's lowest node id, the
 // order the sketch's span layout reads the Up maps in. Some graphs have two
 // components, so pairs that never meet are covered too.
@@ -253,8 +253,8 @@ func TestTreeQueriesMatchPerNodeTableProperty(t *testing.T) {
 					t.Logf("seed %d: Meet(%d, %d) = (%d, %d), SharedLevel %d, table (%d, %d)", seed, p, q, l, c, d.SharedLevel(p, q), wantL, wantC)
 					return false
 				}
-				if r := d.ResistanceBound(p, q); r != wantR {
-					t.Logf("seed %d: ResistanceBound(%d, %d) = %v, table %v", seed, p, q, r, wantR)
+				if r := d.ResistanceEstimate(p, q); r != wantR {
+					t.Logf("seed %d: ResistanceEstimate(%d, %d) = %v, table %v", seed, p, q, r, wantR)
 					return false
 				}
 			}

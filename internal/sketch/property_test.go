@@ -106,11 +106,11 @@ func TestRegisterQueryRoundTripProperty(t *testing.T) {
 			shared := d.SharedLevel(u, v)
 			for l := 1; l < shared; l++ {
 				es := levels[l].PairEdges(u, v)
-				if len(es) == 0 || es[len(es)-1] != ei {
+				if len(es) == 0 || es[len(es)-1] != int32(ei) {
 					return false
 				}
 				for _, x := range es {
-					e := g.Edge(x)
+					e := g.Edge(int(x))
 					if pairKey(d.ClusterID(l, e.U), d.ClusterID(l, e.V)) !=
 						pairKey(d.ClusterID(l, u), d.ClusterID(l, v)) {
 						return false
@@ -130,12 +130,12 @@ func TestRegisterQueryRoundTripProperty(t *testing.T) {
 // order, and each cluster's span by recursive descent of the containment
 // tree, own edges first, children in order of their lowest node id.
 type reference struct {
-	pairs map[uint64][]int
+	pairs map[uint64][]int32
 	spans [][]int32 // by level-l cluster
 }
 
 func newReference(d *lrd.Decomposition, h *graph.Graph, l int) reference {
-	ref := reference{pairs: map[uint64][]int{}, spans: make([][]int32, d.NumClusters[l])}
+	ref := reference{pairs: map[uint64][]int32{}, spans: make([][]int32, d.NumClusters[l])}
 	// own[k][c] holds the edges whose endpoints first share a cluster at
 	// level k, in cluster c.
 	own := make([][][]int32, l+1)
@@ -144,7 +144,7 @@ func newReference(d *lrd.Decomposition, h *graph.Graph, l int) reference {
 	}
 	for ei, e := range h.All() {
 		if cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V); cu != cv {
-			ref.pairs[pairKey(cu, cv)] = append(ref.pairs[pairKey(cu, cv)], ei)
+			ref.pairs[pairKey(cu, cv)] = append(ref.pairs[pairKey(cu, cv)], int32(ei))
 			continue
 		}
 		for k := 1; k <= l; k++ {

@@ -57,7 +57,7 @@ type Structure struct {
 	labels []int32
 	// pairs maps a cluster-pair key to the sparsifier edges connecting the
 	// pair, in index order.
-	pairs map[uint64][]int
+	pairs map[uint64][]int32
 	// off and spans are the intra-span index: cluster c's internal edges
 	// are spans[off[c]:off[c+1]]. Both are nil while the spans are stale.
 	off   []int32
@@ -90,7 +90,7 @@ func (s *Structure) Index(l int) {
 		panic(fmt.Sprintf("sketch: Index(%d) on a structure at level %d: it indexes one level >= 1, once", l, s.level))
 	}
 	s.level = l
-	s.pairs = make(map[uint64][]int)
+	s.pairs = make(map[uint64][]int32)
 	if l >= s.d.Levels {
 		return
 	}
@@ -99,7 +99,7 @@ func (s *Structure) Index(l int) {
 		e := s.h.Edge(ei)
 		if cu, cv := s.labels[e.U], s.labels[e.V]; cu != cv {
 			k := pairKey(cu, cv)
-			s.pairs[k] = append(s.pairs[k], ei)
+			s.pairs[k] = append(s.pairs[k], int32(ei))
 		}
 	}
 	s.buildSpans()
@@ -149,7 +149,7 @@ func (s *Structure) Register(ei int) {
 	e := s.h.Edge(ei)
 	if cu, cv := s.labels[e.U], s.labels[e.V]; cu != cv {
 		k := pairKey(cu, cv)
-		s.pairs[k] = append(s.pairs[k], ei)
+		s.pairs[k] = append(s.pairs[k], int32(ei))
 	} else {
 		s.off, s.spans = nil, nil
 	}
@@ -166,7 +166,7 @@ func (s *Structure) SameCluster(p, q int) bool {
 // them: concentrating the weight on a single representative would
 // overweight that edge relative to the original graph and collapse the
 // pencil's smallest eigenvalue. Callers must not modify the result.
-func (s *Structure) PairEdges(p, q int) []int {
+func (s *Structure) PairEdges(p, q int) []int32 {
 	cu, cv := s.labels[p], s.labels[q]
 	if cu == cv {
 		return nil

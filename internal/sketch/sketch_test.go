@@ -99,12 +99,12 @@ func TestConnectingEdgeIsValid(t *testing.T) {
 				continue
 			}
 			got := s.PairEdges(e.U, e.V)
-			if !slices.Contains(got, ei) {
+			if !slices.Contains(got, int32(ei)) {
 				t.Fatalf("level %d: crossing edge %d missing from its pair's list %v", l, ei, got)
 			}
 			cu, cv := d.ClusterID(l, e.U), d.ClusterID(l, e.V)
 			for _, x := range got {
-				pe := g.Edge(x)
+				pe := g.Edge(int(x))
 				if ru, rv := d.ClusterID(l, pe.U), d.ClusterID(l, pe.V); pairKey(ru, rv) != pairKey(cu, cv) {
 					t.Fatalf("level %d: edge %d listed for pair (%d,%d) connects (%d,%d)", l, x, cu, cv, ru, rv)
 				}
@@ -180,7 +180,7 @@ func TestRegisterNewEdge(t *testing.T) {
 	}
 	for l := 1; l < lShared; l++ {
 		got := levels[l].PairEdges(p, q)
-		if len(got) != before[l]+1 || got[len(got)-1] != ei {
+		if len(got) != before[l]+1 || got[len(got)-1] != int32(ei) {
 			t.Fatalf("level %d pair list %v, want %d edges ending in %d", l, got, before[l]+1, ei)
 		}
 	}
@@ -332,7 +332,7 @@ func TestRegisterRejectsOutOfOrder(t *testing.T) {
 	for _, ei := range []int{next, next + 1} {
 		e := g.Edge(ei)
 		if s.SameCluster(e.U, e.V) && !slices.Contains(s.IntraClusterEdges(e.U), int32(ei)) ||
-			!s.SameCluster(e.U, e.V) && !slices.Contains(s.PairEdges(e.U, e.V), ei) {
+			!s.SameCluster(e.U, e.V) && !slices.Contains(s.PairEdges(e.U, e.V), int32(ei)) {
 			t.Fatalf("in-order registration %d missing from the index", ei)
 		}
 	}

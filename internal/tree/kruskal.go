@@ -1,10 +1,8 @@
 package tree
 
 import (
-	"cmp"
-	"slices"
-
 	"ingrass/internal/graph"
+	"ingrass/internal/vecmath"
 )
 
 // MaxWeight builds the maximum-weight spanning forest by Kruskal's
@@ -21,7 +19,7 @@ func MaxWeight(g *graph.Graph) *SpanningTree {
 	for _, ei := range order {
 		e := edges[ei]
 		if uf.Union(e.U, e.V) {
-			keep = append(keep, ei)
+			keep = append(keep, int(ei))
 			if uf.Count() == 1 {
 				break
 			}
@@ -32,15 +30,12 @@ func MaxWeight(g *graph.Graph) *SpanningTree {
 
 // heaviestFirst returns the edge indices ordered by weight, heaviest first,
 // then by index.
-func heaviestFirst(edges []graph.Edge) []int {
-	order := make([]int, len(edges))
-	for i := range order {
-		order[i] = i
+func heaviestFirst(edges []graph.Edge) []int32 {
+	w := make([]float64, len(edges))
+	for i, e := range edges {
+		w[i] = e.W
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(edges[b].W, edges[a].W), cmp.Compare(a, b))
-	})
-	return order
+	return vecmath.Order(w, true)
 }
 
 // Prim builds the maximum-weight spanning forest by Prim's algorithm with a

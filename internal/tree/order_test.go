@@ -19,10 +19,10 @@ func TestHeaviestFirstOrderMatchesStableSort(t *testing.T) {
 	r := vecmath.NewRNG(1)
 	for trial := 0; trial < 300; trial++ {
 		edges := make([]graph.Edge, r.Intn(200))
-		want := make([]int, len(edges))
+		want := make([]int32, len(edges))
 		for i := range edges {
 			edges[i] = graph.Edge{U: i, V: i + 1, W: pool[r.Intn(len(pool))]}
-			want[i] = i
+			want[i] = int32(i)
 		}
 		sort.SliceStable(want, func(a, b int) bool { return edges[want[a]].W > edges[want[b]].W })
 		if got := heaviestFirst(edges); !slices.Equal(got, want) {
