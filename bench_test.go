@@ -253,18 +253,24 @@ func BenchmarkSketchNew(b *testing.B) {
 	}
 }
 
-// BenchmarkLapSolve measures one Jacobi-PCG Laplacian solve, the inner
-// kernel of exact resistance and condition-number estimation.
+// BenchmarkLapSolve measures one Laplacian solve as condition-number
+// estimation runs it for the lambda_max pencil: Factorization.Solve of a
+// graph preconditioned by that graph's own factorization (at this scale
+// fe_4elt2 factors exactly, so CG converges in one step).
 func BenchmarkLapSolve(b *testing.B) {
 	g := benchGraph(b, "fe_4elt2")
-	s := sparse.NewLaplacianSolver(g, solver.Options{Tol: 1e-6})
+	fact, err := precond.Factorize(g, solver.Options{Tol: 1e-6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gop := sparse.NewLapOperator(g)
 	rhs := make([]float64, g.NumNodes())
 	vecmath.NewRNG(1).FillNormal(rhs)
 	vecmath.CenterMean(rhs)
 	dst := make([]float64, g.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(context.Background(), dst, rhs); err != nil {
+		if _, err := fact.Solve(context.Background(), gop, dst, rhs, solver.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,12 +356,14 @@ func BenchmarkPartitionSparsified(b *testing.B) {
 }
 
 // BenchmarkSolvePreconditioned compares Jacobi-PCG against
-// sparsifier-preconditioned CG on a heterogeneous power grid. The
-// sparsifier cuts iterations (see precond tests), and each iteration pays
-// one forward and one backward sweep over H's LDLᵀ factor; when H's
-// elimination stops at the pivot-degree cap the factorization keeps no
-// factor and both arms run the same Jacobi-PCG. The sparsifier arm reports
-// which regime it ran (factored) and its factor's size (nnz).
+// sparsifier-preconditioned CG on a heterogeneous power grid. The jacobi
+// arm runs sparse.BlockCG directly with G's Jacobi diagonal, the solve
+// precond's Jacobi regime runs. The sparsifier cuts iterations (see precond
+// tests), and each iteration pays one forward and one backward sweep over
+// H's LDLᵀ factor; when H's elimination stops at the pivot-degree cap the
+// factorization keeps no factor and both arms run the same Jacobi-PCG. The
+// sparsifier arm reports which regime it ran (factored) and its factor's
+// size (nnz).
 func BenchmarkSolvePreconditioned(b *testing.B) {
 	g := benchGraph(b, "g2_circuit")
 	init := benchSparsifier(b, g)
@@ -364,10 +372,19 @@ func BenchmarkSolvePreconditioned(b *testing.B) {
 	vecmath.NewRNG(2).FillNormal(rhs)
 	vecmath.CenterMean(rhs)
 	b.Run("jacobi", func(b *testing.B) {
-		s := sparse.NewLaplacianSolver(g, solver.Options{Tol: 1e-8, MaxIter: 10000})
+		gop := sparse.NewLapOperator(g)
+		proj := &sparse.ProjectedOperator{Inner: gop}
+		ws, sc := gop.Workspaces().Get(), &sparse.BlockScratch{}
+		out := make([]sparse.ColumnResult, 1)
 		for i := 0; i < b.N; i++ {
 			x := make([]float64, n)
-			if _, err := s.Solve(context.Background(), x, rhs); err != nil {
+			err := sparse.BlockCG(context.Background(), proj, sparse.BlockSpec{
+				X: [][]float64{x}, B: [][]float64{rhs}, Out: out,
+			}, gop.Jacobi(), ws, sc, solver.Options{Tol: 1e-8, MaxIter: 10000})
+			if err == nil {
+				err = out[0].Err
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

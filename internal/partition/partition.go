@@ -2,23 +2,28 @@
 // downstream applications the paper's introduction motivates (network
 // partitioning/decomposition). The Fiedler vector (eigenvector of the
 // second-smallest Laplacian eigenvalue) is computed by inverse power
-// iteration, each step a preconditioned CG solve; thresholding it at its
-// median yields a balanced cut whose weight approximates the sparsest
-// balanced cut.
+// iteration, each step one precond.Factorization solve of the graph's own
+// Laplacian: CG preconditioned by its exact LDLᵀ factor, or by its Jacobi
+// diagonal when elimination meets precond's pivot-degree cap. Thresholding
+// the vector at its median yields a balanced cut whose weight approximates
+// the sparsest balanced cut.
 //
 // The sparsifier connection: computing the Fiedler vector on the SPARSIFIER
-// H instead of G costs proportionally fewer CG operations per iteration and
-// yields a near-identical partition whenever kappa(L_G, L_H) is small —
-// demonstrated in the package tests and examples/partition.
+// H instead of G costs a sparser factor (or proportionally fewer CG
+// operations per iteration) and yields a near-identical partition whenever
+// kappa(L_G, L_H) is small — demonstrated in the package tests and
+// examples/partition.
 package partition
 
 import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"ingrass/internal/graph"
+	"ingrass/internal/precond"
 	"ingrass/internal/solver"
 	"ingrass/internal/sparse"
 	"ingrass/internal/vecmath"
@@ -31,10 +36,10 @@ type Options struct {
 	// Tol stops iteration when the iterate rotates by less than Tol
 	// (1 - |<x_k, x_{k-1}>|). Default 1e-6.
 	Tol float64
-	// Solver configures the inner solves (tolerance default 1e-6) and
-	// Laplacian-product parallelism (Solver.Workers, frozen into the
-	// solver's persistent kernel pool for the whole inverse power
-	// iteration).
+	// Solver configures the inner solves through g's factorization
+	// (tolerance default 1e-6) and Laplacian-product parallelism and layout
+	// (Solver.Workers and Solver.Format, frozen into g's operator for the
+	// whole inverse power iteration).
 	Solver solver.Options
 	// Seed drives the random start vector.
 	Seed uint64
@@ -70,7 +75,14 @@ func Fiedler(ctx context.Context, g *graph.Graph, opts Options) ([]float64, erro
 		return nil, fmt.Errorf("partition: graph must be connected")
 	}
 	o := opts.withDefaults()
-	lap := sparse.NewLaplacianSolver(g, o.Solver)
+	// g is factored and its Laplacian frozen once for every inner solve.
+	fact, err := precond.Factorize(g, o.Solver)
+	if err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
+	gOp := sparse.NewLapOperator(g)
+	gOp.SetWorkers(o.Solver.Workers)
+	gOp.SetFormat(o.Solver.Format)
 
 	rng := vecmath.NewRNG(o.Seed + 0xF1ED)
 	x := make([]float64, n)
@@ -84,10 +96,8 @@ func Fiedler(ctx context.Context, g *graph.Graph, opts Options) ([]float64, erro
 		if err := solver.CheckCancel(ctx); err != nil {
 			return nil, err
 		}
-		if _, err := lap.Solve(ctx, next, x); err != nil {
-			// Loose inner solves only slow the outer convergence.
-			_ = err
-		}
+		// Loose inner solves only slow the outer convergence.
+		_, _ = fact.Solve(ctx, gOp, next, x, o.Solver)
 		// A cancelled inner solve leaves next = 0, which the Normalize
 		// break below would misread as convergence; report it instead.
 		if err := solver.CheckCancel(ctx); err != nil {
@@ -99,18 +109,11 @@ func Fiedler(ctx context.Context, g *graph.Graph, opts Options) ([]float64, erro
 		}
 		dot := vecmath.Dot(next, x)
 		copy(x, next)
-		if 1-abs(dot) < o.Tol {
+		if 1-math.Abs(dot) < o.Tol {
 			break
 		}
 	}
 	return x, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Bisection is a two-way partition of a graph's nodes.

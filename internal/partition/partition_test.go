@@ -2,11 +2,14 @@ package partition
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/grass"
+	"ingrass/internal/precond"
+	"ingrass/internal/solver"
 	"ingrass/internal/vecmath"
 )
 
@@ -51,30 +54,45 @@ func TestFiedlerErrors(t *testing.T) {
 	}
 }
 
+// TestFiedlerSeparatesCliques runs Fiedler in both regimes of its
+// factorization: two 8-cliques factor exactly, while a 70-clique's pivots
+// have degree 69, over precond's pivot-degree cap, so those solves are
+// Jacobi-PCG.
 func TestFiedlerSeparatesCliques(t *testing.T) {
-	g := twoCliquesBridge(8)
-	f, err := Fiedler(context.Background(), g, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All of clique A on one sign, all of clique B on the other.
-	signA := f[0] > 0
-	for v := 1; v < 8; v++ {
-		if (f[v] > 0) != signA {
-			t.Fatalf("clique A not sign-coherent at node %d", v)
-		}
-	}
-	for v := 8; v < 16; v++ {
-		if (f[v] > 0) == signA {
-			t.Fatalf("clique B on the same side at node %d", v)
-		}
-	}
-	// Mean-zero, unit-norm.
-	if math.Abs(vecmath.Sum(f)) > 1e-6 {
-		t.Fatalf("Fiedler vector not mean-zero: %v", vecmath.Sum(f))
-	}
-	if math.Abs(vecmath.Norm2(f)-1) > 1e-6 {
-		t.Fatalf("Fiedler vector not normalized: %v", vecmath.Norm2(f))
+	for _, k := range []int{8, 70} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			g := twoCliquesBridge(k)
+			fact, err := precond.Factorize(g, solver.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := k < 70; fact.Factored() != want {
+				t.Fatalf("Factorize(g).Factored() = %v, want %v", fact.Factored(), want)
+			}
+			f, err := Fiedler(context.Background(), g, Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// All of clique A on one sign, all of clique B on the other.
+			signA := f[0] > 0
+			for v := 1; v < k; v++ {
+				if (f[v] > 0) != signA {
+					t.Fatalf("clique A not sign-coherent at node %d", v)
+				}
+			}
+			for v := k; v < 2*k; v++ {
+				if (f[v] > 0) == signA {
+					t.Fatalf("clique B on the same side at node %d", v)
+				}
+			}
+			// Mean-zero, unit-norm.
+			if math.Abs(vecmath.Sum(f)) > 1e-6 {
+				t.Fatalf("Fiedler vector not mean-zero: %v", vecmath.Sum(f))
+			}
+			if math.Abs(vecmath.Norm2(f)-1) > 1e-6 {
+				t.Fatalf("Fiedler vector not normalized: %v", vecmath.Norm2(f))
+			}
+		})
 	}
 }
 

@@ -15,15 +15,18 @@ import (
 //   - exact: an LDLᵀ factor of the grounded L_H (see factorLDL), applied
 //     by one forward and one backward sweep per CG iteration.
 //   - Jacobi: when elimination meets a pivot of degree above
-//     maxPivotDegree, no factor is kept and solves precondition with the
-//     system operator's own Jacobi diagonal, exactly as
-//     sparse.LaplacianSolver does.
+//     maxPivotDegree, no factor is kept and solves are plain Jacobi-PCG:
+//     sparse.BlockCG preconditioned by the system operator's own Jacobi
+//     diagonal.
 //
 // It also holds the engine-level solve defaults. Everything it holds is
 // read-only after Factorize, so one Factorization can back any number of
-// concurrent solves. The service layer builds one per snapshot generation
-// and keys its cache on that generation, which is how repeated solves
-// against an unchanged graph skip re-factorization.
+// concurrent solves. It is the stack's one Laplacian solve: the service
+// layer builds one per snapshot generation and keys its cache on that
+// generation, which is how repeated solves against an unchanged graph skip
+// re-factorization; cond.Estimate builds one of H per estimate and solves
+// both pencils through it; partition.Fiedler builds one of the graph it
+// partitions.
 //
 // Per-call mutable state (scratch workspace, headers, counters) lives in a
 // pooled blockSolveState checked out for the duration of each Solve or
@@ -75,7 +78,8 @@ func (f *Factorization) FactorNNZ() int {
 // Solve runs preconditioned CG on L_G x = b, where sys is G's frozen
 // Laplacian operator: preconditioned by L_H^+ through the exact factor, or
 // by sys's own Jacobi diagonal in the Jacobi regime, where the result is
-// bit-identical to sparse.LaplacianSolver over sys. It is a width-1
+// bit-identical to a width-1 sparse.BlockCG over sys's projection with
+// sys.Jacobi() (TestJacobiRegimeMatchesJacobiPCG). It is a width-1
 // SolveBlock whose column headers and result slot live in the pooled solve
 // state. b is mean-centered internally (Laplacian systems are only
 // consistent on the complement of ones); the solution written into x is

@@ -74,16 +74,15 @@ func TestCGCancelMidSolve(t *testing.T) {
 	}
 }
 
-func TestLaplacianSolverCancel(t *testing.T) {
+func TestJacobiPCGCancel(t *testing.T) {
 	g := gridGraph(30, 30)
-	s := NewLaplacianSolver(g, solver.Options{Tol: 1e-14})
 	b := make([]float64, g.NumNodes())
 	vecmath.NewRNG(3).FillNormal(b)
 	vecmath.CenterMean(b)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dst := make([]float64, g.NumNodes())
-	res, err := s.Solve(ctx, dst, b)
+	res, err := jacobiPCG(ctx, NewLapOperator(g), dst, b, solver.Options{Tol: 1e-14})
 	if !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}

@@ -1,11 +1,12 @@
 // Package sparse provides the iterative linear-algebra substrate: abstract
 // symmetric operators, the one conjugate-gradient loop (BlockCG — a single
-// right-hand side is a width-1 block) with Jacobi preconditioning, and
-// Laplacian-specific wrappers that work in the orthogonal complement of the
-// constant vector (a connected Laplacian's null space). Every solve in the
-// stack runs through BlockCG: exact effective resistances, condition-number
-// estimates, and precond's sparsifier-preconditioned solves, which hand it
-// either their exact factor of L_H or G's own Jacobi diagonal.
+// right-hand side is a width-1 block) with Jacobi preconditioning, and the
+// Laplacian operator and its projection onto the orthogonal complement of
+// the constant vector (a connected Laplacian's null space). Every solve in
+// the stack runs through BlockCG by way of precond.Factorization, which
+// hands it either the exact factor of a sparsifier L_H or the system
+// operator's own Jacobi diagonal: served solves and resistances,
+// condition-number estimates, and spectral partitioning.
 //
 // Every solve entry point takes the request-scoped contract from
 // internal/solver: a context (checked once per iteration), a unified
@@ -49,8 +50,8 @@ func NewJacobi(diag []float64) *Jacobi {
 }
 
 // PrecondBlock computes dst[c] = D^{-1} src[c] for every column, so Jacobi
-// serves BlockCG directly (LaplacianSolver, and precond when H's
-// elimination stops at its pivot-degree cap).
+// serves BlockCG directly (precond, when H's elimination stops at its
+// pivot-degree cap).
 func (j *Jacobi) PrecondBlock(dst, src [][]float64) {
 	for c := range dst {
 		d := dst[c]
